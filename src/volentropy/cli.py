@@ -33,9 +33,7 @@ from .core import (
 )
 from .entropy import EntropyReport, bounds_check, volume_entropy, entropy_table
 from .markov import (
-    BlockKind,
     PresentationSpec,
-    build_block,
     build_markov_from_blocks,
     build_markov_from_images,
     reference_rows,
@@ -250,7 +248,7 @@ def _run_battery(n_max: int) -> list[dict]:
             rhs = char_poly_exact(c) * IntPolynomial([-1, 1])
             assert lhs == rhs, "char(divided) != (x - 1) * char(compacted)"
             view = BlockView(dc, 2, n)
-            folded = view.block(1, 1) + view.block(1, 2) * build_block(BlockKind.J(), n)
+            folded = view.block(1, 1) + view.block(1, 2).reverse_columns()
             assert folded == sc, _first_difference(folded, sc)
 
         def rome_charpoly(n=n):
@@ -303,10 +301,10 @@ def _run_battery(n_max: int) -> list[dict]:
 def _first_difference(a: IntMatrix, b: IntMatrix) -> str:
     if a.size != b.size:
         return f"sizes differ: {a.size} vs {b.size}"
-    for i in range(1, a.size + 1):
-        for j in range(1, a.size + 1):
-            if a.entry(i, j) != b.entry(i, j):
-                return f"first difference at ({i},{j}): {a.entry(i, j)} vs {b.entry(i, j)}"
+    for i, (ra, rb) in enumerate(zip(a.rows, b.rows), 1):
+        if ra != rb:
+            j = next(j for j, (x, y) in enumerate(zip(ra, rb)) if x != y)
+            return f"first difference at ({i},{j + 1}): {ra[j]} vs {rb[j]}"
     return ""
 
 

@@ -14,6 +14,8 @@ plain iteration over `IntMatrix.rows` is ordinary 0-based Python.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -49,6 +51,17 @@ def mod1(k: int, l: int) -> int:
     return (k - 1) % l + 1
 
 
+def check_tolerance(tol: float) -> None:
+    """Reject a tolerance that is not a finite positive number.
+
+    NaN and infinity are rejected explicitly: `tol <= 0` lets both through,
+    and either one turns a convergence or agreement test into a vacuous pass
+    or a misleading failure.
+    """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be a finite positive number, got {tol}")
+
+
 # =====================================================================
 # Dense square integer matrix
 # =====================================================================
@@ -63,7 +76,7 @@ class IntMatrix:
     __slots__ = ("rows", "size")
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        mat = tuple(tuple(int(v) for v in row) for row in rows)
+        mat = tuple(tuple(map(int, row)) for row in rows)
         if not mat:
             raise ValueError("matrix must have at least one row")
         k = len(mat)
@@ -124,20 +137,27 @@ class IntMatrix:
             return NotImplemented
         if self.size != other.size:
             raise ValueError("size mismatch in matrix product")
-        k = self.size
         cols = list(zip(*other.rows))
         return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
+            [[sum(map(operator.mul, row, col)) for col in cols] for row in self.rows]
         )
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(list(zip(*self.rows)))
 
+    def reverse_rows(self) -> "IntMatrix":
+        """J * self for the flip J: the rows in reverse order."""
+        return IntMatrix(self.rows[::-1])
+
+    def reverse_columns(self) -> "IntMatrix":
+        """self * J for the flip J: every row reversed."""
+        return IntMatrix([row[::-1] for row in self.rows])
+
     def row_sums(self) -> tuple[int, ...]:
         return tuple(sum(row) for row in self.rows)
 
     def is_nonnegative(self) -> bool:
-        return all(v >= 0 for row in self.rows for v in row)
+        return min(map(min, self.rows)) >= 0
 
     def __repr__(self) -> str:
         return f"IntMatrix(size={self.size})"

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import IntPolynomial, poly_eval
+from .core import IntPolynomial, check_tolerance, poly_eval
 from .markov import PresentationSpec, build_markov_from_blocks
 from .reductions import compacted_matrix, super_compacted_matrix
 from .rome import RomeSpec, q_polynomial, rome_char_poly
@@ -88,8 +88,7 @@ def lambda_n_bracket(n: int, tol: float = 1e-12) -> tuple[Fraction, Fraction]:
             f"rank must be >= 3 for a growth rate above 1, got {n}"
             " (rank 2 has entropy 0; see volume_entropy)"
         )
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    check_tolerance(tol)
     return _bisect_root(q_polynomial(n), Fraction(1), Fraction(2 * n - 1), tol)
 
 
@@ -151,8 +150,7 @@ def volume_entropy(spec: PresentationSpec, tol: float = 1e-10) -> EntropyReport:
     beyond the combined tolerance set consistent=False; they are never
     averaged.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    check_tolerance(tol)
     n = spec.n
     if n == 2:
         return EntropyReport(n=n, orientable=spec.orientable, lambda_=1.0, entropy=0.0)

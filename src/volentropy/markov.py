@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import chain
 
 from .core import IntMatrix, mod1
 
@@ -295,7 +296,7 @@ def build_markov_from_blocks(spec: PresentationSpec) -> IntMatrix:
 
     Every block row repeats the same template, shifted one block to the right
     per row; in the non-orientable case the two reversing rows (n and 2n) are
-    premultiplied blockwise by the flip J.
+    premultiplied blockwise by the flip J, which reverses each block's rows.
     """
     n = spec.n
     if n < 3:
@@ -303,29 +304,22 @@ def build_markov_from_blocks(spec: PresentationSpec) -> IntMatrix:
     s = spec.block_size
     r = spec.block_count
     reversed_rows = _reversed_rows(spec)
-    flip = build_block(BlockKind.J(), s)
-    cache: dict[BlockKind, IntMatrix] = {}
+    cache: dict[tuple[BlockKind, bool], tuple[tuple[int, ...], ...]] = {}
 
-    def block_of(kind: BlockKind) -> IntMatrix:
-        if kind not in cache:
-            cache[kind] = build_block(kind, s)
-        return cache[kind]
+    def block_rows(kind: BlockKind, flipped: bool) -> tuple[tuple[int, ...], ...]:
+        key = (kind, flipped)
+        if key not in cache:
+            blk = build_block(kind, s)
+            cache[key] = (blk.reverse_rows() if flipped else blk).rows
+        return cache[key]
 
-    rows = [[0] * spec.matrix_size for _ in range(spec.matrix_size)]
+    rows: list[tuple[int, ...]] = []
     for l in range(1, r + 1):
         kinds = _template_kinds(n, l)
-        for t, kind in kinds.items():
-            blk = block_of(kind)
-            if l in reversed_rows:
-                blk = flip * blk
-            base_r = (l - 1) * s
-            base_c = (t - 1) * s
-            for i in range(s):
-                row = rows[base_r + i]
-                src = blk.rows[i]
-                for j in range(s):
-                    if src[j]:
-                        row[base_c + j] = src[j]
+        flipped = l in reversed_rows
+        blocks = [block_rows(kinds[t], flipped) for t in range(1, r + 1)]
+        for i in range(s):
+            rows.append(tuple(chain.from_iterable(blk[i] for blk in blocks)))
     return IntMatrix(rows)
 
 

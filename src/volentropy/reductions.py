@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import IntMatrix
-from .markov import BlockKind, build_block
 
 __all__ = [
     "BlockView",
@@ -108,8 +107,7 @@ def is_disoriented_block_circulant(view: BlockView) -> tuple[bool, IntMatrix | N
     """
     r, s = view.block_count, view.block_size
     first = view.block_row(1)
-    flip = build_block(BlockKind.J(), s)
-    flipped_first = [flip * blk for blk in first]
+    flipped_first = [blk.reverse_rows() for blk in first]
     rows: list[list[int]] = []
     for i in range(1, r + 1):
         straight = [first[(j - i) % r] for j in range(1, r + 1)]
@@ -126,10 +124,9 @@ def is_disoriented_block_circulant(view: BlockView) -> tuple[bool, IntMatrix | N
 
 
 def check_J_commutation(m: IntMatrix) -> bool:
-    """True iff m commutes with the flip J (equivalently, m is invariant
-    under rotation by half a turn)."""
-    j = build_block(BlockKind.J(), m.size)
-    return m * j == j * m
+    """True iff m commutes with the flip J, checked as the equivalent
+    invariance of m under rotation by half a turn."""
+    return m.reverse_rows().reverse_columns() == m
 
 
 # =====================================================================

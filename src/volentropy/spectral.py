@@ -12,9 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import IntMatrix, IntPolynomial
+from .core import IntMatrix, IntPolynomial, check_tolerance
 
 __all__ = [
     "SpectralEstimate",
@@ -56,14 +54,17 @@ def power_iteration(
     matrix yields 0.  Non-convergence within the iteration budget is reported
     via converged=False, never silently.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    check_tolerance(tol)
     if not m.is_nonnegative():
         raise ValueError("power iteration requires a nonnegative matrix")
     if max_iter is None:
         max_iter = 100 * m.size + 1000
     if max_iter < 1:
         raise ValueError(f"iteration budget must be >= 1, got {max_iter}")
+
+    # Imported here so that the exact routes (tables, rome and characteristic
+    # polynomials) never pay for loading numpy.
+    import numpy as np
 
     a = np.array(m.rows, dtype=np.float64)
     v = np.ones(m.size, dtype=np.float64)

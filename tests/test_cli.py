@@ -13,8 +13,8 @@ import sys
 
 import pytest
 
-from volentropy.cli import main
-from volentropy.core import format_blocks, matrix_from_csv
+from volentropy.cli import _first_difference, main
+from volentropy.core import IntMatrix, format_blocks, matrix_from_csv
 from volentropy.entropy import ROUTE_NAMES, EntropyReport
 from volentropy.markov import PresentationSpec, build_markov_from_blocks
 from volentropy.reductions import (
@@ -259,6 +259,19 @@ def test_verify_csv_schema(capsys):
         assert fields[2] == "true"
 
 
+def test_first_difference_reports_1_based_position():
+    a = IntMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    b = IntMatrix([[1, 2, 3], [4, 5, 0], [7, 0, 9]])
+    assert _first_difference(a, b) == "first difference at (2,3): 6 vs 0"
+    assert _first_difference(a, a) == ""
+
+
+def test_first_difference_reports_size_mismatch():
+    assert _first_difference(IntMatrix.identity(2), IntMatrix.identity(3)) == (
+        "sizes differ: 2 vs 3"
+    )
+
+
 # =====================================================================
 # table
 # =====================================================================
@@ -319,6 +332,17 @@ def test_precondition_violations_exit_1_with_message(argv, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_non_finite_tol_exits_1_and_names_the_value(tol, fmt, capsys):
+    code = main(["entropy", "--n", "6", "--tol", tol, "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:")
+    assert f"got {tol}" in captured.err
     assert captured.out == ""
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from volentropy.core import poly_eval
+from volentropy.core import IntMatrix, poly_eval
 from volentropy.entropy import (
     ROUTE_NAMES,
     bounds_check,
@@ -16,6 +16,7 @@ from volentropy.entropy import (
 )
 from volentropy.markov import PresentationSpec
 from volentropy.rome import q_polynomial
+from volentropy.spectral import power_iteration
 
 # Frozen from an independent eigenvalue computation (numpy.roots on the
 # closed-form coefficients), 12 significant digits.
@@ -120,6 +121,21 @@ def test_report_consensus_is_the_certified_root():
 def test_report_validation():
     with pytest.raises(ValueError):
         volume_entropy(PresentationSpec(4, True), tol=-1.0)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+def test_non_finite_tolerance_is_rejected_and_named(tol):
+    # `tol <= 0` lets NaN and +inf through; every boundary that takes a
+    # tolerance must reject them and say which value it got.
+    calls = [
+        lambda: power_iteration(IntMatrix.identity(2), tol=tol),
+        lambda: lambda_n_bracket(4, tol=tol),
+        lambda: volume_entropy(PresentationSpec(6, False), tol=tol),
+        lambda: volume_entropy(PresentationSpec(2, False), tol=tol),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"got {tol}$"):
+            call()
 
 
 # ---------------------------------------------------------------- table

@@ -1,6 +1,7 @@
 """The reduction chain: block views, circulant collapse, closed-form matrices."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from volentropy.core import IntMatrix, IntPolynomial
 from volentropy.markov import (
@@ -145,6 +146,35 @@ def test_check_J_commutation():
     assert check_J_commutation(build_block(BlockKind.J(), 5))
     assert check_J_commutation(IntMatrix.identity(4))
     assert not check_J_commutation(build_block(BlockKind.U(1), 3))
+
+
+# The flip J is a permutation, so the code applies it as an index reversal
+# instead of a matrix product; these pin each shortcut to the real product.
+square_matrices = st.integers(1, 6).flatmap(
+    lambda k: st.lists(
+        st.lists(st.integers(-9, 9), min_size=k, max_size=k), min_size=k, max_size=k
+    )
+).map(IntMatrix)
+
+
+@given(square_matrices)
+def test_row_reversal_is_premultiplication_by_J(m):
+    assert m.reverse_rows() == build_block(BlockKind.J(), m.size) * m
+
+
+@given(square_matrices)
+def test_column_reversal_is_postmultiplication_by_J(m):
+    assert m.reverse_columns() == m * build_block(BlockKind.J(), m.size)
+
+
+@given(square_matrices, st.booleans())
+def test_J_commutation_matches_the_products(m, symmetrize):
+    j = build_block(BlockKind.J(), m.size)
+    if symmetrize:
+        m = m + j * m * j  # invariant under the half turn, so commutes with J
+    assert check_J_commutation(m) == (m * j == j * m)
+    if symmetrize:
+        assert check_J_commutation(m)
 
 
 # ---------------------------------------------------------------- closed forms

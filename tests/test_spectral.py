@@ -1,5 +1,8 @@
 """Power iteration and exact characteristic polynomials."""
 
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -83,6 +86,19 @@ def test_power_iteration_validation():
         power_iteration(IntMatrix([[1, -1], [0, 1]]))
     with pytest.raises(ValueError):
         power_iteration(IntMatrix.identity(2), max_iter=0)
+
+
+def test_exact_routes_do_not_load_numpy():
+    # numpy is imported by power iteration alone; a table of certified roots
+    # must not pay for loading it.
+    code = (
+        "import sys, volentropy; volentropy.entropy_table(3, 40); "
+        "assert 'numpy' not in sys.modules, 'numpy was imported'"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_power_iteration_reports_non_convergence():
