@@ -200,26 +200,34 @@ def _run_battery(n_max: int) -> list[dict]:
             PresentationSpec(n, True, formal=True),
             PresentationSpec(n, False),
         ]
+        # The blocks-route matrices of this rank, built once and shared by
+        # the checks below; the dict goes out of scope with the rank.
+        built: dict[PresentationSpec, IntMatrix] = {}
+
+        def blocks(spec: PresentationSpec, built=built) -> IntMatrix:
+            if spec not in built:
+                built[spec] = build_markov_from_blocks(spec)
+            return built[spec]
 
         def blocks_vs_images(specs=specs):
             for sp in specs:
                 a = build_markov_from_images(sp)
-                b = build_markov_from_blocks(sp)
+                b = blocks(sp)
                 assert a == b, _first_difference(a, b)
 
         def circulant_collapse(n=n):
-            m = build_markov_from_blocks(PresentationSpec(n, True, formal=True))
+            m = blocks(PresentationSpec(n, True, formal=True))
             view = BlockView(m, 2 * n, 2 * n - 1)
             assert is_block_circulant(view), "orientation-preserving form not circulant"
             got, want = sum_first_block_row(view), compacted_matrix(n)
             assert got == want, _first_difference(got, want)
 
         def disoriented_collapse(n=n):
-            m = build_markov_from_blocks(PresentationSpec(n, False))
+            m = blocks(PresentationSpec(n, False))
             view = BlockView(m, 2 * n, 2 * n - 1)
             ok, para = is_disoriented_block_circulant(view)
             assert ok, "reversing form not disoriented block circulant"
-            plus = build_markov_from_blocks(PresentationSpec(n, True, formal=True))
+            plus = blocks(PresentationSpec(n, True, formal=True))
             assert para == plus, _first_difference(para, plus)
             assert check_J_commutation(compacted_matrix(n)), "compacted matrix not centrally symmetric"
 
@@ -236,7 +244,7 @@ def _run_battery(n_max: int) -> list[dict]:
         def spectral_collapse(n=n, specs=specs):
             target = power_iteration(compacted_matrix(n)).value
             for sp in specs:
-                est = power_iteration(build_markov_from_blocks(sp))
+                est = power_iteration(blocks(sp))
                 assert est.converged, f"power iteration did not converge for {sp}"
                 assert abs(est.value - target) <= 1e-7, (
                     f"spectral radius gap {abs(est.value - target):.3e}"

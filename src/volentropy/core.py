@@ -88,6 +88,16 @@ class IntMatrix:
         object.__setattr__(self, "rows", mat)
         object.__setattr__(self, "size", k)
 
+    @classmethod
+    def _from_rows(cls, rows: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+        """Wrap rows the package built itself: a non-empty, square tuple of
+        int tuples.  Nothing is coerced or checked, so callers must only pass
+        rows that the public constructor would store unchanged."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "size", len(rows))
+        return self
+
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("IntMatrix is immutable")
 
@@ -120,11 +130,11 @@ class IntMatrix:
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if self.size != other.size:
             raise ValueError("size mismatch in matrix sum")
-        return IntMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
+        return IntMatrix._from_rows(
+            tuple(
+                tuple(map(operator.add, ra, rb))
                 for ra, rb in zip(self.rows, other.rows)
-            ]
+            )
         )
 
     def __rmul__(self, c: int) -> "IntMatrix":
@@ -138,20 +148,23 @@ class IntMatrix:
         if self.size != other.size:
             raise ValueError("size mismatch in matrix product")
         cols = list(zip(*other.rows))
-        return IntMatrix(
-            [[sum(map(operator.mul, row, col)) for col in cols] for row in self.rows]
+        return IntMatrix._from_rows(
+            tuple(
+                tuple(sum(map(operator.mul, row, col)) for col in cols)
+                for row in self.rows
+            )
         )
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(list(zip(*self.rows)))
+        return IntMatrix._from_rows(tuple(zip(*self.rows)))
 
     def reverse_rows(self) -> "IntMatrix":
         """J * self for the flip J: the rows in reverse order."""
-        return IntMatrix(self.rows[::-1])
+        return IntMatrix._from_rows(self.rows[::-1])
 
     def reverse_columns(self) -> "IntMatrix":
         """self * J for the flip J: every row reversed."""
-        return IntMatrix([row[::-1] for row in self.rows])
+        return IntMatrix._from_rows(tuple(row[::-1] for row in self.rows))
 
     def row_sums(self) -> tuple[int, ...]:
         return tuple(sum(row) for row in self.rows)

@@ -34,6 +34,11 @@ __all__ = [
 
 _MAX_BISECT = 200
 
+# Largest tolerance volume_entropy accepts.  It caps the consistency bound
+# max(1000 * tol, 1e-12) at 1e-3; uncapped, tol = 0.5 passed routes that
+# disagreed by 2.4 as consistent.
+_MAX_TOL = 1e-6
+
 # The five independent routes to the growth rate, in report order.
 ROUTE_NAMES = (
     "markov-power",
@@ -148,9 +153,11 @@ def volume_entropy(spec: PresentationSpec, tol: float = 1e-10) -> EntropyReport:
     bisection on the same polynomial computed by exact elimination.  The
     consensus value is the certified rome-route root.  Routes disagreeing
     beyond the combined tolerance set consistent=False; they are never
-    averaged.
+    averaged.  The tolerance must lie in (0, 1e-6].
     """
     check_tolerance(tol)
+    if tol > _MAX_TOL:
+        raise ValueError(f"tolerance must lie in (0, {_MAX_TOL:g}], got {tol}")
     n = spec.n
     if n == 2:
         return EntropyReport(n=n, orientable=spec.orientable, lambda_=1.0, entropy=0.0)

@@ -270,7 +270,7 @@ def build_markov_from_images(spec: PresentationSpec) -> IntMatrix:
                 base = (t - 1) * s
                 for j in slots:
                     row[base + j - 1] = 1
-    return IntMatrix(rows)
+    return IntMatrix._from_rows(tuple(map(tuple, rows)))
 
 
 # =====================================================================
@@ -320,7 +320,7 @@ def build_markov_from_blocks(spec: PresentationSpec) -> IntMatrix:
         blocks = [block_rows(kinds[t], flipped) for t in range(1, r + 1)]
         for i in range(s):
             rows.append(tuple(chain.from_iterable(blk[i] for blk in blocks)))
-    return IntMatrix(rows)
+    return IntMatrix._from_rows(tuple(rows))
 
 
 # =====================================================================

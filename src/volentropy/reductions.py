@@ -22,6 +22,7 @@ which the tests check against the matrix identities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .core import IntMatrix
 
@@ -64,8 +65,8 @@ class BlockView:
         if not (1 <= i <= r and 1 <= j <= r):
             raise IndexError(f"block ({i},{j}) out of range for grid {r}x{r}")
         base_r, base_c = (i - 1) * s, (j - 1) * s
-        return IntMatrix(
-            [row[base_c : base_c + s] for row in self.matrix.rows[base_r : base_r + s]]
+        return IntMatrix._from_rows(
+            tuple(row[base_c : base_c + s] for row in self.matrix.rows[base_r : base_r + s])
         )
 
     def block_row(self, i: int) -> list[IntMatrix]:
@@ -83,7 +84,7 @@ def is_block_circulant(view: BlockView) -> bool:
             base_r, base_c = (i - 1) * s, (j - 1) * s
             tmpl = first[t]
             for a in range(s):
-                if tuple(m.rows[base_r + a][base_c : base_c + s]) != tmpl.rows[a]:
+                if m.rows[base_r + a][base_c : base_c + s] != tmpl.rows[a]:
                     return False
     return True
 
@@ -108,7 +109,7 @@ def is_disoriented_block_circulant(view: BlockView) -> tuple[bool, IntMatrix | N
     r, s = view.block_count, view.block_size
     first = view.block_row(1)
     flipped_first = [blk.reverse_rows() for blk in first]
-    rows: list[list[int]] = []
+    rows: list[tuple[int, ...]] = []
     for i in range(1, r + 1):
         straight = [first[(j - i) % r] for j in range(1, r + 1)]
         actual = view.block_row(i)
@@ -119,8 +120,8 @@ def is_disoriented_block_circulant(view: BlockView) -> tuple[bool, IntMatrix | N
         else:
             return False, None
         for a in range(s):
-            rows.append([v for blk in straight for v in blk.rows[a]])
-    return True, IntMatrix(rows)
+            rows.append(tuple(chain.from_iterable(blk.rows[a] for blk in straight)))
+    return True, IntMatrix._from_rows(tuple(rows))
 
 
 def check_J_commutation(m: IntMatrix) -> bool:

@@ -10,9 +10,11 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
+from volentropy import cli
 from volentropy.cli import _first_difference, main
 from volentropy.core import IntMatrix, format_blocks, matrix_from_csv
 from volentropy.entropy import ROUTE_NAMES, EntropyReport
@@ -344,6 +346,34 @@ def test_non_finite_tol_exits_1_and_names_the_value(tol, fmt, capsys):
     assert captured.err.startswith("error:")
     assert f"got {tol}" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_oversized_tol_exits_1_and_names_the_range(fmt, capsys):
+    # A tol this large would inflate the consistency bound until any spread
+    # between the routes passed.
+    code = main(["entropy", "--n", "6", "--tol", "0.5", "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:")
+    assert "(0, 1e-06]" in captured.err
+    assert "got 0.5" in captured.err
+    assert captured.out == ""
+
+
+def test_verify_builds_each_blocks_matrix_once_per_rank(monkeypatch):
+    calls = []
+    real = cli.build_markov_from_blocks
+
+    def counting(spec):
+        calls.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(cli, "build_markov_from_blocks", counting)
+    results = cli._run_battery(6)
+    assert all(row["pass"] for row in results)
+    assert Counter(spec.n for spec in calls) == {n: 2 for n in range(3, 7)}
+    assert len(set(calls)) == len(calls)
 
 
 def test_error_output_stays_off_stdout_in_json(capsys):

@@ -147,6 +147,42 @@ def test_poly_eval_is_ring_homomorphism(a, b, x):
     assert poly_eval(p + q, x) == poly_eval(p, x) + poly_eval(q, x)
 
 
+def fraction_horner(p: IntPolynomial, x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+polynomials = st.lists(st.integers(-10**6, 10**6), max_size=9).map(IntPolynomial)
+
+
+@given(polynomials, st.fractions(max_denominator=10**4))
+def test_poly_eval_fraction_matches_fraction_horner(p, x):
+    got = poly_eval(p, x)
+    assert type(got) is Fraction
+    assert got == fraction_horner(p, x)
+
+
+@given(polynomials, st.fractions(max_denominator=50))
+def test_poly_eval_is_exactly_zero_at_a_rational_root(q, r):
+    p = q * IntPolynomial([-r.numerator, r.denominator])
+    got = poly_eval(p, r)
+    assert type(got) is Fraction
+    assert got == 0
+
+
+@given(polynomials, st.integers(-50, 50), st.floats(-4, 4))
+def test_poly_eval_int_and_float_paths(p, k, x):
+    got = poly_eval(p, k)
+    assert type(got) is int
+    assert got == fraction_horner(p, Fraction(k))
+    acc = 0.0
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    assert poly_eval(p, x) == acc
+
+
 def test_reciprocal_check():
     assert poly_reciprocal_check(IntPolynomial([1, -3, 1]))
     assert not poly_reciprocal_check(IntPolynomial([3, 2, 1]))

@@ -138,6 +138,20 @@ def test_non_finite_tolerance_is_rejected_and_named(tol):
             call()
 
 
+def test_tolerance_above_1e_6_is_rejected_with_the_range():
+    for tol in (0.5, 1.0, 2e-6):
+        with pytest.raises(ValueError, match=rf"\(0, 1e-06\], got {tol}$"):
+            volume_entropy(PresentationSpec(6, False), tol=tol)
+
+
+@pytest.mark.parametrize("orientable", [False, True])
+def test_largest_tolerance_still_gives_a_consistent_report(orientable):
+    for n in range(4 if orientable else 3, 13, 2 if orientable else 1):
+        report = volume_entropy(PresentationSpec(n, orientable), tol=1e-6)
+        assert report.consistent and report.bounds_hold
+        assert report.agreement <= 1e-3
+
+
 # ---------------------------------------------------------------- table
 
 def test_table_rows():
