@@ -3,8 +3,8 @@
 Everything in this module is exact.  Matrices hold arbitrary-precision Python
 integers, polynomials hold integer coefficients, and evaluation goes through
 `fractions.Fraction` so sign decisions are never at the mercy of floating
-point.  Numerical work (power iteration) lives in `spectral` and converts on
-the way in.
+point.  Numerical work (power iteration) lives in `spectral`, which reads
+`IntMatrix.rows` directly and keeps only the nonzero entries.
 
 Indexing convention: the combinatorial formulas that drive this package are
 stated with rows, columns, blocks and slots numbered from 1.  The public
@@ -105,11 +105,17 @@ class IntMatrix:
 
     @classmethod
     def zeros(cls, k: int) -> "IntMatrix":
-        return cls([[0] * k for _ in range(k)])
+        if k < 1:
+            raise ValueError("matrix must have at least one row")
+        return cls._from_rows(((0,) * k,) * k)
 
     @classmethod
     def identity(cls, k: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(k)] for i in range(k)])
+        if k < 1:
+            raise ValueError("matrix must have at least one row")
+        return cls._from_rows(
+            tuple((0,) * i + (1,) + (0,) * (k - 1 - i) for i in range(k))
+        )
 
     # -- 1-based access -------------------------------------------------
 
@@ -140,7 +146,9 @@ class IntMatrix:
     def __rmul__(self, c: int) -> "IntMatrix":
         if not isinstance(c, int):
             return NotImplemented
-        return IntMatrix([[c * v for v in row] for row in self.rows])
+        return IntMatrix._from_rows(
+            tuple(tuple(map(c.__mul__, row)) for row in self.rows)
+        )
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):

@@ -253,11 +253,28 @@ def _slot_images(n: int, l: int, reversed_row: bool) -> list[list[tuple[int, lis
     return out
 
 
+# The largest rank whose dense transition matrix the builders accept (6320²
+# cells at n = 40).  The cap stops a large rank from starting a build that
+# needs gigabytes (159,600² cells at n = 200); the exact routes need none.
+_MAX_MATRIX_RANK = 40
+
+
+def _check_matrix_rank(n: int) -> None:
+    if n < 3:
+        raise ValueError(f"transition matrices need rank >= 3, got {n}")
+    if n > _MAX_MATRIX_RANK:
+        size = 2 * n * (2 * n - 1)
+        raise ValueError(
+            f"transition matrices are built up to rank {_MAX_MATRIX_RANK}, got {n} "
+            f"(a dense {size}x{size} matrix); `volentropy table` and `lambda_n` "
+            "give the growth rate exactly without a matrix"
+        )
+
+
 def build_markov_from_images(spec: PresentationSpec) -> IntMatrix:
     """Transition matrix assembled slot by slot from the image description."""
     n = spec.n
-    if n < 3:
-        raise ValueError(f"transition matrices need rank >= 3, got {n}")
+    _check_matrix_rank(n)
     s = spec.block_size
     size = spec.matrix_size
     reversed_rows = _reversed_rows(spec)
@@ -299,8 +316,7 @@ def build_markov_from_blocks(spec: PresentationSpec) -> IntMatrix:
     premultiplied blockwise by the flip J, which reverses each block's rows.
     """
     n = spec.n
-    if n < 3:
-        raise ValueError(f"transition matrices need rank >= 3, got {n}")
+    _check_matrix_rank(n)
     s = spec.block_size
     r = spec.block_count
     reversed_rows = _reversed_rows(spec)

@@ -3,14 +3,20 @@
 Power iteration runs in floating point (the only numerical code in the
 package) and smooths its estimates over a sliding window so that
 permutation-like matrices, whose raw Collatz-Wielandt quotients oscillate,
-still terminate.  Characteristic polynomials are computed exactly over the
-integers, so downstream root work can reason about signs with no rounding.
+still terminate.  It is a sparse pure-Python kernel: one pass keeps each
+row's nonzero columns (and weights, for rows that are not 0/1), and every
+matrix-vector product touches only those, since the transition matrices
+are a few percent nonzero.  Characteristic polynomials are computed
+exactly over the integers, so downstream root work can reason about signs
+with no rounding.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import compress
 
 from .core import IntMatrix, IntPolynomial, check_tolerance
 
@@ -55,35 +61,45 @@ def power_iteration(
     via converged=False, never silently.
     """
     check_tolerance(tol)
-    if not m.is_nonnegative():
-        raise ValueError("power iteration requires a nonnegative matrix")
+    # One pass over the rows keeps each row's nonzero columns, and its
+    # weights only when some weight is not 1; the sign check rides along.
+    columns = range(m.size)
+    sparse: list[tuple[list[int], list[int] | None]] = []
+    for row in m.rows:
+        vals = list(compress(row, row))
+        if vals.count(1) == len(vals):
+            sparse.append((list(compress(columns, row)), None))
+        elif min(vals) < 0:
+            raise ValueError("power iteration requires a nonnegative matrix")
+        else:
+            sparse.append((list(compress(columns, row)), vals))
     if max_iter is None:
         max_iter = 100 * m.size + 1000
     if max_iter < 1:
         raise ValueError(f"iteration budget must be >= 1, got {max_iter}")
 
-    # Imported here so that the exact routes (tables, rome and characteristic
-    # polynomials) never pay for loading numpy.
-    import numpy as np
-
-    a = np.array(m.rows, dtype=np.float64)
-    v = np.ones(m.size, dtype=np.float64)
+    mul = operator.mul
+    v = [1.0] * m.size
     window: list[float] = []
     smoothed = 0.0
     smoothed_prev: float | None = None
     residual = math.inf
     for it in range(1, max_iter + 1):
-        w = a @ v
-        growth = float(np.max(w))
+        at = v.__getitem__
+        w = [
+            sum(map(at, cols)) if vals is None else sum(map(mul, vals, map(at, cols)))
+            for cols, vals in sparse
+        ]
+        growth = max(w)
         if growth == 0.0:
             # Reached the kernel: every eigenvalue on this orbit is 0.
             return SpectralEstimate(0.0, it, 0.0, True)
-        if np.array_equal(w, growth * v):
+        if w == [growth * x for x in v]:
             # Genuine fixed point of the normalized iteration (e.g. a flip,
             # or any matrix with the current v as eigenvector): growth is the
             # spectral radius on the support of v.
             return SpectralEstimate(growth, it, 0.0, True)
-        v = w / growth
+        v = [x / growth for x in w]
         window.append(growth)
         if len(window) > _WINDOW:
             window.pop(0)

@@ -406,3 +406,30 @@ def test_module_entry_point_subprocess():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert abs(payload["lambda"] - 4.791287847477925) < 1e-9
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_entropy_past_the_matrix_rank_cap_exits_1_before_building(fmt, capsys):
+    # A dense transition matrix at n = 41 has 6642² cells; the builders
+    # refuse it up front and point at the exact route that needs no matrix.
+    code = main(["entropy", "--n", "41", "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:")
+    assert "volentropy table" in captured.err
+    assert captured.out == ""
+
+
+def test_routes_run_without_numpy():
+    # Power iteration is pure Python: with numpy made unimportable, verify
+    # and entropy still succeed.
+    code = (
+        "import sys; sys.modules['numpy'] = None\n"
+        "from volentropy import cli\n"
+        "assert cli.main(['verify', '--n-max', '4']) == 0\n"
+        "assert cli.main(['entropy', '--n', '5', '--format', 'json']) == 0\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

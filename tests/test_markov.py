@@ -154,6 +154,15 @@ def test_builders_reject_rank_2():
         build_markov_from_blocks(PresentationSpec(2, True))
 
 
+@pytest.mark.parametrize("build", [build_markov_from_images, build_markov_from_blocks])
+def test_builders_reject_ranks_past_the_dense_cap(build):
+    # Rejected before any row is built; the message names the exact route.
+    with pytest.raises(ValueError, match="lambda_n"):
+        build(PresentationSpec(41, False))
+    with pytest.raises(ValueError, match="up to rank 40"):
+        build(PresentationSpec(200, True))
+
+
 # ---------------------------------------------------------------- structure
 
 @pytest.mark.parametrize("n", [3, 4, 5])

@@ -1,5 +1,6 @@
 """Power iteration and exact characteristic polynomials."""
 
+import math
 import subprocess
 import sys
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from volentropy.core import IntMatrix, IntPolynomial
 from volentropy.markov import BlockKind, PresentationSpec, build_block, build_markov_from_blocks
-from volentropy.reductions import super_compacted_matrix
+from volentropy.reductions import compacted_matrix, super_compacted_matrix
 from volentropy.spectral import char_poly_exact, is_irreducible, power_iteration
 
 
@@ -196,3 +197,53 @@ def test_markov_matrices_are_irreducible():
     for n, orientable in ((3, False), (4, True)):
         m = build_markov_from_blocks(PresentationSpec(n, orientable))
         assert is_irreducible(m)
+
+
+# ---------------------------------------------------------------- dense oracle
+
+def dense_power_iteration(m: IntMatrix, tol: float = 1e-10):
+    """The dense numpy loop the sparse kernel replaced, same stop rules."""
+    np = pytest.importorskip("numpy")
+    a = np.array(m.rows, dtype=np.float64)
+    v = np.ones(m.size, dtype=np.float64)
+    window: list[float] = []
+    smoothed, smoothed_prev = 0.0, None
+    for it in range(1, 100 * m.size + 1001):
+        w = a @ v
+        growth = float(np.max(w))
+        if growth == 0.0:
+            return 0.0, it, True
+        if np.array_equal(w, growth * v):
+            return growth, it, True
+        v = w / growth
+        window = (window + [growth])[-8:]
+        smoothed = math.exp(math.fsum(math.log(g) for g in window) / len(window))
+        if smoothed_prev is not None and len(window) == 8:
+            if abs(smoothed - smoothed_prev) <= tol:
+                return smoothed, it, True
+        smoothed_prev = smoothed
+    return smoothed, 100 * m.size + 1000, False
+
+
+def assert_matches_dense(m: IntMatrix) -> None:
+    value, iterations, converged = dense_power_iteration(m)
+    est = power_iteration(m)
+    assert (est.iterations, est.converged) == (iterations, converged)
+    assert est.value == pytest.approx(value, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_sparse_power_iteration_matches_dense_numpy(n):
+    pytest.importorskip("numpy")
+    for orientable in (True, False):
+        assert_matches_dense(
+            build_markov_from_blocks(PresentationSpec(n, orientable, formal=True))
+        )
+    assert_matches_dense(compacted_matrix(n))
+    assert_matches_dense(super_compacted_matrix(n))
+
+
+def test_sparse_power_iteration_matches_dense_numpy_on_weights_and_zero_rows():
+    pytest.importorskip("numpy")
+    assert_matches_dense(IntMatrix([[0, 3, 1], [2, 0, 7], [1, 4, 0]]))
+    assert_matches_dense(IntMatrix([[1, 1, 0], [0, 0, 0], [1, 0, 1]]))

@@ -102,3 +102,26 @@ def test_parallelization_is_canonical(data):
 @pytest.mark.parametrize("build", [build_markov_from_blocks, build_markov_from_images])
 def test_transition_matrices_are_canonical(build, orientable, n):
     assert_canonical(build(PresentationSpec(n, orientable, formal=True)))
+
+
+@given(st.integers(-99, 99), square_matrices)
+def test_scalar_multiple_is_canonical(c, m):
+    cm = c * m
+    assert_canonical(cm)
+    assert cm == IntMatrix([[c * v for v in row] for row in m.rows])
+
+
+@given(st.integers(1, 6))
+def test_zeros_and_identity_are_canonical(k):
+    assert_canonical(IntMatrix.zeros(k))
+    assert_canonical(IntMatrix.identity(k))
+    assert IntMatrix.identity(k) == IntMatrix([[int(i == j) for j in range(k)] for i in range(k)])
+    assert IntMatrix.zeros(k) == IntMatrix([[0] * k] * k)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_zeros_and_identity_reject_empty_sizes(k):
+    with pytest.raises(ValueError):
+        IntMatrix.zeros(k)
+    with pytest.raises(ValueError):
+        IntMatrix.identity(k)
