@@ -34,6 +34,7 @@ from .core import (
 from .entropy import EntropyReport, bounds_check, volume_entropy, entropy_table
 from .markov import (
     PresentationSpec,
+    _check_matrix_rank,
     build_markov_from_blocks,
     build_markov_from_images,
     reference_rows,
@@ -317,8 +318,7 @@ def _first_difference(a: IntMatrix, b: IntMatrix) -> str:
 
 
 def _cmd_verify(args) -> tuple[int, str]:
-    if args.n_max < 3:
-        raise ValueError(f"verification starts at rank 3, got --n-max {args.n_max}")
+    _check_matrix_rank(args.n_max)
     results = _run_battery(args.n_max)
     ok = all(row["pass"] for row in results)
     code = 0 if ok else 1

@@ -3,8 +3,10 @@
 Everything in this module is exact.  Matrices hold arbitrary-precision Python
 integers, polynomials hold integer coefficients, and evaluation goes through
 `fractions.Fraction` so sign decisions are never at the mercy of floating
-point.  Numerical work (power iteration) lives in `spectral`, which reads
-`IntMatrix.rows` directly and keeps only the nonzero entries.
+point.  A Laurent polynomial is a power of x times an `IntPolynomial`, so
+the polynomial arithmetic is written once, in `IntPolynomial`.  Numerical
+work (power iteration) lives in `spectral`, which reads `IntMatrix.rows`
+directly and keeps only the nonzero entries.
 
 Indexing convention: the combinatorial formulas that drive this package are
 stated with rows, columns, blocks and slots numbered from 1.  The public
@@ -306,28 +308,22 @@ def poly_reciprocal_check(p: IntPolynomial) -> bool:
 # =====================================================================
 
 class LaurentPolynomial:
-    """Integer Laurent polynomial: coefficients attached to exponents
-    min_exponent, min_exponent + 1, ...
+    """Integer Laurent polynomial x^min_exponent * p(x), for an `IntPolynomial`
+    p with nonzero constant term; the arithmetic is p's, shifted.
 
-    Canonical form strips zero coefficients at both ends; the zero element is
-    (min_exponent=0, coeffs=()).  These show up as path generating functions
-    where each edge contributes one negative power of x.
+    `coeffs` holds p's coefficients, so both ends are nonzero; the zero element
+    is exponent 0 over the zero polynomial, with coeffs ().  These show up as
+    path generating functions where each edge contributes one negative power of x.
     """
 
-    __slots__ = ("min_exponent", "coeffs")
+    __slots__ = ("min_exponent", "_poly")
 
     def __init__(self, min_exponent: int, coeffs: Sequence[int]):
         cs = [int(c) for c in coeffs]
-        lo = int(min_exponent)
-        while cs and cs[0] == 0:
-            cs.pop(0)
-            lo += 1
-        while cs and cs[-1] == 0:
-            cs.pop()
-        if not cs:
-            lo = 0
-        object.__setattr__(self, "min_exponent", lo)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        lead = next((k for k, c in enumerate(cs) if c), len(cs))
+        poly = IntPolynomial(cs[lead:])
+        object.__setattr__(self, "min_exponent", 0 if poly.is_zero() else int(min_exponent) + lead)
+        object.__setattr__(self, "_poly", poly)
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("LaurentPolynomial is immutable")
@@ -349,78 +345,51 @@ class LaurentPolynomial:
 
     # -- queries ----------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     @property
-    def max_exponent(self) -> int:
-        if not self.coeffs:
-            return 0
-        return self.min_exponent + len(self.coeffs) - 1
+    def coeffs(self) -> tuple[int, ...]:
+        return () if self._poly.is_zero() else self._poly.coeffs
 
-    def coefficient(self, e: int) -> int:
-        if not self.coeffs or not (self.min_exponent <= e <= self.max_exponent):
-            return 0
-        return self.coeffs[e - self.min_exponent]
+    def is_zero(self) -> bool:
+        return self._poly.is_zero()
 
     # -- arithmetic ------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, LaurentPolynomial)
-            and self.min_exponent == other.min_exponent
-            and self.coeffs == other.coeffs
-        )
+        if not isinstance(other, LaurentPolynomial):
+            return NotImplemented
+        return (self.min_exponent, self._poly) == (other.min_exponent, other._poly)
 
     def __hash__(self) -> int:
-        return hash((self.min_exponent, self.coeffs))
+        return hash((self.min_exponent, self._poly))
 
     def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        lo = min(self.min_exponent, other.min_exponent)
-        hi = max(self.max_exponent, other.max_exponent)
-        out = [0] * (hi - lo + 1)
-        for e in range(self.min_exponent, self.max_exponent + 1):
-            out[e - lo] += self.coefficient(e)
-        for e in range(other.min_exponent, other.max_exponent + 1):
-            out[e - lo] += other.coefficient(e)
-        return LaurentPolynomial(lo, out)
+        if self.min_exponent > other.min_exponent:
+            self, other = other, self
+        shift = (0,) * (other.min_exponent - self.min_exponent)
+        total = self._poly + IntPolynomial(shift + other._poly.coeffs)
+        return LaurentPolynomial(self.min_exponent, total.coeffs)
 
     def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial(self.min_exponent, [-c for c in self.coeffs])
+        return LaurentPolynomial(self.min_exponent, (-self._poly).coeffs)
 
     def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         return self + (-other)
 
     def __mul__(self, other) -> "LaurentPolynomial":
         if isinstance(other, int):
-            return LaurentPolynomial(self.min_exponent, [other * c for c in self.coeffs])
+            return LaurentPolynomial(self.min_exponent, (self._poly * other).coeffs)
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return LaurentPolynomial.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return LaurentPolynomial(self.min_exponent + other.min_exponent, out)
+        product = self._poly * other._poly
+        return LaurentPolynomial(self.min_exponent + other.min_exponent, product.coeffs)
 
     __rmul__ = __mul__
 
     def times_x_power(self, e: int) -> "LaurentPolynomial":
-        if self.is_zero():
-            return self
         return LaurentPolynomial(self.min_exponent + e, self.coeffs)
 
     def to_int_polynomial(self) -> IntPolynomial:
         """Convert when no negative exponents remain."""
-        if self.is_zero():
-            return IntPolynomial([0])
         if self.min_exponent < 0:
             raise ValueError(
                 f"negative exponent {self.min_exponent} cannot convert to a polynomial"
@@ -428,14 +397,8 @@ class LaurentPolynomial:
         return IntPolynomial((0,) * self.min_exponent + self.coeffs)
 
     def eval(self, x: Fraction) -> Fraction:
-        if self.is_zero():
-            return Fraction(0)
-        if x == 0:
-            raise ZeroDivisionError("Laurent polynomial evaluated at 0")
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc * Fraction(x) ** self.min_exponent
+        """Value at x, exact for an int or Fraction x."""
+        return poly_eval(self._poly, x) * Fraction(x) ** self.min_exponent
 
     def __repr__(self) -> str:
         return f"LaurentPolynomial(min_exponent={self.min_exponent}, coeffs={list(self.coeffs)})"

@@ -156,9 +156,7 @@ def build_block(kind: BlockKind, k: int) -> IntMatrix:
         t = _build_t(k)
         if kind.name == "T":
             return t
-        return IntMatrix(
-            [[t.rows[k - 1 - i][k - 1 - j] for j in range(k)] for i in range(k)]
-        )
+        return t.reverse_rows().reverse_columns()
     if kind.name == "U":
         if kind.row > k:
             raise ValueError(f"U row {kind.row} out of range for size {k}")
@@ -166,9 +164,7 @@ def build_block(kind: BlockKind, k: int) -> IntMatrix:
             [[1] * k if i == kind.row - 1 else [0] * k for i in range(k)]
         )
     if kind.name == "J":
-        return IntMatrix(
-            [[1 if i + j == k - 1 else 0 for j in range(k)] for i in range(k)]
-        )
+        return IntMatrix.identity(k).reverse_rows()
     if kind.name == "zero":
         return IntMatrix.zeros(k)
     return IntMatrix.identity(k)

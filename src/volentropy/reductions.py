@@ -22,7 +22,6 @@ which the tests check against the matrix identities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 from .core import IntMatrix
 
@@ -75,18 +74,8 @@ class BlockView:
 
 def is_block_circulant(view: BlockView) -> bool:
     """True iff block (i, j) depends only on (j - i) mod block_count."""
-    r, s = view.block_count, view.block_size
-    first = view.block_row(1)
-    m = view.matrix
-    for i in range(2, r + 1):
-        for j in range(1, r + 1):
-            t = (j - i) % r  # template column index - 1
-            base_r, base_c = (i - 1) * s, (j - 1) * s
-            tmpl = first[t]
-            for a in range(s):
-                if m.rows[base_r + a][base_c : base_c + s] != tmpl.rows[a]:
-                    return False
-    return True
+    ok, parallel = is_disoriented_block_circulant(view)
+    return ok and parallel == view.matrix
 
 
 def sum_first_block_row(view: BlockView) -> IntMatrix:
@@ -105,23 +94,20 @@ def is_disoriented_block_circulant(view: BlockView) -> tuple[bool, IntMatrix | N
     row, either exactly or with every block premultiplied by the flip J.
     Returns (True, parallelization) where the parallelization is that plain
     circulant matrix, or (False, None).
+
+    Both cases compare whole rows.  Block row i of the circulant matrix is
+    the first block row with each row rotated right by (i-1)*s columns, and
+    applying J to every block of a block row reverses the order of its s rows.
     """
-    r, s = view.block_count, view.block_size
-    first = view.block_row(1)
-    flipped_first = [blk.reverse_rows() for blk in first]
-    rows: list[tuple[int, ...]] = []
-    for i in range(1, r + 1):
-        straight = [first[(j - i) % r] for j in range(1, r + 1)]
-        actual = view.block_row(i)
-        if actual == straight:
-            pass
-        elif actual == [flipped_first[(j - i) % r] for j in range(1, r + 1)]:
-            pass
-        else:
+    s = view.block_size
+    rows = view.matrix.rows
+    parallel: list[tuple[int, ...]] = []
+    for b in range(0, len(rows), s):
+        straight = tuple(row[-b:] + row[:-b] for row in rows[:s])  # b = 0: unrotated
+        if rows[b : b + s] not in (straight, straight[::-1]):
             return False, None
-        for a in range(s):
-            rows.append(tuple(chain.from_iterable(blk.rows[a] for blk in straight)))
-    return True, IntMatrix._from_rows(tuple(rows))
+        parallel.extend(straight)
+    return True, IntMatrix._from_rows(tuple(parallel))
 
 
 def check_J_commutation(m: IntMatrix) -> bool:

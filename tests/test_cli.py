@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -259,6 +260,65 @@ def test_verify_csv_schema(capsys):
         fields = line.split(",")
         assert fields[0] == "3"
         assert fields[2] == "true"
+
+
+def _tamper_compacted(monkeypatch):
+    # compacted_matrix with entry (1,1) raised by 5: every check that compares
+    # against it now sees a wrong target.
+    real = cli.compacted_matrix
+
+    def tampered(n):
+        rows = [list(row) for row in real(n).rows]
+        rows[0][0] += 5
+        return IntMatrix(rows)
+
+    monkeypatch.setattr(cli, "compacted_matrix", tampered)
+
+
+def test_failing_check_is_reported_with_its_first_difference(monkeypatch):
+    _tamper_compacted(monkeypatch)
+    results = {row["check"]: row for row in cli._run_battery(3)}
+    assert set(results) == EXPECTED_RANK3_CHECKS
+    row = results["circulant-collapse"]
+    assert row["pass"] is False
+    assert row["detail"] == "first difference at (1,1): 0 vs 5"
+
+
+def test_verify_with_a_failing_check_exits_1(monkeypatch, capsys):
+    _tamper_compacted(monkeypatch)
+    code = main(["verify", "--n-max", "3"])
+    lines = capsys.readouterr().out.rstrip("\n").splitlines()
+    assert code == 1
+    assert lines[-1].startswith("CHECKS FAILED")
+    assert any(
+        line.startswith("FAIL") and "circulant-collapse" in line for line in lines
+    )
+    code = main(["verify", "--n-max", "3", "--format", "json"])
+    results = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert {row["check"] for row in results} == EXPECTED_RANK3_CHECKS
+    assert not all(row["pass"] for row in results)
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_verify_past_the_matrix_rank_cap_exits_1_before_any_check(
+    fmt, monkeypatch, capsys
+):
+    # Rank 41 is past the builders' cap; verify must say so up front instead
+    # of running ranks 3..40 first.
+    def no_battery(n_max):
+        raise AssertionError("the battery ran")
+
+    monkeypatch.setattr(cli, "_run_battery", no_battery)
+    t0 = time.perf_counter()
+    code = main(["verify", "--n-max", "41", "--format", fmt])
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:")
+    assert "rank 40" in captured.err
+    assert captured.out == ""
+    assert elapsed < 1.0
 
 
 def test_first_difference_reports_1_based_position():

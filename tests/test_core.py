@@ -241,6 +241,41 @@ def test_laurent_ring_axioms(a, b, c):
     assert (a * b) * c == a * (b * c)
 
 
+# The ring axioms alone would still hold if + ignored the exponents; these
+# pin the arithmetic to the values the polynomials take.
+nonzero_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=9).filter(
+    lambda x: x != 0
+)
+
+
+def assert_canonical_laurent(p: LaurentPolynomial) -> None:
+    assert type(p.coeffs) is tuple
+    if p.coeffs:
+        assert p.coeffs[0] != 0 and p.coeffs[-1] != 0
+    else:
+        assert p.min_exponent == 0 and p.is_zero()
+
+
+@given(laurents, laurents, nonzero_fractions)
+def test_laurent_arithmetic_agrees_with_evaluation(a, b, x):
+    assert (a + b).eval(x) == a.eval(x) + b.eval(x)
+    assert (a - b).eval(x) == a.eval(x) - b.eval(x)
+    assert (a * b).eval(x) == a.eval(x) * b.eval(x)
+    assert (-a).eval(x) == -a.eval(x)
+    assert a.times_x_power(3).eval(x) == a.eval(x) * x**3
+    for p in (a + b, a - b, a * b, -a, 2 * a, a.times_x_power(-2)):
+        assert_canonical_laurent(p)
+
+
+@given(laurents, st.integers(0, 3), st.integers(0, 3))
+def test_laurent_equal_values_hash_equal(a, lead, trail):
+    padded = LaurentPolynomial(a.min_exponent - lead, (0,) * lead + a.coeffs + (0,) * trail)
+    assert padded == a
+    assert hash(padded) == hash(a)
+    assert (a + padded) - padded == a
+    assert hash(a - a) == hash(LaurentPolynomial.zero())
+
+
 # ---------------------------------------------------------------- labels
 
 def test_slot_names_rank_3():

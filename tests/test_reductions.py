@@ -140,6 +140,52 @@ def test_disoriented_rejects_scrambled_matrix():
     assert para is None
 
 
+def reference_disoriented(view: BlockView) -> tuple[bool, IntMatrix | None]:
+    # Block by block: block row i must be the circulant continuation of block
+    # row 1, or that continuation with every block premultiplied by J.
+    r, s = view.block_count, view.block_size
+    rows = []
+    for i in range(1, r + 1):
+        straight = [view.block(1, (j - i) % r + 1) for j in range(1, r + 1)]
+        actual = [view.block(i, j) for j in range(1, r + 1)]
+        if actual not in (straight, [blk.reverse_rows() for blk in straight]):
+            return False, None
+        rows += [[v for blk in straight for v in blk.rows[a]] for a in range(s)]
+    return True, IntMatrix(rows)
+
+
+def reference_circulant(view: BlockView) -> bool:
+    r = view.block_count
+    return all(
+        view.block(i, j) == view.block(1, (j - i) % r + 1)
+        for i in range(1, r + 1)
+        for j in range(1, r + 1)
+    )
+
+
+@given(st.data())
+def test_circulant_pass_matches_block_by_block_reference(data):
+    r = data.draw(st.integers(1, 4))
+    s = data.draw(st.integers(1, 3))
+    # Entries from {0, 1, 2} so that palindromic and repeated blocks occur.
+    row = st.lists(st.integers(0, 2), min_size=s, max_size=s)
+    block = st.lists(row, min_size=s, max_size=s)
+    blocks = data.draw(st.lists(block, min_size=r, max_size=r))
+    flips = data.draw(st.lists(st.booleans(), min_size=r, max_size=r))
+    rows = []
+    for i in range(r):
+        row_blocks = [blocks[(j - i) % r] for j in range(r)]
+        if flips[i]:
+            row_blocks = [blk[::-1] for blk in row_blocks]
+        rows += [[v for blk in row_blocks for v in blk[a]] for a in range(s)]
+    if data.draw(st.booleans()):
+        a, b = data.draw(st.integers(0, r * s - 1)), data.draw(st.integers(0, r * s - 1))
+        rows[a][b] += data.draw(st.sampled_from([-1, 1, 3]))
+    view = BlockView(IntMatrix(rows), r, s)
+    assert is_disoriented_block_circulant(view) == reference_disoriented(view)
+    assert is_block_circulant(view) == reference_circulant(view)
+
+
 def test_check_J_commutation():
     for n in range(3, 11):
         assert check_J_commutation(compacted_matrix(n))
