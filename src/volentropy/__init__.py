@@ -35,6 +35,7 @@ from .entropy import (
 from .markov import (
     BlockKind,
     PresentationSpec,
+    TransitionOperator,
     build_block,
     build_markov_from_blocks,
     build_markov_from_images,
@@ -86,6 +87,7 @@ __all__ = [
     "build_block",
     "build_markov_from_images",
     "build_markov_from_blocks",
+    "TransitionOperator",
     "reference_rows",
     "BlockView",
     "is_block_circulant",

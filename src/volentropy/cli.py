@@ -34,6 +34,7 @@ from .core import (
 from .entropy import EntropyReport, bounds_check, volume_entropy, entropy_table
 from .markov import (
     PresentationSpec,
+    TransitionOperator,
     _check_matrix_rank,
     build_markov_from_blocks,
     build_markov_from_images,
@@ -245,7 +246,7 @@ def _run_battery(n_max: int) -> list[dict]:
         def spectral_collapse(n=n, specs=specs):
             target = power_iteration(compacted_matrix(n)).value
             for sp in specs:
-                est = power_iteration(blocks(sp))
+                est = power_iteration(TransitionOperator(sp))
                 assert est.converged, f"power iteration did not converge for {sp}"
                 assert abs(est.value - target) <= 1e-7, (
                     f"spectral radius gap {abs(est.value - target):.3e}"

@@ -5,8 +5,8 @@ integers, polynomials hold integer coefficients, and evaluation goes through
 `fractions.Fraction` so sign decisions are never at the mercy of floating
 point.  A Laurent polynomial is a power of x times an `IntPolynomial`, so
 the polynomial arithmetic is written once, in `IntPolynomial`.  Numerical
-work (power iteration) lives in `spectral`, which reads `IntMatrix.rows`
-directly and keeps only the nonzero entries.
+work (power iteration) lives in `spectral`, over the nonzero entries of an
+`IntMatrix` or through the matrix-free `markov.TransitionOperator`.
 
 Indexing convention: the combinatorial formulas that drive this package are
 stated with rows, columns, blocks and slots numbered from 1.  The public
@@ -234,10 +234,7 @@ class IntPolynomial:
         return hash(self.coeffs)
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0,) * (n - len(self.coeffs))
-        b = other.coeffs + (0,) * (n - len(other.coeffs))
-        return IntPolynomial([x + y for x, y in zip(a, b)])
+        return IntPolynomial(_add_shifted(self.coeffs, other.coeffs, 0))
 
     def __neg__(self) -> "IntPolynomial":
         return IntPolynomial([-c for c in self.coeffs])
@@ -280,6 +277,14 @@ class IntPolynomial:
                 body = xe if mag == 1 else f"{mag}*{xe}"
             terms.append(f"{sign} {body}" if terms else f"{sign}{body}")
         return " ".join(terms)
+
+
+def _add_shifted(a: Sequence[int], b: Sequence[int], shift: int) -> list[int]:
+    """Coefficients of a(x) + x^shift * b(x), for shift >= 0 (untrimmed)."""
+    out = list(a) + [0] * (shift + len(b) - len(a))
+    for k, c in enumerate(b, shift):
+        out[k] += c
+    return out
 
 
 def poly_eval(p: IntPolynomial, x):
@@ -325,6 +330,14 @@ class LaurentPolynomial:
         object.__setattr__(self, "min_exponent", 0 if poly.is_zero() else int(min_exponent) + lead)
         object.__setattr__(self, "_poly", poly)
 
+    @classmethod
+    def _from_poly(cls, min_exponent: int, poly: IntPolynomial) -> "LaurentPolynomial":
+        """Wrap x^min_exponent * poly, poly zero or with nonzero constant term; no coercion."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "min_exponent", 0 if poly.is_zero() else min_exponent)
+        object.__setattr__(self, "_poly", poly)
+        return self
+
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("LaurentPolynomial is immutable")
 
@@ -365,28 +378,29 @@ class LaurentPolynomial:
     def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         if self.min_exponent > other.min_exponent:
             self, other = other, self
-        shift = (0,) * (other.min_exponent - self.min_exponent)
-        total = self._poly + IntPolynomial(shift + other._poly.coeffs)
-        return LaurentPolynomial(self.min_exponent, total.coeffs)
+        shift = other.min_exponent - self.min_exponent
+        total = _add_shifted(self._poly.coeffs, other._poly.coeffs, shift)
+        lead = next((k for k, c in enumerate(total) if c), len(total))
+        return LaurentPolynomial._from_poly(self.min_exponent + lead, IntPolynomial(total[lead:]))
 
     def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial(self.min_exponent, (-self._poly).coeffs)
+        return LaurentPolynomial._from_poly(self.min_exponent, -self._poly)
 
     def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         return self + (-other)
 
     def __mul__(self, other) -> "LaurentPolynomial":
         if isinstance(other, int):
-            return LaurentPolynomial(self.min_exponent, (self._poly * other).coeffs)
+            return LaurentPolynomial._from_poly(self.min_exponent, self._poly * other)
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
         product = self._poly * other._poly
-        return LaurentPolynomial(self.min_exponent + other.min_exponent, product.coeffs)
+        return LaurentPolynomial._from_poly(self.min_exponent + other.min_exponent, product)
 
     __rmul__ = __mul__
 
     def times_x_power(self, e: int) -> "LaurentPolynomial":
-        return LaurentPolynomial(self.min_exponent + e, self.coeffs)
+        return LaurentPolynomial._from_poly(self.min_exponent + e, self._poly)
 
     def to_int_polynomial(self) -> IntPolynomial:
         """Convert when no negative exponents remain."""

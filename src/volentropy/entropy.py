@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import IntPolynomial, check_tolerance, poly_eval
-from .markov import PresentationSpec, build_markov_from_blocks
+from .markov import PresentationSpec, TransitionOperator
 from .reductions import compacted_matrix, super_compacted_matrix
 from .rome import RomeSpec, q_polynomial, rome_char_poly
 from .spectral import char_poly_exact, power_iteration
@@ -147,10 +147,11 @@ class EntropyReport:
 def volume_entropy(spec: PresentationSpec, tol: float = 1e-10) -> EntropyReport:
     """Volume entropy of the presentation, cross-checked five ways.
 
-    Routes: power iteration on the full transition matrix, on the compacted
-    matrix and on the supercompacted matrix; bisection on the characteristic
-    polynomial of the supercompacted matrix obtained through a rome; and
-    bisection on the same polynomial computed by exact elimination.  The
+    Routes: power iteration on the full transition matrix (applied by a
+    `TransitionOperator`, never stored), on the compacted matrix and on the
+    supercompacted matrix; bisection on the characteristic polynomial of the
+    supercompacted matrix obtained through a rome, and on the same polynomial
+    from exact elimination (one bisection when the two are equal).  The
     consensus value is the certified rome-route root.  Routes disagreeing
     beyond the combined tolerance set consistent=False; they are never
     averaged.  The tolerance must lie in (0, 1e-6].
@@ -165,7 +166,7 @@ def volume_entropy(spec: PresentationSpec, tol: float = 1e-10) -> EntropyReport:
     routes: dict[str, float] = {}
     all_converged = True
 
-    markov = build_markov_from_blocks(spec)
+    markov = TransitionOperator(spec)
     compacted = compacted_matrix(n)
     supercompacted = super_compacted_matrix(n)
     for name, matrix in (
@@ -180,14 +181,12 @@ def volume_entropy(spec: PresentationSpec, tol: float = 1e-10) -> EntropyReport:
     rome_poly = rome_char_poly(supercompacted, RomeSpec((n - 1, n)))
     exact_poly = char_poly_exact(supercompacted)
     root_tol = min(tol, 1e-12)
-    rome_lo, rome_hi = _bisect_root(
-        rome_poly, Fraction(1), Fraction(2 * n - 1), root_tol
-    )
-    routes["rome-root"] = float((rome_lo + rome_hi) / 2)
-    exact_lo, exact_hi = _bisect_root(
-        exact_poly, Fraction(1), Fraction(2 * n - 1), root_tol
-    )
-    routes["charpoly-root"] = float((exact_lo + exact_hi) / 2)
+    roots: dict[IntPolynomial, float] = {}
+    for name, poly in (("rome-root", rome_poly), ("charpoly-root", exact_poly)):
+        if poly not in roots:
+            lo, hi = _bisect_root(poly, Fraction(1), Fraction(2 * n - 1), root_tol)
+            roots[poly] = float((lo + hi) / 2)
+        routes[name] = roots[poly]
 
     values = list(routes.values())
     agreement = max(abs(a - b) for a in values for b in values)

@@ -11,7 +11,8 @@ Two independent constructions are provided and cross-checked in the tests:
 * `build_markov_from_images` walks the image of every slot directly,
   using the combinatorial description of where each subinterval lands;
 * `build_markov_from_blocks` assembles the matrix from a circulant template
-  of (2n-1) x (2n-1) structural blocks.
+  of (2n-1) x (2n-1) structural blocks; `TransitionOperator` applies the
+  same template to a vector without storing a matrix, for power iteration.
 
 For the orientation-reversing (non-orientable) presentation the block rows
 at positions n and 2n act with reversed orientation: in the image route their
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from importlib import resources
-from itertools import chain
+from itertools import accumulate, chain
 
 from .core import IntMatrix, mod1
 
@@ -33,6 +34,7 @@ __all__ = [
     "build_block",
     "build_markov_from_images",
     "build_markov_from_blocks",
+    "TransitionOperator",
     "reference_rows",
 ]
 
@@ -255,14 +257,15 @@ def _slot_images(n: int, l: int, reversed_row: bool) -> list[list[tuple[int, lis
 _MAX_MATRIX_RANK = 40
 
 
-def _check_matrix_rank(n: int) -> None:
+def _check_matrix_rank(n: int, dense: bool = True) -> None:
     if n < 3:
         raise ValueError(f"transition matrices need rank >= 3, got {n}")
     if n > _MAX_MATRIX_RANK:
         size = 2 * n * (2 * n - 1)
+        asked = f"a dense {size}x{size} matrix" if dense else f"an operator on {size} slots"
         raise ValueError(
-            f"transition matrices are built up to rank {_MAX_MATRIX_RANK}, got {n} "
-            f"(a dense {size}x{size} matrix); `volentropy table` and `lambda_n` "
+            f"transition matrices are supported up to rank {_MAX_MATRIX_RANK}, got {n} "
+            f"({asked}); `volentropy table` and `lambda_n` "
             "give the growth rate exactly without a matrix"
         )
 
@@ -333,6 +336,36 @@ def build_markov_from_blocks(spec: PresentationSpec) -> IntMatrix:
         for i in range(s):
             rows.append(tuple(chain.from_iterable(blk[i] for blk in blocks)))
     return IntMatrix._from_rows(tuple(rows))
+
+
+class TransitionOperator:
+    """`build_markov_from_blocks(spec)` as a matrix-free map v -> M v, exact on ints.
+
+    In block row l, T and JTJ act on blocks l+n+1 and l+n-1 of v by slicing.
+    Each U(k) block adds its block's sum to slot k, so the U runs are
+    differences of cyclic prefix sums of the 2n block sums: O(n^2) a product.
+    """
+
+    def __init__(self, spec: PresentationSpec):
+        _check_matrix_rank(spec.n, dense=False)
+        self.spec, self.size = spec, spec.matrix_size
+        self._reversed = {l - 1 for l in _reversed_rows(spec)}
+
+    def apply(self, v: list) -> list:
+        """M v, for a list v of `size` ints or floats."""
+        n, s, r = self.spec.n, self.spec.block_size, self.spec.block_count
+        blocks = [v[b : b + s] for b in range(0, self.size, s)]
+        sums = [sum(x) for x in blocks]
+        prefix = list(accumulate(sums + sums, initial=0))
+        out: list = []
+        for b in range(r):
+            x, y = blocks[(b + n + 1) % r], blocks[(b + n - 1) % r]
+            right = prefix[b + 2 * n] - prefix[b + n + 2]  # U(n-1): blocks b+n+2..b-1
+            left = prefix[b + n - 1] - prefix[b + 1]  # U(n+1): blocks b+1..b+n-2
+            row = x[1 : n - 2] + [x[n - 2] + x[n - 1], sum(x[n:]) + right, sums[b]]
+            row += [sum(y[: n - 1]) + left, y[n - 1] + y[n]] + y[n + 1 : s - 1]
+            out += row[::-1] if b in self._reversed else row
+        return out
 
 
 # =====================================================================

@@ -3,12 +3,11 @@
 Power iteration runs in floating point (the only numerical code in the
 package) and smooths its estimates over a sliding window so that
 permutation-like matrices, whose raw Collatz-Wielandt quotients oscillate,
-still terminate.  It is a sparse pure-Python kernel: one pass keeps each
-row's nonzero columns (and weights, for rows that are not 0/1), and every
-matrix-vector product touches only those, since the transition matrices
-are a few percent nonzero.  Characteristic polynomials are computed
-exactly over the integers, so downstream root work can reason about signs
-with no rounding.
+still terminate.  It is one pure-Python loop over a product v -> m v, taken
+over each row's nonzero entries of an `IntMatrix` or by a matrix-free
+`markov.TransitionOperator`.  Characteristic polynomials are computed
+exactly over the integers, with a sparse left factor, so downstream root
+work can reason about signs with no rounding.
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .core import IntMatrix, IntPolynomial, check_tolerance
+from .markov import TransitionOperator
 
 __all__ = [
     "SpectralEstimate",
@@ -49,8 +49,21 @@ class SpectralEstimate:
     converged: bool
 
 
+def _row_product(m: IntMatrix):
+    """v -> m v over each row's nonzero entries."""
+    if not m.is_nonnegative():
+        raise ValueError("power iteration requires a nonnegative matrix")
+    sparse = [(list(compress(range(m.size), row)), list(compress(row, row))) for row in m.rows]
+
+    def product(v: list[float]) -> list[float]:
+        at = v.__getitem__
+        return [sum(map(operator.mul, vals, map(at, cols))) for cols, vals in sparse]
+
+    return product
+
+
 def power_iteration(
-    m: IntMatrix, tol: float = 1e-10, max_iter: int | None = None
+    m: IntMatrix | TransitionOperator, tol: float = 1e-10, max_iter: int | None = None
 ) -> SpectralEstimate:
     """Spectral radius of a nonnegative matrix by smoothed power iteration.
 
@@ -61,35 +74,19 @@ def power_iteration(
     via converged=False, never silently.
     """
     check_tolerance(tol)
-    # One pass over the rows keeps each row's nonzero columns, and its
-    # weights only when some weight is not 1; the sign check rides along.
-    columns = range(m.size)
-    sparse: list[tuple[list[int], list[int] | None]] = []
-    for row in m.rows:
-        vals = list(compress(row, row))
-        if vals.count(1) == len(vals):
-            sparse.append((list(compress(columns, row)), None))
-        elif min(vals) < 0:
-            raise ValueError("power iteration requires a nonnegative matrix")
-        else:
-            sparse.append((list(compress(columns, row)), vals))
+    product = _row_product(m) if isinstance(m, IntMatrix) else m.apply
     if max_iter is None:
         max_iter = 100 * m.size + 1000
     if max_iter < 1:
         raise ValueError(f"iteration budget must be >= 1, got {max_iter}")
 
-    mul = operator.mul
     v = [1.0] * m.size
     window: list[float] = []
     smoothed = 0.0
     smoothed_prev: float | None = None
     residual = math.inf
     for it in range(1, max_iter + 1):
-        at = v.__getitem__
-        w = [
-            sum(map(at, cols)) if vals is None else sum(map(mul, vals, map(at, cols)))
-            for cols, vals in sparse
-        ]
+        w = product(v)
         growth = max(w)
         if growth == 0.0:
             # Reached the kernel: every eigenvalue on this orbit is 0.
@@ -116,20 +113,23 @@ def char_poly_exact(m: IntMatrix) -> IntPolynomial:
     """Characteristic polynomial det(xI - m), monic, exact over the integers.
 
     Faddeev-LeVerrier recurrence; every division is exact for integer input,
-    and Python integers keep the intermediate traces exact at any size.
+    and Python integers keep the intermediate traces exact at any size.  Row i
+    of m * acc sums rows of acc over the nonzero m[i][j]: O(nnz * k), not k^3.
     """
     k = m.size
-    coeffs = [0] * (k + 1)
-    coeffs[k] = 1
-    ident = IntMatrix.identity(k)
-    acc = ident
+    nonzero = [[(j, c) for j, c in enumerate(row) if c] for row in m.rows]
+    coeffs = [0] * k + [1]
+    acc = [[int(i == j) for j in range(k)] for i in range(k)]
     for step in range(1, k + 1):
-        prod = m * acc
-        trace = sum(prod.rows[i][i] for i in range(k))
-        q, r = divmod(trace, step)
+        acc = [
+            list(map(sum, zip(*([c * x for x in acc[j]] for j, c in pairs)))) or [0] * k
+            for pairs in nonzero
+        ]
+        q, r = divmod(sum(row[i] for i, row in enumerate(acc)), step)
         assert r == 0, "Faddeev-LeVerrier trace must divide exactly"
         coeffs[k - step] = -q
-        acc = prod + (-q) * ident
+        for i, row in enumerate(acc):
+            row[i] -= q
     return IntPolynomial(coeffs)
 
 

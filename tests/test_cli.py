@@ -15,10 +15,11 @@ from collections import Counter
 
 import pytest
 
-from volentropy import cli
+import volentropy
+from volentropy import cli, entropy, markov
 from volentropy.cli import _first_difference, main
 from volentropy.core import IntMatrix, format_blocks, matrix_from_csv
-from volentropy.entropy import ROUTE_NAMES, EntropyReport
+from volentropy.entropy import ROUTE_NAMES, EntropyReport, volume_entropy
 from volentropy.markov import PresentationSpec, build_markov_from_blocks
 from volentropy.reductions import (
     compacted_matrix,
@@ -421,18 +422,35 @@ def test_oversized_tol_exits_1_and_names_the_range(fmt, capsys):
     assert captured.out == ""
 
 
-def test_verify_builds_each_blocks_matrix_once_per_rank(monkeypatch):
+def _count_blocks_builds(monkeypatch) -> list:
+    """Route every module's `build_markov_from_blocks` through a counter."""
     calls = []
-    real = cli.build_markov_from_blocks
+    real = markov.build_markov_from_blocks
 
     def counting(spec):
         calls.append(spec)
         return real(spec)
 
-    monkeypatch.setattr(cli, "build_markov_from_blocks", counting)
-    results = cli._run_battery(6)
+    for mod in (volentropy, markov, cli, entropy):
+        if hasattr(mod, "build_markov_from_blocks"):
+            monkeypatch.setattr(mod, "build_markov_from_blocks", counting)
+    return calls
+
+
+def test_volume_entropy_builds_no_dense_matrix(monkeypatch):
+    calls = _count_blocks_builds(monkeypatch)
+    for n, orientable in ((3, False), (6, True), (10, False)):
+        assert volume_entropy(PresentationSpec(n, orientable)).consistent
+    assert calls == []
+
+
+def test_verify_builds_each_blocks_matrix_once_per_rank(monkeypatch):
+    # Counted in every module, route-consensus included: 16 builds at
+    # --n-max 10, one per spec.
+    calls = _count_blocks_builds(monkeypatch)
+    results = cli._run_battery(10)
     assert all(row["pass"] for row in results)
-    assert Counter(spec.n for spec in calls) == {n: 2 for n in range(3, 7)}
+    assert Counter(spec.n for spec in calls) == {n: 2 for n in range(3, 11)}
     assert len(set(calls)) == len(calls)
 
 

@@ -249,11 +249,19 @@ nonzero_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=9).f
 
 
 def assert_canonical_laurent(p: LaurentPolynomial) -> None:
+    """What the public constructor stores: an int exponent over an
+    `IntPolynomial` of plain ints with both end coefficients nonzero, or the
+    zero polynomial at exponent 0."""
     assert type(p.coeffs) is tuple
     if p.coeffs:
         assert p.coeffs[0] != 0 and p.coeffs[-1] != 0
     else:
         assert p.min_exponent == 0 and p.is_zero()
+    poly = p._poly
+    assert type(p.min_exponent) is int and type(poly) is IntPolynomial
+    assert all(type(c) is int for c in poly.coeffs)
+    assert poly == IntPolynomial(poly.coeffs)
+    assert p == LaurentPolynomial(p.min_exponent, p.coeffs)
 
 
 @given(laurents, laurents, nonzero_fractions)
@@ -263,8 +271,19 @@ def test_laurent_arithmetic_agrees_with_evaluation(a, b, x):
     assert (a * b).eval(x) == a.eval(x) * b.eval(x)
     assert (-a).eval(x) == -a.eval(x)
     assert a.times_x_power(3).eval(x) == a.eval(x) * x**3
-    for p in (a + b, a - b, a * b, -a, 2 * a, a.times_x_power(-2)):
+    for p in (a + b, a - b, a * b, -a, 2 * a, 0 * a, a - a, a.times_x_power(-2)):
         assert_canonical_laurent(p)
+
+
+@given(st.integers(-6, 6), st.lists(st.integers(-5, 5), max_size=7))
+def test_laurent_private_constructor_matches_the_public_one(e, cs):
+    lead = next((k for k, c in enumerate(cs) if c), len(cs))
+    private = LaurentPolynomial._from_poly(e + lead, IntPolynomial(cs[lead:]))
+    public = LaurentPolynomial(e, cs)
+    assert (private.min_exponent, private._poly) == (public.min_exponent, public._poly)
+    assert hash(private) == hash(public)
+    assert_canonical_laurent(private)
+    assert_canonical_laurent(public)
 
 
 @given(laurents, st.integers(0, 3), st.integers(0, 3))

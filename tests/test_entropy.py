@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from volentropy.core import IntMatrix, poly_eval
+from volentropy import entropy
+from volentropy.core import IntMatrix, IntPolynomial, poly_eval
 from volentropy.entropy import (
     ROUTE_NAMES,
     bounds_check,
@@ -116,6 +117,34 @@ def test_report_consensus_is_the_certified_root():
     report = volume_entropy(PresentationSpec(5, False))
     assert report.lambda_ == report.routes["rome-root"]
     assert report.entropy == math.log(report.lambda_)
+
+
+def test_equal_polynomials_share_one_bisection(monkeypatch):
+    brackets = []
+    real = entropy._bisect_root
+
+    def counting(p, lo, hi, tol):
+        brackets.append(p)
+        return real(p, lo, hi, tol)
+
+    monkeypatch.setattr(entropy, "_bisect_root", counting)
+    report = volume_entropy(PresentationSpec(5, False))
+    assert brackets == [q_polynomial(5)]
+    assert report.routes["charpoly-root"] == report.routes["rome-root"]
+    assert report.consistent
+
+
+def test_a_charpoly_that_differs_is_bisected_and_reads_inconsistent(monkeypatch):
+    # q(x) + 1 keeps the sign change on [1, 2n-1] but moves the root by about
+    # 1/q'(lambda), far beyond the consistency bound: reusing the rome bracket
+    # would hide the mismatch.
+    shifted = q_polynomial(5) + IntPolynomial([1])
+    monkeypatch.setattr(entropy, "char_poly_exact", lambda m: shifted)
+    report = volume_entropy(PresentationSpec(5, False))
+    assert report.routes["charpoly-root"] != report.routes["rome-root"]
+    assert shifted(Fraction(report.routes["charpoly-root"])) == pytest.approx(0, abs=1e-6)
+    assert not report.consistent
+    assert report.lambda_ == report.routes["rome-root"]
 
 
 def test_report_validation():

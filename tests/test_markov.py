@@ -1,11 +1,15 @@
 """Transition matrix construction: structural blocks and both build routes."""
 
+import random
+from itertools import compress
+
 import pytest
 
 from volentropy.core import IntMatrix
 from volentropy.markov import (
     BlockKind,
     PresentationSpec,
+    TransitionOperator,
     build_block,
     build_markov_from_blocks,
     build_markov_from_images,
@@ -152,6 +156,37 @@ def test_builders_reject_rank_2():
         build_markov_from_images(PresentationSpec(2, False))
     with pytest.raises(ValueError):
         build_markov_from_blocks(PresentationSpec(2, True))
+
+
+# ---------------------------------------------------------------- operator
+
+# Every rank through 24, then 32 and the cap 40: a dense build at n = 40
+# holds 6320² cells (about 320 MB), so the ranks between are left out.
+OPERATOR_RANKS = [*range(3, 25), 32, 40]
+
+
+@pytest.mark.parametrize("n", OPERATOR_RANKS)
+@pytest.mark.parametrize("orientable", [True, False])
+def test_operator_equals_the_dense_blocks_product(n, orientable):
+    sp = spec_any(n, orientable)
+    m = build_markov_from_blocks(sp)
+    op = TransitionOperator(sp)
+    assert op.size == m.size
+    rng = random.Random(n)
+    v = [rng.randint(-9, 9) for _ in range(m.size)]
+    # The blocks-route matrix is 0/1, so a row's product is the sum of the
+    # entries of v it selects.
+    assert min(map(min, m.rows)) == 0 and max(map(max, m.rows)) == 1
+    assert op.apply(v) == [sum(compress(v, row)) for row in m.rows]
+
+
+def test_operator_keeps_the_rank_cap_without_claiming_a_dense_build():
+    with pytest.raises(ValueError, match="up to rank 40") as exc:
+        TransitionOperator(PresentationSpec(41, False))
+    assert "lambda_n" in str(exc.value) and "volentropy table" in str(exc.value)
+    assert "dense" not in str(exc.value)
+    with pytest.raises(ValueError):
+        TransitionOperator(PresentationSpec(2, False))
 
 
 @pytest.mark.parametrize("build", [build_markov_from_images, build_markov_from_blocks])

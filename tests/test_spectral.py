@@ -8,8 +8,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from volentropy.core import IntMatrix, IntPolynomial
-from volentropy.markov import BlockKind, PresentationSpec, build_block, build_markov_from_blocks
-from volentropy.reductions import compacted_matrix, super_compacted_matrix
+from volentropy.markov import (
+    BlockKind,
+    PresentationSpec,
+    TransitionOperator,
+    build_block,
+    build_markov_from_blocks,
+)
+from volentropy.reductions import (
+    compacted_matrix,
+    divided_compacted_matrix,
+    super_compacted_matrix,
+)
 from volentropy.spectral import char_poly_exact, is_irreducible, power_iteration
 
 
@@ -18,29 +28,52 @@ from volentropy.spectral import char_poly_exact, is_irreducible, power_iteration
 def naive_char_poly(m: IntMatrix) -> IntPolynomial:
     """det(xI - m) by cofactor expansion over polynomial entries.
 
-    Exponentially slow but independent of the production recurrence; the
-    cross-check runs on small sizes only.
+    Expands along successive rows, memoized on the set of columns still
+    free (2^k minors rather than k! chains), and skips zero entries.
+    Independent of the production recurrence; the cross-check runs on
+    small sizes only.
     """
+    k = m.size
     x_minus = [
         [
             IntPolynomial([-m.rows[i][j], 1]) if i == j else IntPolynomial([-m.rows[i][j]])
-            for j in range(m.size)
+            for j in range(k)
         ]
-        for i in range(m.size)
+        for i in range(k)
     ]
+    memo: dict[tuple[int, ...], IntPolynomial] = {(): IntPolynomial([1])}
 
-    def det(grid):
-        k = len(grid)
-        if k == 1:
-            return grid[0][0]
-        acc = IntPolynomial([0])
-        for j in range(k):
-            minor = [row[:j] + row[j + 1 :] for row in grid[1:]]
-            term = grid[0][j] * det(minor)
-            acc = acc + term if j % 2 == 0 else acc - term
-        return acc
+    def det(cols: tuple[int, ...]) -> IntPolynomial:
+        if cols not in memo:
+            row = x_minus[k - len(cols)]
+            acc = IntPolynomial([0])
+            for pos, j in enumerate(cols):
+                if row[j].is_zero():
+                    continue
+                term = row[j] * det(cols[:pos] + cols[pos + 1 :])
+                acc = acc + term if pos % 2 == 0 else acc - term
+            memo[cols] = acc
+        return memo[cols]
 
-    return det(x_minus)
+    return det(tuple(range(k)))
+
+
+def dense_char_poly(m: IntMatrix) -> IntPolynomial:
+    """The Faddeev-LeVerrier recurrence with a dense IntMatrix product per
+    step, as `char_poly_exact` computed it before it went sparse-left."""
+    k = m.size
+    coeffs = [0] * (k + 1)
+    coeffs[k] = 1
+    ident = IntMatrix.identity(k)
+    acc = ident
+    for step in range(1, k + 1):
+        prod = m * acc
+        trace = sum(prod.rows[i][i] for i in range(k))
+        q, r = divmod(trace, step)
+        assert r == 0
+        coeffs[k - step] = -q
+        acc = prod + (-q) * ident
+    return IntPolynomial(coeffs)
 
 
 # ---------------------------------------------------------------- power iteration
@@ -167,19 +200,28 @@ def test_char_poly_is_monic_with_det_constant():
     assert p.coeffs[0] == 3 * 4 - 1 * 2  # det for even size
 
 
-@settings(max_examples=80)
-@given(
-    st.integers(1, 5).flatmap(
-        lambda k: st.lists(
-            st.lists(st.integers(-3, 3), min_size=k, max_size=k),
-            min_size=k,
-            max_size=k,
+def int_square_matrices(max_k: int):
+    """Square integer matrices up to max_k, dense or mostly zero."""
+    dense = st.integers(-3, 3)
+    sparse = st.sampled_from((0,) * 6 + (-3, -2, -1, 1, 2, 3))
+    return st.tuples(st.integers(1, max_k), st.sampled_from((dense, sparse))).flatmap(
+        lambda kc: st.lists(
+            st.lists(kc[1], min_size=kc[0], max_size=kc[0]), min_size=kc[0], max_size=kc[0]
         )
     )
-)
+
+
+@settings(max_examples=80)
+@given(int_square_matrices(8))
 def test_char_poly_matches_naive_determinant(rows):
     m = IntMatrix(rows)
     assert char_poly_exact(m) == naive_char_poly(m)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_char_poly_matches_the_dense_recurrence_on_the_reductions(n):
+    for m in (compacted_matrix(n), divided_compacted_matrix(n), super_compacted_matrix(n)):
+        assert char_poly_exact(m) == dense_char_poly(m)
 
 
 # ---------------------------------------------------------------- irreducibility
@@ -247,3 +289,18 @@ def test_sparse_power_iteration_matches_dense_numpy_on_weights_and_zero_rows():
     pytest.importorskip("numpy")
     assert_matches_dense(IntMatrix([[0, 3, 1], [2, 0, 7], [1, 4, 0]]))
     assert_matches_dense(IntMatrix([[1, 1, 0], [0, 0, 0], [1, 0, 1]]))
+
+
+# ---------------------------------------------------------------- operator
+
+@pytest.mark.parametrize("n", [*range(3, 25), 40])
+@pytest.mark.parametrize("orientable", [True, False])
+def test_power_iteration_on_the_operator_matches_the_dense_matrix(n, orientable):
+    # The operator sums each row in another order than the sparse-row pass,
+    # so the values may differ in the last bits, but never the stop.
+    sp = PresentationSpec(n, orientable, formal=True)
+    dense = power_iteration(build_markov_from_blocks(sp))
+    est = power_iteration(TransitionOperator(sp))
+    assert (est.iterations, est.converged) == (dense.iterations, dense.converged)
+    assert est.converged
+    assert est.value == pytest.approx(dense.value, rel=1e-13, abs=0.0)
