@@ -31,7 +31,7 @@ from .core import (
     poly_eval,
     poly_reciprocal_check,
 )
-from .entropy import EntropyReport, bounds_check, volume_entropy, entropy_table
+from .entropy import EntropyReport, _lower_bound, bounds_check, volume_entropy, entropy_table
 from .markov import (
     PresentationSpec,
     TransitionOperator,
@@ -115,11 +115,8 @@ def _bounds_payload(report: EntropyReport) -> dict:
     n = report.n
     if n < 3:
         return {"hold": report.bounds_hold, "lower": None, "upper": None}
-    upper = 2 * n - 1
-    lower = (
-        str(Fraction(upper) - Fraction(1, upper ** (n - 2))) if n >= 4 else None
-    )
-    return {"hold": report.bounds_hold, "lower": lower, "upper": str(upper)}
+    lower = str(_lower_bound(n)) if n >= 4 else None
+    return {"hold": report.bounds_hold, "lower": lower, "upper": str(2 * n - 1)}
 
 
 def _cmd_entropy(args) -> tuple[int, str]:

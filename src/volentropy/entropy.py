@@ -32,8 +32,6 @@ __all__ = [
     "entropy_table",
 ]
 
-_MAX_BISECT = 200
-
 # Largest tolerance volume_entropy accepts.  It caps the consistency bound
 # max(1000 * tol, 1e-12) at 1e-3; uncapped, tol = 0.5 passed routes that
 # disagreed by 2.4 as consistent.
@@ -56,9 +54,9 @@ ROUTE_NAMES = (
 def _bisect_root(p: IntPolynomial, lo: Fraction, hi: Fraction, tol: float) -> tuple[Fraction, Fraction]:
     """Shrink [lo, hi] around the sign change of p with exact arithmetic.
 
-    Requires p(lo) < 0 < p(hi); returns the final bracket (width <= tol
-    unless the iteration cap bites first, which at 200 halvings it cannot
-    for any representable tolerance).
+    Requires p(lo) < 0 < p(hi); returns the final bracket, of width <= tol.
+    There is no iteration cap: the smallest tolerance, 5e-324, takes about
+    1080 halvings (0.14 s at n = 5, 3.8 s at n = 40; process CPU, 2-core VM).
     """
     flo = poly_eval(p, lo)
     fhi = poly_eval(p, hi)
@@ -66,9 +64,7 @@ def _bisect_root(p: IntPolynomial, lo: Fraction, hi: Fraction, tol: float) -> tu
         raise ValueError(
             f"bisection needs a sign change: p({lo}) = {flo}, p({hi}) = {fhi}"
         )
-    for _ in range(_MAX_BISECT):
-        if hi - lo <= tol:
-            break
+    while hi - lo > tol:
         mid = (lo + hi) / 2
         fmid = poly_eval(p, mid)
         if fmid == 0:
@@ -113,9 +109,13 @@ def bounds_check(n: int) -> bool:
     if n < 4:
         raise ValueError(f"the lower bound requires n >= 4, got {n}")
     p = q_polynomial(n)
+    return poly_eval(p, _lower_bound(n)) < 0 < poly_eval(p, Fraction(2 * n - 1))
+
+
+def _lower_bound(n: int) -> Fraction:
+    """The exact lower bound 2n-1 - (2n-1)^-(n-2) on the growth rate (n >= 4)."""
     b = 2 * n - 1
-    lower = Fraction(b) - Fraction(1, b ** (n - 2))
-    return poly_eval(p, lower) < 0 < poly_eval(p, Fraction(b))
+    return b - Fraction(1, b ** (n - 2))
 
 
 # =====================================================================
@@ -244,7 +244,7 @@ def entropy_table(n_min: int, n_max: int) -> list[EntropyTableRow]:
     for n in range(n_min, n_max + 1):
         lam = lambda_n(n)
         ub = float(2 * n - 1)
-        lb = float(2 * n - 1 - Fraction(1, (2 * n - 1) ** (n - 2))) if n >= 4 else None
+        lb = float(_lower_bound(n)) if n >= 4 else None
         rows.append(
             EntropyTableRow(
                 n=n,

@@ -10,21 +10,22 @@ Two independent constructions are provided and cross-checked in the tests:
 
 * `build_markov_from_images` walks the image of every slot directly,
   using the combinatorial description of where each subinterval lands;
-* `build_markov_from_blocks` assembles the matrix from a circulant template
-  of (2n-1) x (2n-1) structural blocks; `TransitionOperator` applies the
-  same template to a vector without storing a matrix, for power iteration.
+* `TransitionOperator` applies the circulant template of (2n-1) x (2n-1)
+  structural blocks (T, JTJ, U(i), zero) to a vector without storing a
+  matrix, for power iteration; `build_markov_from_blocks` reads the dense
+  matrix off that operator, so the template is written once.
 
 For the orientation-reversing (non-orientable) presentation the block rows
 at positions n and 2n act with reversed orientation: in the image route their
 slot tables are mirrored, and in the block route every block in those rows is
-premultiplied by the flip matrix J.
+premultiplied by the flip matrix J, which reverses the block row's output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from importlib import resources
-from itertools import accumulate, chain
+from itertools import accumulate
 
 from .core import IntMatrix, mod1
 
@@ -293,57 +294,32 @@ def build_markov_from_images(spec: PresentationSpec) -> IntMatrix:
 # Route 2: circulant block template
 # =====================================================================
 
-def _template_kinds(n: int, l: int) -> dict[int, BlockKind]:
-    """Block kinds of row l of the straight (orientation-preserving) form."""
-    r = 2 * n
-    kinds: dict[int, BlockKind] = {mod1(l + n + 1, r): BlockKind.T()}
-    for t in _cyclic_range(l + n + 2, l - 1, r):
-        kinds[t] = BlockKind.U(n - 1)
-    kinds[l] = BlockKind.U(n)
-    for t in _cyclic_range(l + 1, l + n - 2, r):
-        kinds[t] = BlockKind.U(n + 1)
-    kinds[mod1(l + n - 1, r)] = BlockKind.JTJ()
-    kinds[mod1(l + n, r)] = BlockKind.zero()
-    assert len(kinds) == r, "block kinds must tile the whole block row"
-    return kinds
+# Maps the characters of a binary numeral to the 0/1 byte values.
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
 
 def build_markov_from_blocks(spec: PresentationSpec) -> IntMatrix:
-    """Transition matrix assembled from the circulant template of blocks.
+    """Transition matrix read off `TransitionOperator` applied to the basis.
 
-    Every block row repeats the same template, shifted one block to the right
-    per row; in the non-orientable case the two reversing rows (n and 2n) are
-    premultiplied blockwise by the flip J, which reverses each block's rows.
+    Column j goes in as the bit 1 << j.  M is 0/1 and each row sums distinct
+    columns, so no sum carries: output i is the bit mask of row i's support.
     """
-    n = spec.n
-    _check_matrix_rank(n)
-    s = spec.block_size
-    r = spec.block_count
-    reversed_rows = _reversed_rows(spec)
-    cache: dict[tuple[BlockKind, bool], tuple[tuple[int, ...], ...]] = {}
-
-    def block_rows(kind: BlockKind, flipped: bool) -> tuple[tuple[int, ...], ...]:
-        key = (kind, flipped)
-        if key not in cache:
-            blk = build_block(kind, s)
-            cache[key] = (blk.reverse_rows() if flipped else blk).rows
-        return cache[key]
-
-    rows: list[tuple[int, ...]] = []
-    for l in range(1, r + 1):
-        kinds = _template_kinds(n, l)
-        flipped = l in reversed_rows
-        blocks = [block_rows(kinds[t], flipped) for t in range(1, r + 1)]
-        for i in range(s):
-            rows.append(tuple(chain.from_iterable(blk[i] for blk in blocks)))
-    return IntMatrix._from_rows(tuple(rows))
+    _check_matrix_rank(spec.n)
+    size = spec.matrix_size
+    masks = TransitionOperator(spec).apply([1 << j for j in range(size)])
+    return IntMatrix._from_rows(
+        tuple(tuple(format(m, f"0{size}b")[::-1].encode().translate(_BITS)) for m in masks)
+    )
 
 
 class TransitionOperator:
-    """`build_markov_from_blocks(spec)` as a matrix-free map v -> M v, exact on ints.
+    """The circulant block template as a matrix-free map v -> M v, exact on ints.
 
-    In block row l, T and JTJ act on blocks l+n+1 and l+n-1 of v by slicing.
-    Each U(k) block adds its block's sum to slot k, so the U runs are
-    differences of cyclic prefix sums of the 2n block sums: O(n^2) a product.
+    Block row l holds T at block l+n+1, JTJ at l+n-1, U(n) at l, U(n-1) on
+    l+n+2..l-1, U(n+1) on l+1..l+n-2 and zero at l+n; the reversing rows are
+    flipped by J.  T and JTJ act on their blocks of v by slicing.  Each U(k)
+    block adds its block's sum to slot k, so the U runs are differences of
+    cyclic prefix sums of the 2n block sums: O(n^2) a product.
     """
 
     def __init__(self, spec: PresentationSpec):

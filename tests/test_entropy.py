@@ -47,6 +47,15 @@ def test_lambda_bracket_certificate():
         assert 1 < lo and hi <= 2 * n - 1
 
 
+@pytest.mark.parametrize("tol", [1e-100, 5e-324])
+def test_lambda_bracket_meets_tiny_tolerances(tol):
+    # No iteration cap: the bracket reaches any representable tolerance.
+    lo, hi = lambda_n_bracket(5, tol=tol)
+    assert 0 <= hi - lo <= tol
+    q = q_polynomial(5)
+    assert poly_eval(q, lo) < 0 <= poly_eval(q, hi) or lo == hi
+
+
 def test_lambda_is_increasing_and_below_ceiling():
     values = [lambda_n(n) for n in range(3, 31)]
     for a, b in zip(values, values[1:]):

@@ -15,6 +15,7 @@ from volentropy.markov import (
     build_markov_from_images,
     reference_rows,
 )
+from volentropy.reductions import BlockView
 
 
 def spec_any(n: int, orientable: bool) -> PresentationSpec:
@@ -158,6 +159,43 @@ def test_builders_reject_rank_2():
         build_markov_from_blocks(PresentationSpec(2, True))
 
 
+# ---------------------------------------------------------------- template
+
+def template_kinds(n: int, l: int) -> dict[int, BlockKind]:
+    """The paper's block kinds of block row l (straight form), by block column."""
+    r = 2 * n
+
+    def col(t: int) -> int:
+        return (t - 1) % r + 1
+
+    kinds = {col(l + n + 1): BlockKind.T()}
+    for t in range(l + n + 2, l + r):  # l+n+2 .. l-1, cyclically
+        kinds[col(t)] = BlockKind.U(n - 1)
+    kinds[l] = BlockKind.U(n)
+    for t in range(l + 1, l + n - 1):  # l+1 .. l+n-2
+        kinds[col(t)] = BlockKind.U(n + 1)
+    kinds[col(l + n - 1)] = BlockKind.JTJ()
+    kinds[col(l + n)] = BlockKind.zero()
+    assert len(kinds) == r, "block kinds must tile the whole block row"
+    return kinds
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("orientable", [True, False])
+def test_blocks_route_follows_the_paper_template(n, orientable):
+    # Block rows n and 2n of the non-orientable form are row-reversed (J M).
+    sp = spec_any(n, orientable)
+    s = sp.block_size
+    view = BlockView(build_markov_from_blocks(sp), sp.block_count, s)
+    reversed_rows = () if orientable else (n, 2 * n)
+    for l in range(1, 2 * n + 1):
+        for t, kind in template_kinds(n, l).items():
+            expected = build_block(kind, s)
+            if l in reversed_rows:
+                expected = expected.reverse_rows()
+            assert view.block(l, t) == expected, (l, t, kind)
+
+
 # ---------------------------------------------------------------- operator
 
 # Every rank through 24, then 32 and the cap 40: a dense build at n = 40
@@ -168,13 +206,15 @@ OPERATOR_RANKS = [*range(3, 25), 32, 40]
 @pytest.mark.parametrize("n", OPERATOR_RANKS)
 @pytest.mark.parametrize("orientable", [True, False])
 def test_operator_equals_the_dense_blocks_product(n, orientable):
+    # The blocks-route matrix is read off the operator, so the operator is
+    # checked against the independent image route instead.
     sp = spec_any(n, orientable)
-    m = build_markov_from_blocks(sp)
+    m = build_markov_from_images(sp)
     op = TransitionOperator(sp)
     assert op.size == m.size
     rng = random.Random(n)
     v = [rng.randint(-9, 9) for _ in range(m.size)]
-    # The blocks-route matrix is 0/1, so a row's product is the sum of the
+    # The images-route matrix is 0/1, so a row's product is the sum of the
     # entries of v it selects.
     assert min(map(min, m.rows)) == 0 and max(map(max, m.rows)) == 1
     assert op.apply(v) == [sum(compress(v, row)) for row in m.rows]
