@@ -8,6 +8,10 @@ the polynomial arithmetic is written once, in `IntPolynomial`.  Numerical
 work (power iteration) lives in `spectral`, over the nonzero entries of an
 `IntMatrix` or through the matrix-free `markov.TransitionOperator`.
 
+Sparse view: `IntMatrix.nonzeros()`, each row's nonzero columns and values,
+is the one place the package reads a nonzero pattern, so edges are never
+found by scanning dense rows.
+
 Indexing convention: the combinatorial formulas that drive this package are
 stated with rows, columns, blocks and slots numbered from 1.  The public
 accessors here (`IntMatrix.entry`, `mod1`, `IntervalLabel`) speak 1-based;
@@ -20,6 +24,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -119,13 +124,18 @@ class IntMatrix:
             tuple((0,) * i + (1,) + (0,) * (k - 1 - i) for i in range(k))
         )
 
-    # -- 1-based access -------------------------------------------------
+    # -- access ---------------------------------------------------------
 
     def entry(self, i: int, j: int) -> int:
         """Entry at row i, column j, both 1-based."""
         if not (1 <= i <= self.size and 1 <= j <= self.size):
             raise IndexError(f"entry ({i},{j}) out of range for size {self.size}")
         return self.rows[i - 1][j - 1]
+
+    def nonzeros(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """Each row's nonzero entries as a (columns, values) pair, columns 0-based."""
+        cols = range(self.size)
+        return tuple((tuple(compress(cols, row)), tuple(compress(row, row))) for row in self.rows)
 
     # -- arithmetic ------------------------------------------------------
 

@@ -151,30 +151,17 @@ def divided_compacted_matrix(n: int) -> IntMatrix:
     """The 2n x 2n divided compacted matrix: the compacted matrix with its
     middle row and column split in two.
 
-    Rows other than the two middle ones copy the compacted entries, with the
-    middle column duplicated; row n covers columns 1..n, row n+1 covers
-    columns n+1..2n.  Its spectrum is that of the compacted matrix plus a
-    simple eigenvalue 1.
+    Every compacted row but the middle one becomes a row here, with its
+    middle column doubled (`row[:n] + row[n-1:]`); in place of the middle row
+    go row n, ones over columns 1..n, and row n+1, ones over columns
+    n+1..2n.  Its spectrum is that of the compacted matrix plus a simple
+    eigenvalue 1.
     """
     if n < 3:
         raise ValueError(f"divided compacted matrix needs rank >= 3, got {n}")
-    c = compacted_matrix(n)
-    size = 2 * n
-    d = [[0] * size for _ in range(size)]
-    for i in range(1, size + 1):
-        if i == n:
-            for j in range(1, n + 1):
-                d[i - 1][j - 1] = 1
-            continue
-        if i == n + 1:
-            for j in range(n + 1, size + 1):
-                d[i - 1][j - 1] = 1
-            continue
-        ci = i if i < n else i - 1
-        for j in range(1, size + 1):
-            cj = j if j <= n else j - 1
-            d[i - 1][j - 1] = c.entry(ci, cj)
-    return IntMatrix(d)
+    doubled = tuple(row[:n] + row[n - 1 :] for row in compacted_matrix(n).rows)
+    ones, zeros = (1,) * n, (0,) * n
+    return IntMatrix._from_rows(doubled[: n - 1] + (ones + zeros, zeros + ones) + doubled[n:])
 
 
 def super_compacted_matrix(n: int) -> IntMatrix:

@@ -64,67 +64,57 @@ class SimplePath:
         return len(self.vertices) - 1
 
 
-def _check_nodes_in_range(m: IntMatrix, r: RomeSpec) -> None:
-    if r.nodes and r.nodes[-1] > m.size:
-        raise ValueError(
-            f"rome node {r.nodes[-1]} out of range for matrix of size {m.size}"
-        )
-
-
 def rome_check(m: IntMatrix, r: RomeSpec) -> bool:
     """True iff the subgraph induced on the complement of r is acyclic.
 
-    Self-loops count as cycles.  Checked by repeatedly peeling vertices with
-    no outgoing edge inside the complement.
+    Self-loops count as cycles.  Kahn's peeling over the complement's edges:
+    a vertex goes once no edge into it is left; all go iff there is no cycle.
     """
-    _check_nodes_in_range(m, r)
-    rset = set(r.nodes)
-    alive = [i for i in range(1, m.size + 1) if i not in rset]
-    alive_set = set(alive)
-    outdeg = {}
+    if r.nodes and r.nodes[-1] > m.size:
+        raise ValueError(f"rome node {r.nodes[-1]} out of range for matrix of size {m.size}")
+    rset = {v - 1 for v in r.nodes}
+    alive = [i for i in range(m.size) if i not in rset]
+    nonzero = m.nonzeros()
+    indeg = [0] * m.size
     for i in alive:
-        outdeg[i] = sum(1 for j in alive if m.entry(i, j) != 0)
-    queue = [i for i in alive if outdeg[i] == 0]
-    removed = 0
-    while queue:
-        u = queue.pop()
-        alive_set.discard(u)
-        removed += 1
-        for i in alive_set:
-            if m.entry(i, u) != 0:
-                outdeg[i] -= 1
-                if outdeg[i] == 0:
-                    queue.append(i)
-    return removed == len(alive)
+        for j in nonzero[i][0]:
+            indeg[j] += 1
+    peeled = [i for i in alive if indeg[i] == 0]
+    for i in peeled:
+        for j in nonzero[i][0]:
+            indeg[j] -= 1
+            if indeg[j] == 0 and j not in rset:
+                peeled.append(j)
+    return len(peeled) == len(alive)
 
 
 def enumerate_simple_paths(m: IntMatrix, r: RomeSpec) -> list[SimplePath]:
     """All paths that start and end in the rome and avoid it in between.
 
-    Interior vertices are pairwise distinct; because the complement of a rome
-    is acyclic the enumeration is finite, and the guard rejects non-romes up
-    front.  Paths are returned sorted by (start, end, length, vertices).
+    Depth-first over out-edges with an explicit stack, so long paths do not
+    hit the recursion limit.  No visited set is needed: the guard proves the
+    complement acyclic, so no walk can repeat an interior vertex and the
+    enumeration is finite.  Paths are sorted by (start, end, length, vertices).
     """
     if not rome_check(m, r):
         raise ValueError("the given node set is not a rome for this matrix")
-    rset = set(r.nodes)
+    rset = {v - 1 for v in r.nodes}
+    nonzero = m.nonzeros()
     out: list[SimplePath] = []
-
-    def extend(path: list[int], width: int, seen: set[int]) -> None:
-        u = path[-1]
-        for j in range(1, m.size + 1):
-            w = m.entry(u, j)
-            if w == 0:
-                continue
-            if j in rset:
-                out.append(SimplePath(tuple(path + [j]), width * w))
-            elif j not in seen:
-                seen.add(j)
-                extend(path + [j], width * w, seen)
-                seen.discard(j)
-
     for a in r.nodes:
-        extend([a], 1, set())
+        path, stack = [a], [(zip(*nonzero[a - 1]), 1)]
+        while stack:
+            edges, width = stack[-1]
+            for j, w in edges:
+                if j in rset:
+                    out.append(SimplePath((*path, j + 1), width * w))
+                else:
+                    path.append(j + 1)
+                    stack.append((zip(*nonzero[j]), width * w))
+                    break
+            else:
+                stack.pop()
+                path.pop()
     out.sort(key=lambda p: (p.vertices[0], p.vertices[-1], p.length, p.vertices))
     return out
 
@@ -183,7 +173,6 @@ def rome_char_poly(m: IntMatrix, r: RomeSpec) -> IntPolynomial:
     multiplying through by x^k clears the negative exponents and the sign
     factor makes the result monic, so it matches `char_poly_exact` exactly.
     """
-    _check_nodes_in_range(m, r)
     grid = rome_matrix(m, r)
     ell = len(r.nodes)
     for i in range(ell):
@@ -221,10 +210,8 @@ def q_polynomial(n: int) -> IntPolynomial:
 
 def format_digraph(m: IntMatrix) -> str:
     """Edge list of the weighted digraph, one `i -> j [w]` line per edge."""
-    lines = []
-    for i in range(1, m.size + 1):
-        for j in range(1, m.size + 1):
-            w = m.entry(i, j)
-            if w != 0:
-                lines.append(f"{i} -> {j} [{w}]")
-    return "\n".join(lines)
+    return "\n".join(
+        f"{i} -> {j + 1} [{w}]"
+        for i, (cols, vals) in enumerate(m.nonzeros(), 1)
+        for j, w in zip(cols, vals)
+    )

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import compress
 
 from .core import IntMatrix, IntPolynomial, check_tolerance
 from .markov import TransitionOperator
@@ -53,7 +52,7 @@ def _row_product(m: IntMatrix):
     """v -> m v over each row's nonzero entries."""
     if not m.is_nonnegative():
         raise ValueError("power iteration requires a nonnegative matrix")
-    sparse = [(list(compress(range(m.size), row)), list(compress(row, row))) for row in m.rows]
+    sparse = m.nonzeros()
 
     def product(v: list[float]) -> list[float]:
         at = v.__getitem__
@@ -117,13 +116,13 @@ def char_poly_exact(m: IntMatrix) -> IntPolynomial:
     of m * acc sums rows of acc over the nonzero m[i][j]: O(nnz * k), not k^3.
     """
     k = m.size
-    nonzero = [[(j, c) for j, c in enumerate(row) if c] for row in m.rows]
+    nonzero = m.nonzeros()
     coeffs = [0] * k + [1]
     acc = [[int(i == j) for j in range(k)] for i in range(k)]
     for step in range(1, k + 1):
         acc = [
-            list(map(sum, zip(*([c * x for x in acc[j]] for j, c in pairs)))) or [0] * k
-            for pairs in nonzero
+            list(map(sum, zip(*([c * x for x in acc[j]] for j, c in zip(cols, vals))))) or [0] * k
+            for cols, vals in nonzero
         ]
         q, r = divmod(sum(row[i] for i, row in enumerate(acc)), step)
         assert r == 0, "Faddeev-LeVerrier trace must divide exactly"
@@ -136,25 +135,20 @@ def char_poly_exact(m: IntMatrix) -> IntPolynomial:
 def is_irreducible(m: IntMatrix) -> bool:
     """True iff the digraph on {1..k} with an edge i->j whenever m[i][j] != 0
     is strongly connected (every state reaches every other)."""
-    k = m.size
-    adj = [[j for j, v in enumerate(row) if v != 0] for row in m.rows]
-    radj: list[list[int]] = [[] for _ in range(k)]
-    for i, outs in enumerate(adj):
-        for j in outs:
+    adj = [cols for cols, _ in m.nonzeros()]
+    radj: list[list[int]] = [[] for _ in adj]
+    for i, cols in enumerate(adj):
+        for j in cols:
             radj[j].append(i)
 
-    def reaches_all(start: int, edges: list[list[int]]) -> bool:
-        seen = [False] * k
-        seen[start] = True
-        stack = [start]
-        count = 1
+    def reaches_all(edges) -> bool:
+        seen = [True] + [False] * (m.size - 1)
+        stack = [0]
         while stack:
-            u = stack.pop()
-            for w in edges[u]:
+            for w in edges[stack.pop()]:
                 if not seen[w]:
                     seen[w] = True
-                    count += 1
                     stack.append(w)
-        return count == k
+        return all(seen)
 
-    return reaches_all(0, adj) and reaches_all(0, radj)
+    return reaches_all(adj) and reaches_all(radj)

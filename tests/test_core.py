@@ -98,6 +98,36 @@ def test_matrix_csv_round_trip(rows):
     assert matrix_from_csv(matrix_to_csv(m)) == m
 
 
+def test_nonzeros_pinned():
+    m = IntMatrix([[0, 2, 0], [0, 0, 0], [-1, 0, 3]])
+    assert m.nonzeros() == (((1,), (2,)), ((), ()), ((0, 2), (-1, 3)))
+
+
+@given(
+    st.integers(1, 8).flatmap(
+        lambda k: st.lists(
+            st.one_of(
+                st.just([0] * k),
+                st.lists(st.integers(-9, 9), min_size=k, max_size=k),
+            ),
+            min_size=k,
+            max_size=k,
+        )
+    )
+)
+def test_nonzeros_rebuild_the_dense_rows(rows):
+    m = IntMatrix(rows)
+    rebuilt = []
+    for cols, vals in m.nonzeros():
+        assert 0 not in vals
+        assert list(cols) == sorted(set(cols))
+        row = [0] * m.size
+        for j, v in zip(cols, vals):
+            row[j] = v
+        rebuilt.append(tuple(row))
+    assert tuple(rebuilt) == m.rows
+
+
 def test_format_blocks_layout():
     m = IntMatrix([[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12], [13, 14, 15, 16]])
     text = format_blocks(m, 2)

@@ -139,6 +139,17 @@ def test_simple_path_length():
     assert p.length == 2
 
 
+def test_simple_paths_walk_a_long_cycle():
+    # One path around a 1200-cycle: deeper than the default recursion limit.
+    k = 1200
+    m = IntMatrix([[int(j == (i + 1) % k) for j in range(k)] for i in range(k)])
+    paths = enumerate_simple_paths(m, RomeSpec((1,)))
+    assert len(paths) == 1
+    assert paths[0].length == k
+    assert paths[0].vertices == (*range(1, k + 1), 1)
+    assert paths[0].width == 1
+
+
 @settings(max_examples=60)
 @given(st.integers(0, 10_000))
 def test_path_enumeration_matches_brute_force(seed):
@@ -204,7 +215,7 @@ def test_rome_char_poly_supercompacted_rank3():
     assert rome_char_poly(SC3, RomeSpec((2, 3))) == IntPolynomial([1, -4, -4, 1])
 
 
-@pytest.mark.parametrize("n", range(3, 13))
+@pytest.mark.parametrize("n", [*range(3, 13), 80])
 def test_rome_equals_exact_equals_closed_form(n):
     sc = super_compacted_matrix(n)
     via_rome = rome_char_poly(sc, RomeSpec((n - 1, n)))
