@@ -35,6 +35,7 @@ from .entropy import EntropyReport, _lower_bound, bounds_check, volume_entropy, 
 from .markov import (
     PresentationSpec,
     TransitionOperator,
+    _MAX_MATRIX_RANK,
     _check_matrix_rank,
     build_markov_from_blocks,
     build_markov_from_images,
@@ -76,11 +77,16 @@ def _build_requested_matrix(args) -> tuple[IntMatrix, int]:
     if args.which == "markov":
         spec = PresentationSpec(n, args.orientable)
         return build_markov_from_blocks(spec), spec.block_size
-    if args.which == "compacted":
-        return compacted_matrix(n), 0
-    if args.which == "divided":
-        return divided_compacted_matrix(n), 0
-    return super_compacted_matrix(n), 0
+    # The reduced kinds are capped, before building, at the largest transition matrix.
+    build, size = {
+        "compacted": (compacted_matrix, 2 * n - 1),
+        "divided": (divided_compacted_matrix, 2 * n),
+        "supercompacted": (super_compacted_matrix, n),
+    }[args.which]
+    limit = 2 * _MAX_MATRIX_RANK * (2 * _MAX_MATRIX_RANK - 1)
+    if size > limit:
+        raise ValueError(f"the {args.which} matrix of rank {n} is {size}x{size}, over the {limit}x{limit} cap")
+    return build(n), 0
 
 
 def _cmd_build_matrix(args) -> tuple[int, str]:

@@ -6,7 +6,8 @@ integers, polynomials hold integer coefficients, and evaluation goes through
 point.  A Laurent polynomial is a power of x times an `IntPolynomial`, so
 the polynomial arithmetic is written once, in `IntPolynomial`.  Numerical
 work (power iteration) lives in `spectral`, over the nonzero entries of an
-`IntMatrix` or through the matrix-free `markov.TransitionOperator`.
+`IntMatrix` or through the matrix-free `markov.TransitionOperator`.  The value
+types are frozen dataclasses, compared and hashed by their fields.
 
 Sparse view: `IntMatrix.nonzeros()`, each row's nonzero columns and values,
 is the one place the package reads a nonzero pattern, so edges are never
@@ -73,6 +74,7 @@ def check_tolerance(tol: float) -> None:
 # Dense square integer matrix
 # =====================================================================
 
+@dataclass(frozen=True, slots=True)
 class IntMatrix:
     """Immutable square matrix of Python ints.
 
@@ -80,7 +82,8 @@ class IntMatrix:
     product and sum stay exact for arbitrarily large entries.
     """
 
-    __slots__ = ("rows", "size")
+    rows: tuple[tuple[int, ...], ...]
+    size: int
 
     def __init__(self, rows: Iterable[Iterable[int]]):
         mat = tuple(tuple(map(int, row)) for row in rows)
@@ -104,9 +107,6 @@ class IntMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "size", len(rows))
         return self
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("IntMatrix is immutable")
 
     # -- constructors --------------------------------------------------
 
@@ -138,12 +138,6 @@ class IntMatrix:
         return tuple((tuple(compress(cols, row)), tuple(compress(row, row))) for row in self.rows)
 
     # -- arithmetic ------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, IntMatrix) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if self.size != other.size:
@@ -204,6 +198,7 @@ class IntMatrix:
 # Integer polynomials (index = degree)
 # =====================================================================
 
+@dataclass(frozen=True, slots=True)
 class IntPolynomial:
     """Polynomial with integer coefficients, coefficient index = degree.
 
@@ -211,7 +206,7 @@ class IntPolynomial:
     is stored as the single coefficient (0,).
     """
 
-    __slots__ = ("coeffs",)
+    coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Sequence[int]):
         cs = [int(c) for c in coeffs]
@@ -220,9 +215,6 @@ class IntPolynomial:
         if not cs:
             cs = [0]
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("IntPolynomial is immutable")
 
     @property
     def degree(self) -> int:
@@ -236,12 +228,6 @@ class IntPolynomial:
 
     def __call__(self, x):
         return poly_eval(self, x)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
         return IntPolynomial(_add_shifted(self.coeffs, other.coeffs, 0))
@@ -322,6 +308,7 @@ def poly_reciprocal_check(p: IntPolynomial) -> bool:
 # Laurent polynomials over the integers
 # =====================================================================
 
+@dataclass(frozen=True, slots=True)
 class LaurentPolynomial:
     """Integer Laurent polynomial x^min_exponent * p(x), for an `IntPolynomial`
     p with nonzero constant term; the arithmetic is p's, shifted.
@@ -331,7 +318,8 @@ class LaurentPolynomial:
     path generating functions where each edge contributes one negative power of x.
     """
 
-    __slots__ = ("min_exponent", "_poly")
+    min_exponent: int
+    _poly: IntPolynomial
 
     def __init__(self, min_exponent: int, coeffs: Sequence[int]):
         cs = [int(c) for c in coeffs]
@@ -347,9 +335,6 @@ class LaurentPolynomial:
         object.__setattr__(self, "min_exponent", 0 if poly.is_zero() else min_exponent)
         object.__setattr__(self, "_poly", poly)
         return self
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("LaurentPolynomial is immutable")
 
     # -- constructors --------------------------------------------------
 
@@ -376,14 +361,6 @@ class LaurentPolynomial:
         return self._poly.is_zero()
 
     # -- arithmetic ------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LaurentPolynomial):
-            return NotImplemented
-        return (self.min_exponent, self._poly) == (other.min_exponent, other._poly)
-
-    def __hash__(self) -> int:
-        return hash((self.min_exponent, self._poly))
 
     def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         if self.min_exponent > other.min_exponent:

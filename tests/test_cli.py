@@ -105,6 +105,33 @@ def test_build_matrix_json_payload(capsys):
     assert rebuilt == [list(row) for row in divided_compacted_matrix(3).rows]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "which, builder, n, size",
+    [
+        ("compacted", "compacted_matrix", 3161, 6321),
+        ("divided", "divided_compacted_matrix", 3161, 6322),
+        ("supercompacted", "super_compacted_matrix", 6321, 6321),
+    ],
+)
+def test_build_matrix_past_the_size_cap_exits_1_before_building(
+    which, builder, n, size, fmt, monkeypatch, capsys
+):
+    # One rank past the cap: larger than the rank-40 transition matrix,
+    # 6320x6320.  The builder must never be called.
+    def no_build(n):
+        raise AssertionError("the matrix was built")
+
+    monkeypatch.setattr(cli, builder, no_build)
+    code = main(["build-matrix", "--n", str(n), "--which", which, "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:")
+    assert f"{size}x{size}" in captured.err
+    assert "6320x6320" in captured.err
+    assert captured.out == ""
+
+
 # =====================================================================
 # entropy
 # =====================================================================

@@ -78,10 +78,25 @@ def test_matrix_product_and_sum():
     assert IntMatrix.zeros(2) + a == a
 
 
-def test_matrix_is_immutable():
-    m = IntMatrix([[1]])
+@pytest.mark.parametrize("action", ["set", "del"])
+@pytest.mark.parametrize(
+    "value, name",
+    [
+        pytest.param(IntMatrix([[1]]), "rows", id="IntMatrix.rows"),
+        pytest.param(IntMatrix([[1]]), "size", id="IntMatrix.size"),
+        pytest.param(IntPolynomial([1, 2]), "coeffs", id="IntPolynomial.coeffs"),
+        pytest.param(LaurentPolynomial(-1, [1, 2]), "min_exponent", id="LaurentPolynomial.min_exponent"),
+        pytest.param(LaurentPolynomial(-1, [1, 2]), "_poly", id="LaurentPolynomial._poly"),
+    ],
+)
+def test_matrix_is_immutable(value, name, action):
+    before = getattr(value, name)
     with pytest.raises(AttributeError):
-        m.size = 5
+        if action == "set":
+            setattr(value, name, 5)
+        else:
+            delattr(value, name)
+    assert getattr(value, name) == before
 
 
 @given(

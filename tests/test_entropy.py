@@ -211,6 +211,18 @@ def test_table_gap_shrinks():
         assert b < a
 
 
+@pytest.mark.parametrize("n", [10, 12, 13, 16, 24])
+def test_table_gap_has_relative_accuracy(n):
+    # Reference: delta = 2n-1 - lambda from a 1e-60 exact bracket, far
+    # narrower than delta itself (about (2n-1)^(2-n)).
+    lo, hi = lambda_n_bracket(n, tol=1e-60)
+    b = 2 * n - 1
+    delta = b - (lo + hi) / 2
+    want = -math.log1p(-float(delta / b))
+    (row,) = entropy_table(n, n)
+    assert abs(row.gap - want) <= 1e-12 * want
+
+
 def test_table_validation():
     with pytest.raises(ValueError):
         entropy_table(2, 5)
