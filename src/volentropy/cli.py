@@ -106,9 +106,7 @@ def _cmd_build_matrix(args) -> tuple[int, str]:
         text = format_blocks(matrix, block)
         hint = _width_hint()
         if hint and len(text.splitlines()[0]) > hint:
-            text = "\n".join(
-                " ".join(str(v) for v in row) for row in matrix.rows
-            )
+            text = str(matrix)
         return 0, text
     return 0, str(matrix)
 

@@ -1,10 +1,12 @@
-"""Exact arithmetic building blocks: integer matrices and (Laurent) polynomials.
+"""Exact arithmetic building blocks: integer matrices and polynomials.
 
 Everything in this module is exact.  Matrices hold arbitrary-precision Python
 integers, polynomials hold integer coefficients, and evaluation goes through
 `fractions.Fraction` so sign decisions are never at the mercy of floating
-point.  A Laurent polynomial is a power of x times an `IntPolynomial`, so
-the polynomial arithmetic is written once, in `IntPolynomial`.  Numerical
+point.  The public constructors reject entries that are not integers.
+Polynomial arithmetic is written once, in `IntPolynomial`; a
+`LaurentPolynomial` is a power of x times one, kept only to present the
+rome path matrix, whose determinant is taken in x^-1.  Numerical
 work (power iteration) lives in `spectral`, over the nonzero entries of an
 `IntMatrix` or through the matrix-free `markov.TransitionOperator`.  The value
 types are frozen dataclasses, compared and hashed by their fields.
@@ -25,7 +27,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, starmap, zip_longest
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -59,6 +61,16 @@ def mod1(k: int, l: int) -> int:
     return (k - 1) % l + 1
 
 
+def _ints(values: Iterable) -> tuple[int, ...]:
+    """The values as ints; ValueError for one unequal to its int: 0.5 or '7', not 2.0 or True."""
+    raw = tuple(values)
+    out = tuple(map(int, raw))
+    if out != raw:
+        bad = next(c for c, i in zip(raw, out) if i != c)
+        raise ValueError(f"entries must be integers, got {bad!r}")
+    return out
+
+
 def check_tolerance(tol: float) -> None:
     """Reject a tolerance that is not a finite positive number.
 
@@ -86,7 +98,7 @@ class IntMatrix:
     size: int
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        mat = tuple(tuple(map(int, row)) for row in rows)
+        mat = tuple(map(_ints, rows))
         if not mat:
             raise ValueError("matrix must have at least one row")
         k = len(mat)
@@ -190,8 +202,7 @@ class IntMatrix:
         return f"IntMatrix(size={self.size})"
 
     def __str__(self) -> str:
-        w = max(len(str(v)) for row in self.rows for v in row)
-        return "\n".join(" ".join(str(v).rjust(w) for v in row) for row in self.rows)
+        return format_blocks(self, self.size)
 
 
 # =====================================================================
@@ -209,7 +220,7 @@ class IntPolynomial:
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Sequence[int]):
-        cs = [int(c) for c in coeffs]
+        cs = list(_ints(coeffs))
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
         if not cs:
@@ -230,7 +241,8 @@ class IntPolynomial:
         return poly_eval(self, x)
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return IntPolynomial(_add_shifted(self.coeffs, other.coeffs, 0))
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return IntPolynomial(list(starmap(operator.add, pairs)))
 
     def __neg__(self) -> "IntPolynomial":
         return IntPolynomial([-c for c in self.coeffs])
@@ -275,14 +287,6 @@ class IntPolynomial:
         return " ".join(terms)
 
 
-def _add_shifted(a: Sequence[int], b: Sequence[int], shift: int) -> list[int]:
-    """Coefficients of a(x) + x^shift * b(x), for shift >= 0 (untrimmed)."""
-    out = list(a) + [0] * (shift + len(b) - len(a))
-    for k, c in enumerate(b, shift):
-        out[k] += c
-    return out
-
-
 def poly_eval(p: IntPolynomial, x):
     """Evaluate p at x by Horner's rule.
 
@@ -311,47 +315,29 @@ def poly_reciprocal_check(p: IntPolynomial) -> bool:
 @dataclass(frozen=True, slots=True)
 class LaurentPolynomial:
     """Integer Laurent polynomial x^min_exponent * p(x), for an `IntPolynomial`
-    p with nonzero constant term; the arithmetic is p's, shifted.
-
-    `coeffs` holds p's coefficients, so both ends are nonzero; the zero element
-    is exponent 0 over the zero polynomial, with coeffs ().  These show up as
-    path generating functions where each edge contributes one negative power of x.
-    """
+    p with nonzero constant term: an entry of the rome path matrix, with sums
+    and integer multiples only.  `coeffs` holds p's coefficients, so both
+    ends are nonzero; the zero element is exponent 0 over the zero polynomial,
+    with coeffs ()."""
 
     min_exponent: int
     _poly: IntPolynomial
 
     def __init__(self, min_exponent: int, coeffs: Sequence[int]):
-        cs = [int(c) for c in coeffs]
+        cs = _ints(coeffs)
         lead = next((k for k, c in enumerate(cs) if c), len(cs))
         poly = IntPolynomial(cs[lead:])
         object.__setattr__(self, "min_exponent", 0 if poly.is_zero() else int(min_exponent) + lead)
         object.__setattr__(self, "_poly", poly)
 
     @classmethod
-    def _from_poly(cls, min_exponent: int, poly: IntPolynomial) -> "LaurentPolynomial":
-        """Wrap x^min_exponent * poly, poly zero or with nonzero constant term; no coercion."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "min_exponent", 0 if poly.is_zero() else min_exponent)
-        object.__setattr__(self, "_poly", poly)
-        return self
-
-    # -- constructors --------------------------------------------------
-
-    @classmethod
     def zero(cls) -> "LaurentPolynomial":
         return cls(0, ())
-
-    @classmethod
-    def from_int(cls, c: int) -> "LaurentPolynomial":
-        return cls(0, (c,))
 
     @classmethod
     def x_power(cls, e: int, c: int = 1) -> "LaurentPolynomial":
         """The monomial c * x^e (e may be negative)."""
         return cls(e, (c,))
-
-    # -- queries ----------------------------------------------------------
 
     @property
     def coeffs(self) -> tuple[int, ...]:
@@ -360,46 +346,18 @@ class LaurentPolynomial:
     def is_zero(self) -> bool:
         return self._poly.is_zero()
 
-    # -- arithmetic ------------------------------------------------------
-
     def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         if self.min_exponent > other.min_exponent:
             self, other = other, self
-        shift = other.min_exponent - self.min_exponent
-        total = _add_shifted(self._poly.coeffs, other._poly.coeffs, shift)
-        lead = next((k for k, c in enumerate(total) if c), len(total))
-        return LaurentPolynomial._from_poly(self.min_exponent + lead, IntPolynomial(total[lead:]))
+        shifted = IntPolynomial((0,) * (other.min_exponent - self.min_exponent) + other.coeffs)
+        return LaurentPolynomial(self.min_exponent, (self._poly + shifted).coeffs)
 
-    def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial._from_poly(self.min_exponent, -self._poly)
-
-    def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other) -> "LaurentPolynomial":
-        if isinstance(other, int):
-            return LaurentPolynomial._from_poly(self.min_exponent, self._poly * other)
-        if not isinstance(other, LaurentPolynomial):
+    def __mul__(self, c: int) -> "LaurentPolynomial":
+        if not isinstance(c, int):
             return NotImplemented
-        product = self._poly * other._poly
-        return LaurentPolynomial._from_poly(self.min_exponent + other.min_exponent, product)
+        return LaurentPolynomial(self.min_exponent, [c * a for a in self.coeffs])
 
     __rmul__ = __mul__
-
-    def times_x_power(self, e: int) -> "LaurentPolynomial":
-        return LaurentPolynomial._from_poly(self.min_exponent + e, self._poly)
-
-    def to_int_polynomial(self) -> IntPolynomial:
-        """Convert when no negative exponents remain."""
-        if self.min_exponent < 0:
-            raise ValueError(
-                f"negative exponent {self.min_exponent} cannot convert to a polynomial"
-            )
-        return IntPolynomial((0,) * self.min_exponent + self.coeffs)
-
-    def eval(self, x: Fraction) -> Fraction:
-        """Value at x, exact for an int or Fraction x."""
-        return poly_eval(self._poly, x) * Fraction(x) ** self.min_exponent
 
     def __repr__(self) -> str:
         return f"LaurentPolynomial(min_exponent={self.min_exponent}, coeffs={list(self.coeffs)})"

@@ -165,24 +165,17 @@ def volume_entropy(spec: PresentationSpec, tol: float = 1e-10) -> EntropyReport:
 
     routes: dict[str, float] = {}
     all_converged = True
-
-    markov = TransitionOperator(spec)
-    compacted = compacted_matrix(n)
-    supercompacted = super_compacted_matrix(n)
-    for name, matrix in (
-        ("markov-power", markov),
-        ("compacted-power", compacted),
-        ("supercompacted-power", supercompacted),
-    ):
+    matrices = (TransitionOperator(spec), compacted_matrix(n), super_compacted_matrix(n))
+    for name, matrix in zip(ROUTE_NAMES[:3], matrices):
         est = power_iteration(matrix, tol=tol)
         routes[name] = est.value
         all_converged = all_converged and est.converged
 
-    rome_poly = rome_char_poly(supercompacted, RomeSpec((n - 1, n)))
-    exact_poly = char_poly_exact(supercompacted)
+    sc = matrices[2]
+    polys = (rome_char_poly(sc, RomeSpec((n - 1, n))), char_poly_exact(sc))
     root_tol = min(tol, 1e-12)
     roots: dict[IntPolynomial, float] = {}
-    for name, poly in (("rome-root", rome_poly), ("charpoly-root", exact_poly)):
+    for name, poly in zip(ROUTE_NAMES[3:], polys):
         if poly not in roots:
             lo, hi = _bisect_root(poly, Fraction(1), Fraction(2 * n - 1), root_tol)
             roots[poly] = float((lo + hi) / 2)

@@ -4,10 +4,10 @@ In the weighted digraph of a k x k matrix (edge i -> j iff the entry is
 nonzero), a *rome* is a set of vertices R whose complement supports no cycle:
 every road leads to R.  All spectral information then concentrates on the
 simple paths between rome vertices, and the characteristic polynomial of the
-whole matrix is a small determinant in x^-1 over the |R| x |R| path matrix.
-That shortcut is what makes the n x n supercompacted matrix tractable
-symbolically: with the right two-vertex rome its characteristic polynomial
-comes out in closed form.
+whole matrix is a small determinant over the |R| x |R| path matrix, an
+`IntPolynomial` one in y = x^-1.  That shortcut is what makes the n x n
+supercompacted matrix tractable symbolically: with the right two-vertex
+rome its characteristic polynomial comes out in closed form.
 """
 
 from __future__ import annotations
@@ -123,20 +123,26 @@ def enumerate_simple_paths(m: IntMatrix, r: RomeSpec) -> list[SimplePath]:
 # The rome determinant formula
 # =====================================================================
 
-def rome_matrix(m: IntMatrix, r: RomeSpec) -> list[list[LaurentPolynomial]]:
-    """The |R| x |R| path matrix: entry (i, j) sums width * x^(-length) over
-    all simple paths from the i-th to the j-th rome vertex."""
-    paths = enumerate_simple_paths(m, r)
+def _path_sums(m: IntMatrix, r: RomeSpec) -> list[list[list[int]]]:
+    """The path matrix in y = x^-1, in one pass: entry (i, j) lists by length
+    (from 0, which no path has) the widths of the paths from rome vertex i to j."""
     pos = {v: idx for idx, v in enumerate(r.nodes)}
-    ell = len(r.nodes)
-    grid = [[LaurentPolynomial.zero() for _ in range(ell)] for _ in range(ell)]
-    for p in paths:
-        i, j = pos[p.vertices[0]], pos[p.vertices[-1]]
-        grid[i][j] = grid[i][j] + LaurentPolynomial.x_power(-p.length, p.width)
+    grid = [[[0] for _ in r.nodes] for _ in r.nodes]
+    for p in enumerate_simple_paths(m, r):
+        sums = grid[pos[p.vertices[0]]][pos[p.vertices[-1]]]
+        sums.extend([0] * (p.length + 1 - len(sums)))
+        sums[p.length] += p.width
     return grid
 
 
-def _laurent_det(grid: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
+def rome_matrix(m: IntMatrix, r: RomeSpec) -> list[list[LaurentPolynomial]]:
+    """The |R| x |R| path matrix: entry (i, j) sums width * x^(-length) over
+    all simple paths from the i-th to the j-th rome vertex."""
+    grid = _path_sums(m, r)
+    return [[LaurentPolynomial(1 - len(c), c[::-1]) for c in row] for row in grid]
+
+
+def _det(grid: list[list[IntPolynomial]]) -> IntPolynomial:
     """Determinant by Laplace expansion memoized on the active column set.
 
     Sharing minors between expansion branches costs one entry per column
@@ -144,16 +150,14 @@ def _laurent_det(grid: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
     dense romes of moderate size cheap.
     """
     size = len(grid)
-    memo: dict[tuple[int, ...], LaurentPolynomial] = {
-        (): LaurentPolynomial.from_int(1)
-    }
+    memo: dict[tuple[int, ...], IntPolynomial] = {(): IntPolynomial([1])}
 
-    def expand(cols: tuple[int, ...]) -> LaurentPolynomial:
+    def expand(cols: tuple[int, ...]) -> IntPolynomial:
         cached = memo.get(cols)
         if cached is not None:
             return cached
         row = grid[size - len(cols)]
-        acc = LaurentPolynomial.zero()
+        acc = IntPolynomial([0])
         for pos, col in enumerate(cols):
             entry = row[col]
             if entry.is_zero():
@@ -169,22 +173,18 @@ def _laurent_det(grid: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
 def rome_char_poly(m: IntMatrix, r: RomeSpec) -> IntPolynomial:
     """Characteristic polynomial det(xI - m) computed through the rome.
 
-    The path matrix A(x) satisfies det(xI - m) = (-1)^|R| x^k det(A(x) - I);
-    multiplying through by x^k clears the negative exponents and the sign
-    factor makes the result monic, so it matches `char_poly_exact` exactly.
+    The path matrix A satisfies det(xI - m) = (-1)^|R| x^k det(A - I), where
+    det(A - I) = d_0 + d_1 y + ... + d_k y^k in y = x^-1.  So the result is
+    the d_j reversed, negated when |R| is odd, and matches `char_poly_exact`.
     """
-    grid = rome_matrix(m, r)
-    ell = len(r.nodes)
-    for i in range(ell):
-        grid[i][i] = grid[i][i] - LaurentPolynomial.from_int(1)
-    det = _laurent_det(grid)
-    shifted = det.times_x_power(m.size)
-    if shifted.min_exponent < 0:
+    grid = _path_sums(m, r)
+    for i, row in enumerate(grid):
+        row[i][0] -= 1
+    det = _det([[IntPolynomial(c) for c in row] for row in grid])
+    if det.degree > m.size:
         raise ValueError("rome paths longer than the matrix size; not a rome?")
-    poly = shifted.to_int_polynomial()
-    if ell % 2 == 1:
-        poly = -poly
-    return poly
+    poly = IntPolynomial((det.coeffs + (0,) * (m.size + 1 - len(det.coeffs)))[::-1])
+    return -poly if len(r.nodes) % 2 else poly
 
 
 # =====================================================================

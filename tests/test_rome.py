@@ -199,6 +199,23 @@ def test_rome_matrix_rank3_pinned():
     assert grid[1][1] == LaurentPolynomial(-2, [2, 1])
 
 
+def reference_rome_matrix(m: IntMatrix, r: RomeSpec) -> list[list[LaurentPolynomial]]:
+    """The path matrix built one path at a time, each a separate monomial."""
+    pos = {v: idx for idx, v in enumerate(r.nodes)}
+    grid = [[LaurentPolynomial.zero() for _ in r.nodes] for _ in r.nodes]
+    for p in enumerate_simple_paths(m, r):
+        i, j = pos[p.vertices[0]], pos[p.vertices[-1]]
+        grid[i][j] = grid[i][j] + LaurentPolynomial.x_power(-p.length, p.width)
+    return grid
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_rome_matrix_matches_the_path_by_path_sum(seed):
+    m, spec = random_matrix_with_rome(random.Random(seed))
+    assert rome_matrix(m, spec) == reference_rome_matrix(m, spec)
+
+
 # ---------------------------------------------------------------- char poly
 
 def test_rome_char_poly_one_by_one():
@@ -237,6 +254,13 @@ def test_rome_char_poly_is_rome_invariant():
 def test_rome_char_poly_matches_exact_on_random_matrices(seed):
     m, spec = random_matrix_with_rome(random.Random(seed))
     assert rome_char_poly(m, spec) == char_poly_exact(m)
+
+
+def test_rome_char_poly_at_rank_1000():
+    # Paths up to length 999 through the two-vertex rome: the determinant in
+    # x^-1 has degree 1000, read back by reversing its coefficients.
+    sc = super_compacted_matrix(1000)
+    assert rome_char_poly(sc, RomeSpec((999, 1000))) == q_polynomial(1000)
 
 
 # ---------------------------------------------------------------- q polynomial
