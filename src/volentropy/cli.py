@@ -21,7 +21,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
 from .core import (
     IntMatrix,
@@ -31,7 +30,7 @@ from .core import (
     poly_eval,
     poly_reciprocal_check,
 )
-from .entropy import EntropyReport, _lower_bound, bounds_check, volume_entropy, entropy_table
+from .entropy import EntropyReport, _bounds_hold, _lower_bound, volume_entropy, entropy_table
 from .markov import (
     PresentationSpec,
     TransitionOperator,
@@ -52,7 +51,7 @@ from .reductions import (
     super_compacted_matrix,
 )
 from .rome import RomeSpec, q_polynomial, rome_char_poly, rome_check
-from .spectral import char_poly_exact, power_iteration
+from .spectral import char_poly_exact, is_irreducible, power_iteration
 
 __all__ = ["main"]
 
@@ -245,7 +244,10 @@ def _run_battery(n_max: int) -> list[dict]:
                 assert got == ref, "built rows differ from the frozen reference"
 
         def spectral_collapse(n=n, specs=specs):
-            target = power_iteration(compacted_matrix(n)).value
+            c = compacted_matrix(n)
+            # Perron-Frobenius: irreducible, so the growth rate is the spectral radius.
+            assert is_irreducible(c), "compacted matrix is not irreducible"
+            target = power_iteration(c).value
             for sp in specs:
                 est = power_iteration(TransitionOperator(sp))
                 assert est.converged, f"power iteration did not converge for {sp}"
@@ -281,12 +283,7 @@ def _run_battery(n_max: int) -> list[dict]:
             assert poly_reciprocal_check(q), "q not self-reciprocal"
 
         def root_bounds(n=n):
-            q = q_polynomial(n)
-            assert poly_eval(q, Fraction(1)) < 0 < poly_eval(q, Fraction(2 * n - 1)), (
-                "bracket signs wrong"
-            )
-            if n >= 4:
-                assert bounds_check(n), "exact lower bound failed"
+            assert _bounds_hold(n), "bracket signs wrong at the exact bounds"
 
         def route_consensus(n=n):
             report = volume_entropy(PresentationSpec(n, False))

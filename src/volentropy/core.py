@@ -17,8 +17,8 @@ found by scanning dense rows.
 
 Indexing convention: the combinatorial formulas that drive this package are
 stated with rows, columns, blocks and slots numbered from 1.  The public
-accessors here (`IntMatrix.entry`, `mod1`, `IntervalLabel`) speak 1-based;
-plain iteration over `IntMatrix.rows` is ordinary 0-based Python.
+accessors here (`IntMatrix.entry`, `mod1`) speak 1-based; plain iteration
+over `IntMatrix.rows` is ordinary 0-based Python.
 """
 
 from __future__ import annotations
@@ -35,12 +35,9 @@ __all__ = [
     "IntMatrix",
     "IntPolynomial",
     "LaurentPolynomial",
-    "IntervalLabel",
-    "slot_name",
     "poly_eval",
     "poly_reciprocal_check",
     "matrix_to_csv",
-    "matrix_from_csv",
     "format_blocks",
 ]
 
@@ -181,9 +178,6 @@ class IntMatrix:
             )
         )
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix._from_rows(tuple(zip(*self.rows)))
-
     def reverse_rows(self) -> "IntMatrix":
         """J * self for the flip J: the rows in reverse order."""
         return IntMatrix._from_rows(self.rows[::-1])
@@ -191,9 +185,6 @@ class IntMatrix:
     def reverse_columns(self) -> "IntMatrix":
         """self * J for the flip J: every row reversed."""
         return IntMatrix._from_rows(tuple(row[::-1] for row in self.rows))
-
-    def row_sums(self) -> tuple[int, ...]:
-        return tuple(sum(row) for row in self.rows)
 
     def is_nonnegative(self) -> bool:
         return min(map(min, self.rows)) >= 0
@@ -236,9 +227,6 @@ class IntPolynomial:
 
     def is_zero(self) -> bool:
         return self.coeffs == (0,)
-
-    def __call__(self, x):
-        return poly_eval(self, x)
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
         pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
@@ -364,89 +352,12 @@ class LaurentPolynomial:
 
 
 # =====================================================================
-# Interval labels
-# =====================================================================
-
-def slot_name(j: int, n: int) -> str:
-    """Human-readable name of slot j within one generator interval of rank n.
-
-    Each generator interval splits into 2n-1 subintervals, ordered left to
-    right as L^n, ..., L^2, C^L, C, C^R, R^2, ..., R^n; slot j = 1 is L^n and
-    slot j = 2n-1 is R^n.  The three central slots are C^L = slot n-1,
-    C = slot n, C^R = slot n+1.
-    """
-    if n < 2:
-        raise ValueError(f"rank must be >= 2, got {n}")
-    if not (1 <= j <= 2 * n - 1):
-        raise ValueError(f"slot must be in 1..{2*n - 1}, got {j}")
-    if j <= n - 2:
-        return f"L^{n + 1 - j}"
-    if j == n - 1:
-        return "C^L"
-    if j == n:
-        return "C"
-    if j == n + 1:
-        return "C^R"
-    return f"R^{j - (n - 1)}"
-
-
-@dataclass(frozen=True, slots=True)
-class IntervalLabel:
-    """Address of one subinterval: generator index i, slot j (both 1-based).
-
-    For rank n the generator index runs over 1..2n and the slot over 1..2n-1.
-    The flat row/column position of the label in the big transition matrix is
-    (i-1)*(2n-1) + j.
-    """
-
-    generator_index: int
-    slot: int
-
-    def validate(self, n: int) -> "IntervalLabel":
-        if not (1 <= self.generator_index <= 2 * n):
-            raise ValueError(
-                f"generator index {self.generator_index} out of range 1..{2*n}"
-            )
-        if not (1 <= self.slot <= 2 * n - 1):
-            raise ValueError(f"slot {self.slot} out of range 1..{2*n - 1}")
-        return self
-
-    def to_index(self, n: int) -> int:
-        """Flat 1-based position in a rank-n transition matrix."""
-        self.validate(n)
-        return (self.generator_index - 1) * (2 * n - 1) + self.slot
-
-    @classmethod
-    def from_index(cls, pos: int, n: int) -> "IntervalLabel":
-        s = 2 * n - 1
-        if not (1 <= pos <= 2 * n * s):
-            raise ValueError(f"position {pos} out of range 1..{2 * n * s}")
-        return cls(generator_index=(pos - 1) // s + 1, slot=(pos - 1) % s + 1)
-
-    def name(self, n: int) -> str:
-        self.validate(n)
-        return f"I_{self.generator_index}:{slot_name(self.slot, n)}"
-
-
-# =====================================================================
 # Serialization
 # =====================================================================
 
 def matrix_to_csv(m: IntMatrix) -> str:
     """One matrix row per line, entries comma-separated, no header."""
     return "\n".join(",".join(str(v) for v in row) for row in m.rows) + "\n"
-
-
-def matrix_from_csv(text: str) -> IntMatrix:
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        rows.append([int(tok) for tok in line.split(",")])
-    if not rows:
-        raise ValueError("no rows in CSV input")
-    return IntMatrix(rows)
 
 
 def format_blocks(m: IntMatrix, block_size: int) -> str:

@@ -108,14 +108,22 @@ def bounds_check(n: int) -> bool:
     """
     if n < 4:
         raise ValueError(f"the lower bound requires n >= 4, got {n}")
-    p = q_polynomial(n)
-    return poly_eval(p, _lower_bound(n)) < 0 < poly_eval(p, Fraction(2 * n - 1))
+    return _bounds_hold(n)
 
 
 def _lower_bound(n: int) -> Fraction:
     """The exact lower bound 2n-1 - (2n-1)^-(n-2) on the growth rate (n >= 4)."""
     b = 2 * n - 1
     return b - Fraction(1, b ** (n - 2))
+
+
+def _bounds_hold(n: int) -> bool:
+    """The closed-form polynomial is negative at the lower end and positive
+    at 2n-1, by exact signs.  The lower end is `_lower_bound(n)` for n >= 4
+    and 1 at n = 3, where that bound does not apply."""
+    p = q_polynomial(n)
+    lo = _lower_bound(n) if n >= 4 else Fraction(1)
+    return poly_eval(p, lo) < 0 < poly_eval(p, Fraction(2 * n - 1))
 
 
 # =====================================================================
@@ -187,12 +195,6 @@ def volume_entropy(spec: PresentationSpec, tol: float = 1e-10) -> EntropyReport:
     # three orders of headroom before declaring the routes inconsistent.
     consistent = all_converged and agreement <= max(1000 * tol, 1e-12)
 
-    if n >= 4:
-        bounds_hold = bounds_check(n)
-    else:
-        p = q_polynomial(n)
-        bounds_hold = poly_eval(p, Fraction(1)) < 0 < poly_eval(p, Fraction(2 * n - 1))
-
     lam = routes["rome-root"]
     return EntropyReport(
         n=n,
@@ -202,7 +204,7 @@ def volume_entropy(spec: PresentationSpec, tol: float = 1e-10) -> EntropyReport:
         routes=routes,
         agreement=agreement,
         consistent=consistent,
-        bounds_hold=bounds_hold,
+        bounds_hold=_bounds_hold(n),
     )
 
 

@@ -141,7 +141,7 @@ def _build_t(k: int) -> IntMatrix:
     rows[h - 3][h - 1] = 1
     for j in range(h + 1, k + 1):
         rows[h - 2][j - 1] = 1
-    return IntMatrix(rows)
+    return IntMatrix._from_rows(tuple(map(tuple, rows)))
 
 
 def build_block(kind: BlockKind, k: int) -> IntMatrix:
@@ -163,8 +163,8 @@ def build_block(kind: BlockKind, k: int) -> IntMatrix:
     if kind.name == "U":
         if kind.row > k:
             raise ValueError(f"U row {kind.row} out of range for size {k}")
-        return IntMatrix(
-            [[1] * k if i == kind.row - 1 else [0] * k for i in range(k)]
+        return IntMatrix._from_rows(
+            tuple((1,) * k if i == kind.row - 1 else (0,) * k for i in range(k))
         )
     if kind.name == "J":
         return IntMatrix.identity(k).reverse_rows()

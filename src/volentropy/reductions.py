@@ -144,7 +144,7 @@ def compacted_matrix(n: int) -> IntMatrix:
     c[n + 1][n] = 1
     for i in range(n + 3, s + 1):
         c[i - 1][i - 2] = 1
-    return IntMatrix(c)
+    return IntMatrix._from_rows(tuple(map(tuple, c)))
 
 
 def divided_compacted_matrix(n: int) -> IntMatrix:
@@ -181,4 +181,4 @@ def super_compacted_matrix(n: int) -> IntMatrix:
     for j in range(1, n + 1):
         m[n - 2][j - 1] = (2 * n - 3) if j < n else (2 * n - 4)
         m[n - 1][j - 1] = 1
-    return IntMatrix(m)
+    return IntMatrix._from_rows(tuple(map(tuple, m)))

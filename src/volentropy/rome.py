@@ -5,9 +5,11 @@ nonzero), a *rome* is a set of vertices R whose complement supports no cycle:
 every road leads to R.  All spectral information then concentrates on the
 simple paths between rome vertices, and the characteristic polynomial of the
 whole matrix is a small determinant over the |R| x |R| path matrix, an
-`IntPolynomial` one in y = x^-1.  That shortcut is what makes the n x n
-supercompacted matrix tractable symbolically: with the right two-vertex
-rome its characteristic polynomial comes out in closed form.
+`IntPolynomial` one in y = x^-1.  One depth-first walk sums the widths of
+the paths by length straight into that matrix; no path is stored.  That
+shortcut is what makes the n x n supercompacted matrix tractable
+symbolically: with the right two-vertex rome its characteristic polynomial
+comes out in closed form.
 """
 
 from __future__ import annotations
@@ -18,18 +20,15 @@ from .core import IntMatrix, IntPolynomial, LaurentPolynomial
 
 __all__ = [
     "RomeSpec",
-    "SimplePath",
     "rome_check",
-    "enumerate_simple_paths",
     "rome_matrix",
     "rome_char_poly",
     "q_polynomial",
-    "format_digraph",
 ]
 
 
 # =====================================================================
-# Romes and paths
+# Romes
 # =====================================================================
 
 @dataclass(frozen=True, slots=True)
@@ -45,23 +44,6 @@ class RomeSpec:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-
-@dataclass(frozen=True, slots=True)
-class SimplePath:
-    """A path between rome vertices whose interior avoids the rome.
-
-    vertices -- 1-based vertex sequence, endpoints in the rome, interior
-                vertices outside it and pairwise distinct
-    width    -- product of the traversed matrix entries
-    """
-
-    vertices: tuple[int, ...]
-    width: int
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices) - 1
 
 
 def rome_check(m: IntMatrix, r: RomeSpec) -> bool:
@@ -88,50 +70,39 @@ def rome_check(m: IntMatrix, r: RomeSpec) -> bool:
     return len(peeled) == len(alive)
 
 
-def enumerate_simple_paths(m: IntMatrix, r: RomeSpec) -> list[SimplePath]:
-    """All paths that start and end in the rome and avoid it in between.
-
-    Depth-first over out-edges with an explicit stack, so long paths do not
-    hit the recursion limit.  No visited set is needed: the guard proves the
-    complement acyclic, so no walk can repeat an interior vertex and the
-    enumeration is finite.  Paths are sorted by (start, end, length, vertices).
-    """
-    if not rome_check(m, r):
-        raise ValueError("the given node set is not a rome for this matrix")
-    rset = {v - 1 for v in r.nodes}
-    nonzero = m.nonzeros()
-    out: list[SimplePath] = []
-    for a in r.nodes:
-        path, stack = [a], [(zip(*nonzero[a - 1]), 1)]
-        while stack:
-            edges, width = stack[-1]
-            for j, w in edges:
-                if j in rset:
-                    out.append(SimplePath((*path, j + 1), width * w))
-                else:
-                    path.append(j + 1)
-                    stack.append((zip(*nonzero[j]), width * w))
-                    break
-            else:
-                stack.pop()
-                path.pop()
-    out.sort(key=lambda p: (p.vertices[0], p.vertices[-1], p.length, p.vertices))
-    return out
-
-
 # =====================================================================
 # The rome determinant formula
 # =====================================================================
 
 def _path_sums(m: IntMatrix, r: RomeSpec) -> list[list[list[int]]]:
-    """The path matrix in y = x^-1, in one pass: entry (i, j) lists by length
-    (from 0, which no path has) the widths of the paths from rome vertex i to j."""
-    pos = {v: idx for idx, v in enumerate(r.nodes)}
+    """The path matrix in y = x^-1: entry (i, j) lists by length (from 0,
+    which no path has) the summed widths of the simple paths from rome
+    vertex i to rome vertex j, those whose interior avoids the rome.
+
+    One depth-first walk over out-edges with an explicit stack, so long paths
+    do not hit the recursion limit; a frame holds (edges, length, width).  No
+    visited set is needed: the guard proves the complement acyclic, so no
+    walk can repeat an interior vertex and the walk is finite.
+    """
+    if not rome_check(m, r):
+        raise ValueError("the given node set is not a rome for this matrix")
+    pos = {v - 1: idx for idx, v in enumerate(r.nodes)}
+    nonzero = m.nonzeros()
     grid = [[[0] for _ in r.nodes] for _ in r.nodes]
-    for p in enumerate_simple_paths(m, r):
-        sums = grid[pos[p.vertices[0]]][pos[p.vertices[-1]]]
-        sums.extend([0] * (p.length + 1 - len(sums)))
-        sums[p.length] += p.width
+    for a, row in zip(r.nodes, grid):
+        stack = [(zip(*nonzero[a - 1]), 1, 1)]
+        while stack:
+            edges, length, width = stack[-1]
+            for j, w in edges:
+                if j in pos:
+                    sums = row[pos[j]]
+                    sums.extend([0] * (length + 1 - len(sums)))
+                    sums[length] += width * w
+                else:
+                    stack.append((zip(*nonzero[j]), length + 1, width * w))
+                    break
+            else:
+                stack.pop()
     return grid
 
 
@@ -202,16 +173,3 @@ def q_polynomial(n: int) -> IntPolynomial:
         raise ValueError(f"q polynomial needs n >= 2, got {n}")
     coeffs = [1] + [-2 * (n - 1)] * (n - 1) + [1]
     return IntPolynomial(coeffs)
-
-
-# =====================================================================
-# Optional digraph emitter
-# =====================================================================
-
-def format_digraph(m: IntMatrix) -> str:
-    """Edge list of the weighted digraph, one `i -> j [w]` line per edge."""
-    return "\n".join(
-        f"{i} -> {j + 1} [{w}]"
-        for i, (cols, vals) in enumerate(m.nonzeros(), 1)
-        for j, w in zip(cols, vals)
-    )

@@ -18,7 +18,7 @@ import pytest
 import volentropy
 from volentropy import cli, entropy, markov
 from volentropy.cli import _first_difference, main
-from volentropy.core import IntMatrix, format_blocks, matrix_from_csv
+from volentropy.core import IntMatrix, format_blocks
 from volentropy.entropy import ROUTE_NAMES, EntropyReport, volume_entropy
 from volentropy.markov import PresentationSpec, build_markov_from_blocks
 from volentropy.reductions import (
@@ -26,6 +26,11 @@ from volentropy.reductions import (
     divided_compacted_matrix,
     super_compacted_matrix,
 )
+
+
+def parse_csv(text: str) -> IntMatrix:
+    """The matrix printed by `build-matrix --format csv`: one row a line."""
+    return IntMatrix([int(tok) for tok in line.split(",")] for line in text.splitlines() if line.strip())
 
 
 @pytest.fixture(autouse=True)
@@ -48,14 +53,14 @@ def test_build_matrix_csv_round_trips_every_kind(capsys):
         code = main(["build-matrix", "--n", "3", "--which", which, "--format", "csv"])
         out = capsys.readouterr().out
         assert code == 0
-        assert matrix_from_csv(out) == expected
+        assert parse_csv(out) == expected
 
 
 def test_build_matrix_orientable_markov_size(capsys):
     code = main(["build-matrix", "--n", "4", "--orientable", "--format", "csv"])
     out = capsys.readouterr().out
     assert code == 0
-    assert matrix_from_csv(out).size == 56
+    assert parse_csv(out).size == 56
 
 
 def test_build_matrix_plain_markov_uses_block_layout(capsys):
@@ -310,6 +315,21 @@ def test_failing_check_is_reported_with_its_first_difference(monkeypatch):
     row = results["circulant-collapse"]
     assert row["pass"] is False
     assert row["detail"] == "first difference at (1,1): 0 vs 5"
+
+
+def test_spectral_collapse_needs_an_irreducible_compacted_matrix(monkeypatch):
+    # The compacted matrix plus an isolated vertex keeps its spectral radius
+    # but is reducible, so Perron-Frobenius no longer ties the growth rate to it.
+    real = cli.compacted_matrix
+
+    def reducible(n):
+        rows = [[*row, 0] for row in real(n).rows]
+        return IntMatrix([*rows, [0] * len(rows[0])])
+
+    monkeypatch.setattr(cli, "compacted_matrix", reducible)
+    row = {row["check"]: row for row in cli._run_battery(3)}["spectral-collapse"]
+    assert row["pass"] is False
+    assert row["detail"] == "compacted matrix is not irreducible"
 
 
 def test_verify_with_a_failing_check_exits_1(monkeypatch, capsys):

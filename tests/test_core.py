@@ -8,16 +8,18 @@ from hypothesis import given, strategies as st
 from volentropy.core import (
     IntMatrix,
     IntPolynomial,
-    IntervalLabel,
     LaurentPolynomial,
     format_blocks,
-    matrix_from_csv,
     matrix_to_csv,
     mod1,
     poly_eval,
     poly_reciprocal_check,
-    slot_name,
 )
+
+
+def parse_csv(text: str) -> IntMatrix:
+    """The matrix written by `matrix_to_csv`: one comma-separated row a line."""
+    return IntMatrix([int(tok) for tok in line.split(",")] for line in text.splitlines() if line.strip())
 
 
 # ---------------------------------------------------------------- mod1
@@ -110,7 +112,7 @@ def test_matrix_is_immutable(value, name, action):
 )
 def test_matrix_csv_round_trip(rows):
     m = IntMatrix(rows)
-    assert matrix_from_csv(matrix_to_csv(m)) == m
+    assert parse_csv(matrix_to_csv(m)) == m
 
 
 def test_nonzeros_pinned():
@@ -346,38 +348,3 @@ def test_laurent_equal_values_hash_equal(a, lead, trail):
     assert hash(padded) == hash(a)
     assert (a + padded) + (-1) * padded == a
     assert hash(a + (-1) * a) == hash(LaurentPolynomial.zero())
-
-
-# ---------------------------------------------------------------- labels
-
-def test_slot_names_rank_3():
-    assert [slot_name(j, 3) for j in range(1, 6)] == ["L^3", "C^L", "C", "C^R", "R^3"]
-
-
-def test_slot_names_rank_5():
-    names = [slot_name(j, 5) for j in range(1, 10)]
-    assert names == ["L^5", "L^4", "L^3", "C^L", "C", "C^R", "R^3", "R^4", "R^5"]
-    with pytest.raises(ValueError):
-        slot_name(10, 5)
-    with pytest.raises(ValueError):
-        slot_name(0, 5)
-
-
-def test_interval_label_round_trip():
-    n = 4
-    for pos in range(1, 2 * n * (2 * n - 1) + 1):
-        lab = IntervalLabel.from_index(pos, n)
-        assert lab.to_index(n) == pos
-    assert IntervalLabel(1, 1).to_index(n) == 1
-    assert IntervalLabel(2, 1).to_index(n) == 8
-    assert IntervalLabel(8, 7).to_index(n) == 56
-    with pytest.raises(ValueError):
-        IntervalLabel(9, 1).to_index(n)
-    with pytest.raises(ValueError):
-        IntervalLabel(1, 8).to_index(n)
-
-
-def test_interval_label_name():
-    assert IntervalLabel(3, 3).name(4) == "I_3:C^L"
-    assert IntervalLabel(3, 4).name(4) == "I_3:C"
-    assert IntervalLabel(3, 5).name(4) == "I_3:C^R"

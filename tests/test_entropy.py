@@ -151,7 +151,7 @@ def test_a_charpoly_that_differs_is_bisected_and_reads_inconsistent(monkeypatch)
     monkeypatch.setattr(entropy, "char_poly_exact", lambda m: shifted)
     report = volume_entropy(PresentationSpec(5, False))
     assert report.routes["charpoly-root"] != report.routes["rome-root"]
-    assert shifted(Fraction(report.routes["charpoly-root"])) == pytest.approx(0, abs=1e-6)
+    assert poly_eval(shifted, Fraction(report.routes["charpoly-root"])) == pytest.approx(0, abs=1e-6)
     assert not report.consistent
     assert report.lambda_ == report.routes["rome-root"]
 

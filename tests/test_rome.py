@@ -2,17 +2,15 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from volentropy.core import IntMatrix, IntPolynomial, LaurentPolynomial
+from volentropy.core import IntMatrix, IntPolynomial, LaurentPolynomial, poly_eval
 from volentropy.reductions import super_compacted_matrix
 from volentropy.rome import (
     RomeSpec,
-    SimplePath,
-    enumerate_simple_paths,
-    format_digraph,
     q_polynomial,
     rome_char_poly,
     rome_check,
@@ -46,6 +44,48 @@ def brute_force_paths(m: IntMatrix, nodes: tuple[int, ...]) -> set[tuple[tuple[i
                     if width != 0:
                         found.add((seq, width))
     return found
+
+
+def simple_paths(m: IntMatrix, r: RomeSpec) -> list[tuple[tuple[int, ...], int]]:
+    """Reference walk: every path from a rome vertex to a rome vertex whose
+    interior avoids the rome, one at a time, as (1-based vertices, width).
+
+    Depth-first with an explicit stack and the whole vertex sequence kept;
+    a valid rome keeps the walk finite.
+    """
+    assert rome_check(m, r)
+    rset = {v - 1 for v in r.nodes}
+    nonzero = m.nonzeros()
+    out = []
+    for a in r.nodes:
+        path, stack = [a], [(zip(*nonzero[a - 1]), 1)]
+        while stack:
+            edges, width = stack[-1]
+            for j, w in edges:
+                if j in rset:
+                    out.append(((*path, j + 1), width * w))
+                else:
+                    path.append(j + 1)
+                    stack.append((zip(*nonzero[j]), width * w))
+                    break
+            else:
+                stack.pop()
+                path.pop()
+    return out
+
+
+def path_by_path_sum(paths, r: RomeSpec) -> list[list[LaurentPolynomial]]:
+    """The path matrix built one path at a time, each a separate monomial."""
+    pos = {v: idx for idx, v in enumerate(r.nodes)}
+    grid = [[LaurentPolynomial.zero() for _ in r.nodes] for _ in r.nodes]
+    for vertices, width in paths:
+        i, j = pos[vertices[0]], pos[vertices[-1]]
+        grid[i][j] = grid[i][j] + LaurentPolynomial.x_power(1 - len(vertices), width)
+    return grid
+
+
+def reference_rome_matrix(m: IntMatrix, r: RomeSpec) -> list[list[LaurentPolynomial]]:
+    return path_by_path_sum(simple_paths(m, r), r)
 
 
 def random_matrix_with_rome(rng: random.Random) -> tuple[IntMatrix, RomeSpec]:
@@ -113,41 +153,35 @@ def test_rome_spec_normalizes():
 
 # ---------------------------------------------------------------- paths
 
+SC3_PATHS = {
+    ((2, 2), 3),
+    ((2, 1, 2), 3),
+    ((2, 3), 2),
+    ((2, 1, 3), 6),
+    ((3, 2), 1),
+    ((3, 1, 2), 1),
+    ((3, 3), 1),
+    ((3, 1, 3), 2),
+}
+
+
 def test_simple_paths_supercompacted_rank3_pinned():
-    paths = enumerate_simple_paths(SC3, RomeSpec((2, 3)))
-    got = {(p.vertices, p.width) for p in paths}
-    assert got == {
-        ((2, 2), 3),
-        ((2, 1, 2), 3),
-        ((2, 3), 2),
-        ((2, 1, 3), 6),
-        ((3, 2), 1),
-        ((3, 1, 2), 1),
-        ((3, 3), 1),
-        ((3, 1, 3), 2),
-    }
-    assert all(p.length in (1, 2) for p in paths)
+    rome = RomeSpec((2, 3))
+    assert set(simple_paths(SC3, rome)) == SC3_PATHS
+    assert rome_matrix(SC3, rome) == path_by_path_sum(SC3_PATHS, rome)
 
 
 def test_simple_paths_require_a_rome():
-    with pytest.raises(ValueError):
-        enumerate_simple_paths(SC3, RomeSpec((3,)))
-
-
-def test_simple_path_length():
-    p = SimplePath((2, 1, 3), 6)
-    assert p.length == 2
+    for fn in (rome_matrix, rome_char_poly):
+        with pytest.raises(ValueError, match="not a rome"):
+            fn(SC3, RomeSpec((3,)))
 
 
 def test_simple_paths_walk_a_long_cycle():
     # One path around a 1200-cycle: deeper than the default recursion limit.
     k = 1200
     m = IntMatrix([[int(j == (i + 1) % k) for j in range(k)] for i in range(k)])
-    paths = enumerate_simple_paths(m, RomeSpec((1,)))
-    assert len(paths) == 1
-    assert paths[0].length == k
-    assert paths[0].vertices == (*range(1, k + 1), 1)
-    assert paths[0].width == 1
+    assert rome_matrix(m, RomeSpec((1,))) == [[LaurentPolynomial.x_power(-k)]]
 
 
 @settings(max_examples=60)
@@ -160,8 +194,9 @@ def test_path_enumeration_matches_brute_force(seed):
     spec = RomeSpec(nodes)
     if not rome_check(m, spec):
         return
-    got = {(p.vertices, p.width) for p in enumerate_simple_paths(m, spec)}
-    assert got == brute_force_paths(m, spec.nodes)
+    got = simple_paths(m, spec)
+    assert len(got) == len(set(got))
+    assert set(got) == brute_force_paths(m, spec.nodes)
 
 
 # ---------------------------------------------------------------- rome matrix
@@ -199,21 +234,46 @@ def test_rome_matrix_rank3_pinned():
     assert grid[1][1] == LaurentPolynomial(-2, [2, 1])
 
 
-def reference_rome_matrix(m: IntMatrix, r: RomeSpec) -> list[list[LaurentPolynomial]]:
-    """The path matrix built one path at a time, each a separate monomial."""
-    pos = {v: idx for idx, v in enumerate(r.nodes)}
-    grid = [[LaurentPolynomial.zero() for _ in r.nodes] for _ in r.nodes]
-    for p in enumerate_simple_paths(m, r):
-        i, j = pos[p.vertices[0]], pos[p.vertices[-1]]
-        grid[i][j] = grid[i][j] + LaurentPolynomial.x_power(-p.length, p.width)
-    return grid
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000))
 def test_rome_matrix_matches_the_path_by_path_sum(seed):
     m, spec = random_matrix_with_rome(random.Random(seed))
     assert rome_matrix(m, spec) == reference_rome_matrix(m, spec)
+
+
+def laurent_at(p: LaurentPolynomial, x: Fraction) -> Fraction:
+    return sum((c * x ** (p.min_exponent + i) for i, c in enumerate(p.coeffs)), Fraction(0))
+
+
+def fraction_det(rows: list[list[Fraction]]) -> Fraction:
+    """Determinant by Gaussian elimination over the rationals."""
+    rows = [list(row) for row in rows]
+    det = Fraction(1)
+    for c in range(len(rows)):
+        pivot = next((r for r in range(c, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for r in range(c + 1, len(rows)):
+            f = rows[r][c] / rows[c][c]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+    return det
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_rome_char_poly_matches_the_path_by_path_reference(seed):
+    # det(xI - m) = (-1)^|R| x^k det(A(x) - I) for the reference path matrix
+    # A; agreement at k + 1 points pins the degree-k polynomial.
+    m, spec = random_matrix_with_rome(random.Random(seed))
+    grid = reference_rome_matrix(m, spec)
+    poly = rome_char_poly(m, spec)
+    for x in map(Fraction, range(1, m.size + 2)):
+        shifted = [[laurent_at(e, x) - (i == j) for j, e in enumerate(row)] for i, row in enumerate(grid)]
+        assert poly_eval(poly, x) == (-1) ** len(spec) * x**m.size * fraction_det(shifted)
 
 
 # ---------------------------------------------------------------- char poly
@@ -276,10 +336,3 @@ def test_q_polynomial_pinned():
 def test_q_polynomial_degenerates_at_rank_2():
     q = q_polynomial(2)
     assert q == IntPolynomial([-1, 1]) * IntPolynomial([-1, 1])
-
-
-# ---------------------------------------------------------------- digraph
-
-def test_format_digraph():
-    text = format_digraph(IntMatrix([[0, 2], [1, 0]]))
-    assert text.splitlines() == ["1 -> 2 [2]", "2 -> 1 [1]"]

@@ -10,11 +10,19 @@ from hypothesis import given, strategies as st
 
 from volentropy.core import IntMatrix
 from volentropy.markov import (
+    BlockKind,
     PresentationSpec,
+    build_block,
     build_markov_from_blocks,
     build_markov_from_images,
 )
-from volentropy.reductions import BlockView, is_disoriented_block_circulant
+from volentropy.reductions import (
+    BlockView,
+    compacted_matrix,
+    divided_compacted_matrix,
+    is_disoriented_block_circulant,
+    super_compacted_matrix,
+)
 
 
 def assert_canonical(m: IntMatrix) -> None:
@@ -57,8 +65,7 @@ def test_sum_and_product_are_canonical(pair):
 
 
 @given(square_matrices)
-def test_transpose_and_reversals_are_canonical(m):
-    assert_canonical(m.transpose())
+def test_reversals_are_canonical(m):
     assert_canonical(m.reverse_rows())
     assert_canonical(m.reverse_columns())
 
@@ -102,6 +109,19 @@ def test_parallelization_is_canonical(data):
 @pytest.mark.parametrize("build", [build_markov_from_blocks, build_markov_from_images])
 def test_transition_matrices_are_canonical(build, orientable, n):
     assert_canonical(build(PresentationSpec(n, orientable, formal=True)))
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_reduced_matrices_are_canonical(n):
+    for build in (compacted_matrix, divided_compacted_matrix, super_compacted_matrix):
+        assert_canonical(build(n))
+
+
+@pytest.mark.parametrize("k", [5, 7, 9])
+def test_structural_blocks_are_canonical(k):
+    kinds = [BlockKind.T(), BlockKind.JTJ(), BlockKind.J(), BlockKind.zero(), BlockKind.identity()]
+    for kind in kinds + [BlockKind.U(i) for i in range(1, k + 1)]:
+        assert_canonical(build_block(kind, k))
 
 
 @given(st.integers(-99, 99), square_matrices)
