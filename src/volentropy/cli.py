@@ -34,7 +34,6 @@ from .entropy import EntropyReport, _bounds_hold, _lower_bound, volume_entropy, 
 from .markov import (
     PresentationSpec,
     TransitionOperator,
-    _MAX_MATRIX_RANK,
     _check_matrix_rank,
     build_markov_from_blocks,
     build_markov_from_images,
@@ -76,15 +75,11 @@ def _build_requested_matrix(args) -> tuple[IntMatrix, int]:
     if args.which == "markov":
         spec = PresentationSpec(n, args.orientable)
         return build_markov_from_blocks(spec), spec.block_size
-    # The reduced kinds are capped, before building, at the largest transition matrix.
-    build, size = {
-        "compacted": (compacted_matrix, 2 * n - 1),
-        "divided": (divided_compacted_matrix, 2 * n),
-        "supercompacted": (super_compacted_matrix, n),
+    build = {
+        "compacted": compacted_matrix,
+        "divided": divided_compacted_matrix,
+        "supercompacted": super_compacted_matrix,
     }[args.which]
-    limit = 2 * _MAX_MATRIX_RANK * (2 * _MAX_MATRIX_RANK - 1)
-    if size > limit:
-        raise ValueError(f"the {args.which} matrix of rank {n} is {size}x{size}, over the {limit}x{limit} cap")
     return build(n), 0
 
 
@@ -266,6 +261,8 @@ def _run_battery(n_max: int) -> list[dict]:
 
         def rome_charpoly(n=n):
             sc = super_compacted_matrix(n)
+            # Perron-Frobenius: irreducible, so q_n's root is the spectral radius of S_n.
+            assert is_irreducible(sc), "supercompacted matrix is not irreducible"
             rome = RomeSpec((n - 1, n))
             assert rome_check(sc, rome), "proposed rome is not a rome"
             via_rome = rome_char_poly(sc, rome)

@@ -3,7 +3,8 @@
 Everything in this module is exact.  Matrices hold arbitrary-precision Python
 integers, polynomials hold integer coefficients, and evaluation goes through
 `fractions.Fraction` so sign decisions are never at the mercy of floating
-point.  The public constructors reject entries that are not integers.
+point.  The public constructors reject entries that are not integers, and
+`_check_side`, the one size cap, refuses any matrix past 6320 per side.
 Polynomial arithmetic is written once, in `IntPolynomial`; a
 `LaurentPolynomial` is a power of x times one, kept only to present the
 rome path matrix, whose determinant is taken in x^-1.  Numerical
@@ -77,6 +78,21 @@ def check_tolerance(tol: float) -> None:
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be a finite positive number, got {tol}")
+
+
+# The side of the rank-40 transition matrix, 2*40*(2*40-1).  Past it a build
+# needs gigabytes (159,600² cells at rank 200); the exact routes need none.
+_MAX_SIDE = 6320
+
+
+def _check_side(side: int, what: str) -> None:
+    """Refuse, before anything is allocated, a matrix of side past the cap."""
+    if side > _MAX_SIDE:
+        raise ValueError(
+            f"{what} is {side}x{side}, over the {_MAX_SIDE}x{_MAX_SIDE} cap: transition "
+            "matrices go up to rank 40, reduced ones up to that size; "
+            "`volentropy table` and `lambda_n` give the growth rate exactly without a matrix"
+        )
 
 
 # =====================================================================

@@ -15,6 +15,9 @@ Two independent constructions are provided and cross-checked in the tests:
   matrix, for power iteration; `build_markov_from_blocks` reads the dense
   matrix off that operator, so the template is written once.
 
+Both routes end in one bit mask per row, which `_from_masks` alone turns into
+the 0/1 `IntMatrix`; past rank 40 `core._check_side` refuses them up front.
+
 For the orientation-reversing (non-orientable) presentation the block rows
 at positions n and 2n act with reversed orientation: in the image route their
 slot tables are mirrored, and in the block route every block in those rows is
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from itertools import accumulate
 
-from .core import IntMatrix, mod1
+from .core import IntMatrix, _check_side, mod1
 
 __all__ = [
     "PresentationSpec",
@@ -134,14 +137,8 @@ def _build_t(k: int) -> IntMatrix:
     # slots before the middle; row h-1 covers everything past the middle,
     # where h = (k+1)/2.  Rows h and beyond are zero.
     h = (k + 1) // 2
-    rows = [[0] * k for _ in range(k)]
-    for i in range(1, h - 2):
-        rows[i - 1][i] = 1
-    rows[h - 3][h - 2] = 1
-    rows[h - 3][h - 1] = 1
-    for j in range(h + 1, k + 1):
-        rows[h - 2][j - 1] = 1
-    return IntMatrix._from_rows(tuple(map(tuple, rows)))
+    masks = [1 << i for i in range(1, h - 2)] + [3 << (h - 2), ((1 << (k - h)) - 1) << h]
+    return _from_masks(masks + [0] * (k - h + 1), k)
 
 
 def build_block(kind: BlockKind, k: int) -> IntMatrix:
@@ -163,9 +160,7 @@ def build_block(kind: BlockKind, k: int) -> IntMatrix:
     if kind.name == "U":
         if kind.row > k:
             raise ValueError(f"U row {kind.row} out of range for size {k}")
-        return IntMatrix._from_rows(
-            tuple((1,) * k if i == kind.row - 1 else (0,) * k for i in range(k))
-        )
+        return _from_masks([(1 << k) - 1 if i == kind.row - 1 else 0 for i in range(k)], k)
     if kind.name == "J":
         return IntMatrix.identity(k).reverse_rows()
     if kind.name == "zero":
@@ -191,112 +186,103 @@ def _reversed_rows(spec: PresentationSpec) -> frozenset[int]:
     return frozenset((spec.n, 2 * spec.n))
 
 
+def _check_matrix_rank(n: int) -> None:
+    if n < 3:
+        raise ValueError(f"transition matrices need rank >= 3, got {n}")
+    _check_side(2 * n * (2 * n - 1), f"the rank-{n} transition matrix")
+
+
+# Maps the characters of a binary numeral to the 0/1 byte values.
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _from_masks(masks: list[int], size: int) -> IntMatrix:
+    """The 0/1 matrix whose row i has a 1 in column j iff bit j of masks[i] is set."""
+    fmt = f"0{size}b"
+    return IntMatrix._from_rows(
+        tuple(tuple(format(m, fmt)[::-1].encode().translate(_BITS)) for m in masks)
+    )
+
+
 # =====================================================================
 # Route 1: direct slot images
 # =====================================================================
 
-def _slot_images(n: int, l: int, reversed_row: bool) -> list[list[tuple[int, list[int]]]]:
+def _slot_images(n: int, l: int, reversed_row: bool) -> list[list[tuple[int, range]]]:
     """Images of the 2n-1 slots of block row l.
 
     Returns, for slot i (list index i-1), the covered targets as pairs
-    (block index, covered slots in that block).  A full block shows up as all
-    slots 1..2n-1.
+    (block index, covered slots in that block).  Every target is one run of
+    slots, and a full block shows up as slots 1..2n-1.
     """
     r = 2 * n
     s = 2 * n - 1
-    full = list(range(1, s + 1))
+    full = range(1, s + 1)
     ahead = mod1(l + n + 1, r)   # block reached from the left half
     behind = mod1(l + n - 1, r)  # block reached from the right half
     left_run = _cyclic_range(l + 1, l + n - 2, r)       # n-2 blocks
     right_run = _cyclic_range(l + n + 2, l - 1, r)      # n-2 blocks
 
-    out: list[list[tuple[int, list[int]]]] = []
+    out: list[list[tuple[int, range]]] = []
     for i in range(1, s + 1):
         if not reversed_row:
             if i <= n - 3:
-                targets = [(ahead, [i + 1])]
+                targets = [(ahead, range(i + 1, i + 2))]
             elif i == n - 2:
-                targets = [(ahead, [n - 1, n])]
+                targets = [(ahead, range(n - 1, n + 1))]
             elif i == n - 1:
-                targets = [(ahead, list(range(n + 1, s + 1)))]
+                targets = [(ahead, range(n + 1, s + 1))]
                 targets += [(t, full) for t in right_run]
             elif i == n:
                 targets = [(l, full)]
             elif i == n + 1:
                 targets = [(t, full) for t in left_run]
-                targets += [(behind, list(range(1, n)))]
+                targets += [(behind, range(1, n))]
             elif i == n + 2:
-                targets = [(behind, [n, n + 1])]
+                targets = [(behind, range(n, n + 2))]
             else:
-                targets = [(behind, [i - 1])]
+                targets = [(behind, range(i - 1, i))]
         else:
             # Mirror image: the reversed row sends slot i where the straight
             # row sends slot 2n-i, with left/right roles swapped.
             if i <= n - 3:
-                targets = [(behind, [s - i])]
+                targets = [(behind, range(s - i, s - i + 1))]
             elif i == n - 2:
-                targets = [(behind, [n, n + 1])]
+                targets = [(behind, range(n, n + 2))]
             elif i == n - 1:
-                targets = [(behind, list(range(1, n)))]
+                targets = [(behind, range(1, n))]
                 targets += [(t, full) for t in left_run]
             elif i == n:
                 targets = [(l, full)]
             elif i == n + 1:
-                targets = [(ahead, list(range(n + 1, s + 1)))]
+                targets = [(ahead, range(n + 1, s + 1))]
                 targets += [(t, full) for t in right_run]
             elif i == n + 2:
-                targets = [(ahead, [n - 1, n])]
+                targets = [(ahead, range(n - 1, n + 1))]
             else:
-                targets = [(ahead, [s + 2 - i])]
+                targets = [(ahead, range(s + 2 - i, s + 3 - i))]
         out.append(targets)
     return out
 
 
-# The largest rank whose dense transition matrix the builders accept (6320²
-# cells at n = 40).  The cap stops a large rank from starting a build that
-# needs gigabytes (159,600² cells at n = 200); the exact routes need none.
-_MAX_MATRIX_RANK = 40
-
-
-def _check_matrix_rank(n: int, dense: bool = True) -> None:
-    if n < 3:
-        raise ValueError(f"transition matrices need rank >= 3, got {n}")
-    if n > _MAX_MATRIX_RANK:
-        size = 2 * n * (2 * n - 1)
-        asked = f"a dense {size}x{size} matrix" if dense else f"an operator on {size} slots"
-        raise ValueError(
-            f"transition matrices are supported up to rank {_MAX_MATRIX_RANK}, got {n} "
-            f"({asked}); `volentropy table` and `lambda_n` "
-            "give the growth rate exactly without a matrix"
-        )
-
-
 def build_markov_from_images(spec: PresentationSpec) -> IntMatrix:
-    """Transition matrix assembled slot by slot from the image description."""
+    """Transition matrix assembled slot by slot from the image description:
+    a row's mask sums one run of bits per target, and the targets are disjoint."""
     n = spec.n
     _check_matrix_rank(n)
     s = spec.block_size
-    size = spec.matrix_size
     reversed_rows = _reversed_rows(spec)
-    rows = [[0] * size for _ in range(size)]
-    for l in range(1, spec.block_count + 1):
-        images = _slot_images(n, l, l in reversed_rows)
-        for i in range(1, s + 1):
-            row = rows[(l - 1) * s + (i - 1)]
-            for t, slots in images[i - 1]:
-                base = (t - 1) * s
-                for j in slots:
-                    row[base + j - 1] = 1
-    return IntMatrix._from_rows(tuple(map(tuple, rows)))
+    masks = [
+        sum(((1 << len(run)) - 1) << ((t - 1) * s + run.start - 1) for t, run in targets)
+        for l in range(1, spec.block_count + 1)
+        for targets in _slot_images(n, l, l in reversed_rows)
+    ]
+    return _from_masks(masks, spec.matrix_size)
 
 
 # =====================================================================
 # Route 2: circulant block template
 # =====================================================================
-
-# Maps the characters of a binary numeral to the 0/1 byte values.
-_BITS = bytes.maketrans(b"01", b"\x00\x01")
-
 
 def build_markov_from_blocks(spec: PresentationSpec) -> IntMatrix:
     """Transition matrix read off `TransitionOperator` applied to the basis.
@@ -304,12 +290,8 @@ def build_markov_from_blocks(spec: PresentationSpec) -> IntMatrix:
     Column j goes in as the bit 1 << j.  M is 0/1 and each row sums distinct
     columns, so no sum carries: output i is the bit mask of row i's support.
     """
-    _check_matrix_rank(spec.n)
     size = spec.matrix_size
-    masks = TransitionOperator(spec).apply([1 << j for j in range(size)])
-    return IntMatrix._from_rows(
-        tuple(tuple(format(m, f"0{size}b")[::-1].encode().translate(_BITS)) for m in masks)
-    )
+    return _from_masks(TransitionOperator(spec).apply([1 << j for j in range(size)]), size)
 
 
 class TransitionOperator:
@@ -323,7 +305,7 @@ class TransitionOperator:
     """
 
     def __init__(self, spec: PresentationSpec):
-        _check_matrix_rank(spec.n, dense=False)
+        _check_matrix_rank(spec.n)
         self.spec, self.size = spec, spec.matrix_size
         self._reversed = {l - 1 for l in _reversed_rows(spec)}
 

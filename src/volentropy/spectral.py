@@ -90,7 +90,7 @@ def power_iteration(
         if growth == 0.0:
             # Reached the kernel: every eigenvalue on this orbit is 0.
             return SpectralEstimate(0.0, it, 0.0, True)
-        if w == [growth * x for x in v]:
+        if all(map(operator.eq, w, map(growth.__mul__, v))):
             # Genuine fixed point of the normalized iteration (e.g. a flip,
             # or any matrix with the current v as eigenvector): growth is the
             # spectral radius on the support of v.

@@ -16,7 +16,7 @@ from collections import Counter
 import pytest
 
 import volentropy
-from volentropy import cli, entropy, markov
+from volentropy import cli, entropy, markov, reductions
 from volentropy.cli import _first_difference, main
 from volentropy.core import IntMatrix, format_blocks
 from volentropy.entropy import ROUTE_NAMES, EntropyReport, volume_entropy
@@ -120,21 +120,24 @@ def test_build_matrix_json_payload(capsys):
     ],
 )
 def test_build_matrix_past_the_size_cap_exits_1_before_building(
-    which, builder, n, size, fmt, monkeypatch, capsys
+    which, builder, n, size, fmt, capsys
 ):
     # One rank past the cap: larger than the rank-40 transition matrix,
-    # 6320x6320.  The builder must never be called.
-    def no_build(n):
-        raise AssertionError("the matrix was built")
-
-    monkeypatch.setattr(cli, builder, no_build)
+    # 6320x6320.  The real builder refuses before allocating, so the exit is
+    # quick, and the CLI passes on the library's one message.
+    t0 = time.perf_counter()
     code = main(["build-matrix", "--n", str(n), "--which", which, "--format", fmt])
+    elapsed = time.perf_counter() - t0
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("error:")
     assert f"{size}x{size}" in captured.err
     assert "6320x6320" in captured.err
     assert captured.out == ""
+    assert elapsed < 1.0
+    with pytest.raises(ValueError) as exc:
+        getattr(reductions, builder)(n)
+    assert captured.err == f"error: {exc.value}\n"
 
 
 # =====================================================================
@@ -330,6 +333,21 @@ def test_spectral_collapse_needs_an_irreducible_compacted_matrix(monkeypatch):
     row = {row["check"]: row for row in cli._run_battery(3)}["spectral-collapse"]
     assert row["pass"] is False
     assert row["detail"] == "compacted matrix is not irreducible"
+
+
+def test_rome_charpoly_needs_an_irreducible_supercompacted_matrix(monkeypatch):
+    # Irreducibility is the Perron-Frobenius hypothesis that makes q_n's root
+    # the spectral radius of S_n; an isolated vertex breaks it first.
+    real = cli.super_compacted_matrix
+
+    def reducible(n):
+        rows = [[*row, 0] for row in real(n).rows]
+        return IntMatrix([*rows, [0] * len(rows[0])])
+
+    monkeypatch.setattr(cli, "super_compacted_matrix", reducible)
+    row = {row["check"]: row for row in cli._run_battery(3)}["rome-charpoly"]
+    assert row["pass"] is False
+    assert row["detail"] == "supercompacted matrix is not irreducible"
 
 
 def test_verify_with_a_failing_check_exits_1(monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """Transition matrix construction: structural blocks and both build routes."""
 
+import hashlib
 import random
 from itertools import compress
 
@@ -150,6 +151,42 @@ def test_images_match_reference_rank3_nonorientable():
 def test_image_and_block_routes_agree(n, orientable):
     sp = spec_any(n, orientable)
     assert build_markov_from_images(sp) == build_markov_from_blocks(sp)
+
+
+# sha256 of each transition matrix, rows concatenated as bytes of 0/1, pinned
+# when the images route still filled a zero matrix cell by cell.  Both routes
+# end in the same 0/1 materialiser, so route agreement alone cannot catch a
+# slip there; these digests can.  Odd orientable ranks use the formal variant.
+PINNED_DIGESTS = {
+    (3, True): "5e1062f1ec02ccc05e9dc4bae79836a98972613367f5332962c98782e73f2414",
+    (4, True): "8a04f875d6bbfef498ba421a98cc8608917e6b03e964dc59fca6e3fa51a1316e",
+    (5, True): "3a048314a59388bbdf416cf411688f847cfbd41a7da71033112fccccccf4510d",
+    (6, True): "eab91ddbc8bf6ee5a821773cc31ced338a150496db57447c9fb75506bc67e67d",
+    (7, True): "15aa8a1c741e191304b42cf761b2d8f439c06010cb066c5bbdd8af908f4ddbe4",
+    (8, True): "77b177f2455eae0206654760f48be9dceb96bf13bcd3a9880b0cab871068276a",
+    (9, True): "154a93b51d467be72f8dd08f71829f1f9dc270587dc1a9f45ae2f2170257d51e",
+    (10, True): "ff75feabe5ba802cad103ef2c38b516a558e25a0c2c411edb4ce37612423b464",
+    (11, True): "277f0b5a324bc3b902500d35a7a7d61315b00d40da1057136e3d6af81b378535",
+    (12, True): "ae72e62f5e6466e9eabe549e9dbb6359a87441be7352b102845e54534b25abe2",
+    (3, False): "d59f62fe5805a01bea626e73baca454ed36504cbb2d986883b42d5bc72038ef8",
+    (4, False): "dc2cf6d515c38b4d6b11619d210a9e8ce2c338e35a822b281554526317e3c669",
+    (5, False): "ff8fdb766ad1f3f81009eadf2cdd86a793f9f824545de1625e667e1ba99e9071",
+    (6, False): "3238d620aae186b79d02f2fe6f6beb06335c9da49755c4707909a54314e3f96f",
+    (7, False): "d21fe6d70eb9364e8083cf036ddd7e4f4e567b767a6a8b76f98cdd50f737f5e9",
+    (8, False): "d1706c1c294e90d5d26566e652aa56e1f16f69686fc1057cadf4bb82f59596ec",
+    (9, False): "9ca89464189e316262c9680f1d04e4db0e9a933ed6b7681ef447bb95fbf7de23",
+    (10, False): "ddc089fa0cb06af69e2685a891bcb84fb1b7789710d244a427669d1a5921c9c6",
+    (11, False): "302a981de98b212ad95e09ca72b32f51e312de98f2bd8a258538cb83ecac6cec",
+    (12, False): "4004fb0a17bf0481f3207b6889b5c34b61e58a1274ca5c6e1bb560a30afda09e",
+}
+
+
+@pytest.mark.parametrize("n, orientable", sorted(PINNED_DIGESTS))
+@pytest.mark.parametrize("build", [build_markov_from_images, build_markov_from_blocks])
+def test_builders_reproduce_the_pinned_digests(build, n, orientable):
+    rows = build(PresentationSpec(n, orientable, formal=orientable and n % 2 == 1)).rows
+    digest = hashlib.sha256(b"".join(map(bytes, rows))).hexdigest()
+    assert digest == PINNED_DIGESTS[(n, orientable)]
 
 
 def test_builders_reject_rank_2():

@@ -1,9 +1,11 @@
 """The reduction chain: block views, circulant collapse, closed-form matrices."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
-from volentropy.core import IntMatrix, IntPolynomial
+from volentropy.core import IntMatrix, IntPolynomial, _check_side
 from volentropy.markov import (
     BlockKind,
     PresentationSpec,
@@ -349,3 +351,33 @@ def test_closed_forms_reject_rank_2():
     for builder in (compacted_matrix, divided_compacted_matrix, super_compacted_matrix):
         with pytest.raises(ValueError):
             builder(2)
+
+
+@pytest.mark.parametrize(
+    "builder, n, size",
+    [
+        (compacted_matrix, 3161, 6321),
+        (divided_compacted_matrix, 3161, 6322),
+        (super_compacted_matrix, 6321, 6321),
+    ],
+)
+def test_closed_forms_refuse_past_the_size_cap_before_allocating(builder, n, size):
+    # One rank past 6320 per side; one row of the refused matrix alone would
+    # take some 50 KB, the whole matrix hundreds of MB.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as exc:
+            builder(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    message = str(exc.value)
+    assert f"{size}x{size}" in message and "6320x6320" in message
+    assert "up to rank 40" in message and "lambda_n" in message
+
+
+def test_size_cap_admits_exactly_6320_per_side():
+    _check_side(6320, "the largest matrix")
+    with pytest.raises(ValueError, match="6321x6321"):
+        _check_side(6321, "one side more")
