@@ -21,6 +21,9 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
+from dataclasses import asdict
+from functools import partial
 
 from .core import (
     IntMatrix,
@@ -55,6 +58,19 @@ from .spectral import char_poly_exact, is_irreducible, power_iteration
 __all__ = ["main"]
 
 _FORMATS = ("plain", "csv", "json")
+
+
+def _csv(records: list[dict]) -> str:
+    """Records as csv under the first record's keys: cells are str(v),
+    booleans lower-case, None empty, and commas in text become ';'."""
+
+    def cell(v) -> str:
+        if v is None:
+            return ""
+        return str(v).lower() if isinstance(v, bool) else str(v).replace(",", ";")
+
+    header = list(records[0])
+    return "\n".join([",".join(header)] + [",".join(cell(r[k]) for k in header) for r in records])
 
 
 def _width_hint() -> int:
@@ -144,19 +160,16 @@ def _cmd_entropy(args) -> tuple[int, str]:
         }
         return code, json.dumps(payload, indent=2)
     if args.format == "csv":
-        cols = ["n", "orientable", "lambda", "entropy", "agreement", "bounds_hold"]
-        vals = [
-            str(report.n),
-            str(report.orientable).lower(),
-            repr(report.lambda_),
-            repr(report.entropy),
-            repr(report.agreement),
-            str(report.bounds_hold).lower(),
-        ]
-        for name, value in report.routes.items():
-            cols.append(f"route:{name}")
-            vals.append(repr(value))
-        return code, ",".join(cols) + "\n" + ",".join(vals)
+        record = {
+            "n": report.n,
+            "orientable": report.orientable,
+            "lambda": report.lambda_,
+            "entropy": report.entropy,
+            "agreement": report.agreement,
+            "bounds_hold": report.bounds_hold,
+        }
+        record.update((f"route:{name}", value) for name, value in report.routes.items())
+        return code, _csv([record])
     lines = [
         f"rank:        {report.n}",
         f"orientable:  {report.orientable}",
@@ -179,56 +192,53 @@ def _cmd_entropy(args) -> tuple[int, str]:
 def _run_battery(n_max: int) -> list[dict]:
     """The cross-check battery, one result dict per (rank, check)."""
     results: list[dict] = []
-
-    def run(n: int, check: str, fn) -> None:
-        t0 = time.perf_counter()
-        try:
-            detail = fn() or ""
-            ok = True
-        except AssertionError as exc:
-            ok, detail = False, str(exc)
-        dt = time.perf_counter() - t0
-        results.append(
-            {"n": n, "check": check, "pass": ok, "seconds": round(dt, 4), "detail": detail}
-        )
-
     for n in range(3, n_max + 1):
-        specs = [
-            PresentationSpec(n, True, formal=True),
-            PresentationSpec(n, False),
-        ]
-        # The blocks-route matrices of this rank, built once and shared by
-        # the checks below; the dict goes out of scope with the rank.
-        built: dict[PresentationSpec, IntMatrix] = {}
+        _check_rank(n, results)
+    results.sort(key=lambda row: (row["n"], row["check"]))
+    return results
 
-        def blocks(spec: PresentationSpec, built=built) -> IntMatrix:
-            if spec not in built:
-                built[spec] = build_markov_from_blocks(spec)
-            return built[spec]
 
-        def blocks_vs_images(specs=specs):
-            for sp in specs:
-                a = build_markov_from_images(sp)
-                b = blocks(sp)
-                assert a == b, _first_difference(a, b)
+@contextmanager
+def _check(results: list[dict], n: int, name: str):
+    """Time the block and append its result; an AssertionError is a FAIL with its message."""
+    row = {"n": n, "check": name, "pass": True, "seconds": 0.0, "detail": ""}
+    t0 = time.perf_counter()
+    try:
+        yield
+    except AssertionError as exc:
+        row["pass"], row["detail"] = False, str(exc)
+    row["seconds"] = round(time.perf_counter() - t0, 4)
+    results.append(row)
 
-        def circulant_collapse(n=n):
-            m = blocks(PresentationSpec(n, True, formal=True))
-            view = BlockView(m, 2 * n, 2 * n - 1)
-            assert is_block_circulant(view), "orientation-preserving form not circulant"
-            got, want = sum_first_block_row(view), compacted_matrix(n)
-            assert got == want, _first_difference(got, want)
 
-        def disoriented_collapse(n=n):
-            m = blocks(PresentationSpec(n, False))
-            view = BlockView(m, 2 * n, 2 * n - 1)
-            ok, para = is_disoriented_block_circulant(view)
-            assert ok, "reversing form not disoriented block circulant"
-            plus = blocks(PresentationSpec(n, True, formal=True))
-            assert para == plus, _first_difference(para, plus)
-            assert check_J_commutation(compacted_matrix(n)), "compacted matrix not centrally symmetric"
+def _check_rank(n: int, results: list[dict]) -> None:
+    """Every check of rank n, in run order, sharing the rank's matrices as locals."""
+    check = partial(_check, results, n)
+    plus, minus = PresentationSpec(n, True, formal=True), PresentationSpec(n, False)
+    c, sc = compacted_matrix(n), super_compacted_matrix(n)
 
-        def frozen_reference(n=n):
+    with check("blocks-vs-images"):
+        built = {sp: build_markov_from_blocks(sp) for sp in (plus, minus)}
+        for sp, m in built.items():
+            # Never bound to a name, the images matrix dies once compared.
+            assert build_markov_from_images(sp) == m, _first_difference(build_markov_from_images(sp), m)
+
+    with check("circulant-collapse"):
+        view = BlockView(built[plus], 2 * n, 2 * n - 1)
+        assert is_block_circulant(view), "orientation-preserving form not circulant"
+        got = sum_first_block_row(view)
+        assert got == c, _first_difference(got, c)
+
+    with check("disoriented-collapse"):
+        ok, para = is_disoriented_block_circulant(BlockView(built[minus], 2 * n, 2 * n - 1))
+        assert ok, "reversing form not disoriented block circulant"
+        assert para == built[plus], _first_difference(para, built[plus])
+        assert check_J_commutation(c), "compacted matrix not centrally symmetric"
+    # No later check reads a transition matrix; the rank's peak stays blocks-vs-images.
+    del built, para
+
+    if n in (3, 4):
+        with check("reference-rows"):
             for orientable in (True, False):
                 try:
                     ref = reference_rows(n, orientable)
@@ -238,69 +248,50 @@ def _run_battery(n_max: int) -> list[dict]:
                 got = [list(row) for row in m.rows[: len(ref)]]
                 assert got == ref, "built rows differ from the frozen reference"
 
-        def spectral_collapse(n=n, specs=specs):
-            c = compacted_matrix(n)
-            # Perron-Frobenius: irreducible, so the growth rate is the spectral radius.
-            assert is_irreducible(c), "compacted matrix is not irreducible"
-            target = power_iteration(c).value
-            for sp in specs:
-                est = power_iteration(TransitionOperator(sp))
-                assert est.converged, f"power iteration did not converge for {sp}"
-                assert abs(est.value - target) <= 1e-7, (
-                    f"spectral radius gap {abs(est.value - target):.3e}"
-                )
-
-        def spectrum_split(n=n):
-            c, dc, sc = compacted_matrix(n), divided_compacted_matrix(n), super_compacted_matrix(n)
-            lhs = char_poly_exact(dc)
-            rhs = char_poly_exact(c) * IntPolynomial([-1, 1])
-            assert lhs == rhs, "char(divided) != (x - 1) * char(compacted)"
-            view = BlockView(dc, 2, n)
-            folded = view.block(1, 1) + view.block(1, 2).reverse_columns()
-            assert folded == sc, _first_difference(folded, sc)
-
-        def rome_charpoly(n=n):
-            sc = super_compacted_matrix(n)
-            # Perron-Frobenius: irreducible, so q_n's root is the spectral radius of S_n.
-            assert is_irreducible(sc), "supercompacted matrix is not irreducible"
-            rome = RomeSpec((n - 1, n))
-            assert rome_check(sc, rome), "proposed rome is not a rome"
-            via_rome = rome_char_poly(sc, rome)
-            exact = char_poly_exact(sc)
-            closed = q_polynomial(n)
-            assert via_rome == exact == closed, (
-                f"polynomials differ: rome={via_rome} exact={exact} closed={closed}"
+    with check("spectral-collapse"):
+        # Perron-Frobenius: irreducible, so the growth rate is the spectral radius.
+        assert is_irreducible(c), "compacted matrix is not irreducible"
+        target = power_iteration(c).value
+        for sp in (plus, minus):
+            est = power_iteration(TransitionOperator(sp))
+            assert est.converged, f"power iteration did not converge for {sp}"
+            assert abs(est.value - target) <= 1e-7, (
+                f"spectral radius gap {abs(est.value - target):.3e}"
             )
 
-        def polynomial_facts(n=n):
-            q = q_polynomial(n)
-            assert poly_eval(q, 0) == 1, "q(0) != 1"
-            assert poly_eval(q, 1) == -2 * n * (n - 2), "q(1) mismatch"
-            assert poly_eval(q, 2 * n - 1) == 2 * n, "q(2n-1) mismatch"
-            assert poly_reciprocal_check(q), "q not self-reciprocal"
+    with check("spectrum-split"):
+        dc = divided_compacted_matrix(n)
+        lhs = char_poly_exact(dc)
+        rhs = char_poly_exact(c) * IntPolynomial([-1, 1])
+        assert lhs == rhs, "char(divided) != (x - 1) * char(compacted)"
+        view = BlockView(dc, 2, n)
+        folded = view.block(1, 1) + view.block(1, 2).reverse_columns()
+        assert folded == sc, _first_difference(folded, sc)
 
-        def root_bounds(n=n):
-            assert _bounds_hold(n), "bracket signs wrong at the exact bounds"
+    with check("rome-charpoly"):
+        # Perron-Frobenius: irreducible, so q_n's root is the spectral radius of S_n.
+        assert is_irreducible(sc), "supercompacted matrix is not irreducible"
+        rome = RomeSpec((n - 1, n))
+        assert rome_check(sc, rome), "proposed rome is not a rome"
+        via_rome, exact, closed = rome_char_poly(sc, rome), char_poly_exact(sc), q_polynomial(n)
+        assert via_rome == exact == closed, (
+            f"polynomials differ: rome={via_rome} exact={exact} closed={closed}"
+        )
 
-        def route_consensus(n=n):
-            report = volume_entropy(PresentationSpec(n, False))
-            assert report.consistent, f"routes spread {report.agreement:.3e}"
-            assert report.agreement <= 1e-7, f"routes spread {report.agreement:.3e}"
+    with check("polynomial-facts"):
+        q = q_polynomial(n)
+        assert poly_eval(q, 0) == 1, "q(0) != 1"
+        assert poly_eval(q, 1) == -2 * n * (n - 2), "q(1) mismatch"
+        assert poly_eval(q, 2 * n - 1) == 2 * n, "q(2n-1) mismatch"
+        assert poly_reciprocal_check(q), "q not self-reciprocal"
 
-        run(n, "blocks-vs-images", blocks_vs_images)
-        run(n, "circulant-collapse", circulant_collapse)
-        run(n, "disoriented-collapse", disoriented_collapse)
-        if n in (3, 4):
-            run(n, "reference-rows", frozen_reference)
-        run(n, "spectral-collapse", spectral_collapse)
-        run(n, "spectrum-split", spectrum_split)
-        run(n, "rome-charpoly", rome_charpoly)
-        run(n, "polynomial-facts", polynomial_facts)
-        run(n, "root-bounds", root_bounds)
-        run(n, "route-consensus", route_consensus)
+    with check("root-bounds"):
+        assert _bounds_hold(n), "bracket signs wrong at the exact bounds"
 
-    results.sort(key=lambda row: (row["n"], row["check"]))
-    return results
+    with check("route-consensus"):
+        report = volume_entropy(minus)
+        assert report.consistent, f"routes spread {report.agreement:.3e}"
+        assert report.agreement <= 1e-7, f"routes spread {report.agreement:.3e}"
 
 
 def _first_difference(a: IntMatrix, b: IntMatrix) -> str:
@@ -321,13 +312,7 @@ def _cmd_verify(args) -> tuple[int, str]:
     if args.format == "json":
         return code, json.dumps(results, indent=2)
     if args.format == "csv":
-        lines = ["n,check,pass,seconds,detail"]
-        for row in results:
-            detail = str(row["detail"]).replace(",", ";")
-            lines.append(
-                f"{row['n']},{row['check']},{str(row['pass']).lower()},{row['seconds']},{detail}"
-            )
-        return code, "\n".join(lines)
+        return code, _csv(results)
     width = max(len(row["check"]) for row in results)
     lines = []
     for row in results:
@@ -346,27 +331,12 @@ def _cmd_verify(args) -> tuple[int, str]:
 
 def _cmd_table(args) -> tuple[int, str]:
     rows = entropy_table(args.n_min, args.n_max)
+    # The rows' fields, `lambda_` spelled `lambda`.
+    records = [{k.rstrip("_"): v for k, v in asdict(row).items()} for row in rows]
     if args.format == "json":
-        payload = [
-            {
-                "n": row.n,
-                "lambda": row.lambda_,
-                "entropy": row.entropy,
-                "lower_bound": row.lower_bound,
-                "upper_bound": row.upper_bound,
-                "gap": row.gap,
-            }
-            for row in rows
-        ]
-        return 0, json.dumps(payload, indent=2)
+        return 0, json.dumps(records, indent=2)
     if args.format == "csv":
-        lines = ["n,lambda,entropy,lower_bound,upper_bound,gap"]
-        for row in rows:
-            lb = "" if row.lower_bound is None else repr(row.lower_bound)
-            lines.append(
-                f"{row.n},{row.lambda_!r},{row.entropy!r},{lb},{row.upper_bound!r},{row.gap!r}"
-            )
-        return 0, "\n".join(lines)
+        return 0, _csv(records)
     header = f"{'n':>3}  {'lambda':>16}  {'entropy':>12}  {'lower bound':>16}  {'upper':>6}  {'gap':>12}"
     lines = [header, "-" * len(header)]
     for row in rows:

@@ -4,7 +4,8 @@ Everything in this module is exact.  Matrices hold arbitrary-precision Python
 integers, polynomials hold integer coefficients, and evaluation goes through
 `fractions.Fraction` so sign decisions are never at the mercy of floating
 point.  The public constructors reject entries that are not integers, and
-`_check_side`, the one size cap, refuses any matrix past 6320 per side.
+`_check_matrix`, the one matrix guard, refuses a rank below 3 or a side
+past 6320.
 Polynomial arithmetic is written once, in `IntPolynomial`; a
 `LaurentPolynomial` is a power of x times one, kept only to present the
 rome path matrix, whose determinant is taken in x^-1.  Numerical
@@ -85,12 +86,14 @@ def check_tolerance(tol: float) -> None:
 _MAX_SIDE = 6320
 
 
-def _check_side(side: int, what: str) -> None:
-    """Refuse, before anything is allocated, a matrix of side past the cap."""
+def _check_matrix(n: int, side: int, name: str) -> None:
+    """Refuse, before anything is allocated, a rank below 3 or a side past the cap."""
+    if n < 3:
+        raise ValueError(f"{name} needs rank >= 3, got {n}")
     if side > _MAX_SIDE:
         raise ValueError(
-            f"{what} is {side}x{side}, over the {_MAX_SIDE}x{_MAX_SIDE} cap: transition "
-            "matrices go up to rank 40, reduced ones up to that size; "
+            f"the rank-{n} {name} is {side}x{side}, over the {_MAX_SIDE}x{_MAX_SIDE} cap: "
+            "transition matrices go up to rank 40, reduced ones up to that size; "
             "`volentropy table` and `lambda_n` give the growth rate exactly without a matrix"
         )
 

@@ -16,7 +16,8 @@ Two independent constructions are provided and cross-checked in the tests:
   matrix off that operator, so the template is written once.
 
 Both routes end in one bit mask per row, which `_from_masks` alone turns into
-the 0/1 `IntMatrix`; past rank 40 `core._check_side` refuses them up front.
+the 0/1 `IntMatrix`; below rank 3 and past rank 40 `core._check_matrix`
+refuses them up front.
 
 For the orientation-reversing (non-orientable) presentation the block rows
 at positions n and 2n act with reversed orientation: in the image route their
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from itertools import accumulate
 
-from .core import IntMatrix, _check_side, mod1
+from .core import IntMatrix, _check_matrix, mod1
 
 __all__ = [
     "PresentationSpec",
@@ -187,9 +188,7 @@ def _reversed_rows(spec: PresentationSpec) -> frozenset[int]:
 
 
 def _check_matrix_rank(n: int) -> None:
-    if n < 3:
-        raise ValueError(f"transition matrices need rank >= 3, got {n}")
-    _check_side(2 * n * (2 * n - 1), f"the rank-{n} transition matrix")
+    _check_matrix(n, 2 * n * (2 * n - 1), "transition matrix")
 
 
 # Maps the characters of a binary numeral to the 0/1 byte values.

@@ -16,16 +16,16 @@ preserving the spectral radius:
    n x n supercompacted matrix (up to spectrum below the spectral radius).
 
 All three reduced matrices are also given here by closed entrywise formulas,
-which the tests check against the matrix identities.  `core._check_side`
-refuses them past 6320 per side (from rank 3161; 6321 for the supercompacted
-matrix) before anything is allocated.
+which the tests check against the matrix identities.  `core._check_matrix`
+refuses them below rank 3 and past 6320 per side (from rank 3161; 6321 for
+the supercompacted matrix) before anything is allocated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import IntMatrix, _check_side
+from .core import IntMatrix, _check_matrix
 
 __all__ = [
     "BlockView",
@@ -130,10 +130,8 @@ def compacted_matrix(n: int) -> IntMatrix:
     leaving the middle; equal to the blockwise sum
     T + JTJ + U(n) + (n-2)(U(n-1) + U(n+1)).
     """
-    if n < 3:
-        raise ValueError(f"compacted matrix needs rank >= 3, got {n}")
     s = 2 * n - 1
-    _check_side(s, f"the rank-{n} compacted matrix")
+    _check_matrix(n, s, "compacted matrix")
     c = [[0] * s for _ in range(s)]
     for i in range(1, n - 2):
         c[i - 1][i] = 1
@@ -160,9 +158,7 @@ def divided_compacted_matrix(n: int) -> IntMatrix:
     n+1..2n.  Its spectrum is that of the compacted matrix plus a simple
     eigenvalue 1.
     """
-    if n < 3:
-        raise ValueError(f"divided compacted matrix needs rank >= 3, got {n}")
-    _check_side(2 * n, f"the rank-{n} divided compacted matrix")
+    _check_matrix(n, 2 * n, "divided compacted matrix")
     doubled = tuple(row[:n] + row[n - 1 :] for row in compacted_matrix(n).rows)
     ones, zeros = (1,) * n, (0,) * n
     return IntMatrix._from_rows(doubled[: n - 1] + (ones + zeros, zeros + ones) + doubled[n:])
@@ -176,9 +172,7 @@ def super_compacted_matrix(n: int) -> IntMatrix:
     an all-ones last row.  Equals D11 + D12*J for the n x n blocks D11, D12
     of the divided compacted matrix.
     """
-    if n < 3:
-        raise ValueError(f"supercompacted matrix needs rank >= 3, got {n}")
-    _check_side(n, f"the rank-{n} supercompacted matrix")
+    _check_matrix(n, n, "supercompacted matrix")
     m = [[0] * n for _ in range(n)]
     for i in range(1, n - 1):
         m[i - 1][i] = 1

@@ -7,10 +7,13 @@ the ``python -m`` wiring.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -517,6 +520,78 @@ def test_verify_builds_each_blocks_matrix_once_per_rank(monkeypatch):
     assert all(row["pass"] for row in results)
     assert Counter(spec.n for spec in calls) == {n: 2 for n in range(3, 11)}
     assert len(set(calls)) == len(calls)
+
+
+def test_verify_builds_each_closed_form_once_per_rank(monkeypatch):
+    # Every check of a rank reads the one compacted and one supercompacted
+    # matrix built at its top.
+    calls = Counter()
+    for name in ("compacted_matrix", "super_compacted_matrix"):
+        real = getattr(cli, name)
+
+        def counting(n, name=name, real=real):
+            calls[name, n] += 1
+            return real(n)
+
+        monkeypatch.setattr(cli, name, counting)
+    results = cli._run_battery(10)
+    assert all(row["pass"] for row in results)
+    assert calls == {
+        (name, n): 1
+        for name in ("compacted_matrix", "super_compacted_matrix")
+        for n in range(3, 11)
+    }
+
+
+def test_verify_peak_memory_stays_at_three_transition_matrices():
+    # Measured with tracemalloc at --n-max 12, in units of one rank-12
+    # transition matrix (552x552, 2.46 MB traced): the battery peaks at 3.40
+    # when each check is its own closure and 3.41 with the per-rank pass (the
+    # closed forms live from the top of the rank), both while blocks-vs-images
+    # holds two blocks-route matrices and one images-route matrix.  Keeping
+    # rank n-1's matrices alive while rank n builds its own reads 5.49.
+    tracemalloc.start()
+    try:
+        one = build_markov_from_blocks(PresentationSpec(12, False))
+        size = tracemalloc.get_traced_memory()[0]
+        del one
+    finally:
+        tracemalloc.stop()
+    tracemalloc.start()
+    try:
+        results = cli._run_battery(12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(row["pass"] for row in results)
+    assert peak < 3.5 * size, peak / size
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    return str(value).replace(",", ";")
+
+
+@pytest.mark.parametrize(
+    "argv", [["table", "--from", "3", "--to", "8"], ["verify", "--n-max", "4"]]
+)
+def test_csv_and_json_carry_the_same_records(argv, monkeypatch, capsys):
+    # One battery for both formats, so `seconds` agrees; with the compacted
+    # matrix tampered, FAIL rows carry details with commas.
+    _tamper_compacted(monkeypatch)
+    results = cli._run_battery(4)
+    monkeypatch.setattr(cli, "_run_battery", lambda n_max: results)
+    main([*argv, "--format", "json"])
+    records = json.loads(capsys.readouterr().out)
+    main([*argv, "--format", "csv"])
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == len(records) > 0
+    assert rows == [{k: _csv_cell(v) for k, v in record.items()} for record in records]
+    if argv[0] == "verify":
+        assert any("(1;1)" in row["detail"] for row in rows)
 
 
 def test_error_output_stays_off_stdout_in_json(capsys):

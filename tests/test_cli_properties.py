@@ -3,8 +3,9 @@
 Whatever rank, format or flag is drawn, `main` exits 0 or 1 without a
 traceback; exit 1 comes with an `error:` line on stderr and, in csv and json,
 nothing on stdout.  Ranks run from -5 to 10^9.  Ranks that would build a
-dense matrix stay small (transition matrices up to rank 8, reduced ones up to
-rank 60), so every example, refused or not, takes well under a second.
+dense matrix or a long table stay small (transition matrices up to rank 8,
+reduced ones and table tops up to rank 60), so every example, refused or not,
+takes well under a second.
 """
 
 from __future__ import annotations
@@ -16,12 +17,13 @@ import time
 from hypothesis import given, settings, strategies as st
 
 from volentropy.cli import main
+from volentropy.entropy import _MAX_TABLE_RANK
 
 FORMATS = st.sampled_from(["plain", "csv", "json"])
 HUGE = st.integers(10**6, 10**9)
 
 
-def run(argv: list[str], fmt: str) -> None:
+def run(argv: list[str], fmt: str) -> int:
     out, err = io.StringIO(), io.StringIO()
     t0 = time.process_time()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -35,6 +37,7 @@ def run(argv: list[str], fmt: str) -> None:
     else:
         assert err.getvalue() == "" and out.getvalue(), argv
     assert elapsed < 1.0, (argv, elapsed)
+    return code
 
 
 # Past each kind's cap the rank is refused before anything is built.
@@ -75,7 +78,12 @@ def test_verify_exits_cleanly(n_max, fmt):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(-5, 60), st.integers(-5, 60), FORMATS)
+@given(
+    st.integers(-5, 60),
+    st.one_of(st.integers(-5, 60), st.integers(_MAX_TABLE_RANK + 1, 10**9)),
+    FORMATS,
+)
 def test_table_exits_cleanly(n_min, n_max, fmt):
-    # `table --to` has no cap yet, so its ranges stay small.
-    run(["table", f"--from={n_min}", f"--to={n_max}"], fmt)
+    # Past the cap the range is refused before any row is computed.
+    code = run(["table", f"--from={n_min}", f"--to={n_max}"], fmt)
+    assert code == 1 or n_max <= _MAX_TABLE_RANK

@@ -228,3 +228,17 @@ def test_table_validation():
         entropy_table(2, 5)
     with pytest.raises(ValueError):
         entropy_table(6, 5)
+
+
+def test_table_refuses_past_its_cap_before_any_row(monkeypatch):
+    cap = entropy._MAX_TABLE_RANK
+    calls = []
+    real = entropy.lambda_n
+    monkeypatch.setattr(entropy, "lambda_n", lambda n: calls.append(n) or real(n))
+    for n_max in (cap + 1, 10**9):
+        with pytest.raises(ValueError, match=f"up to rank {cap}, got {n_max}") as exc:
+            entropy_table(3, n_max)
+        assert "lambda_n" in str(exc.value)
+    assert calls == []
+    (row,) = entropy_table(cap, cap)
+    assert calls == [cap] and row.n == cap

@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from volentropy.core import IntMatrix, IntPolynomial, _check_side
+from volentropy.core import IntMatrix, IntPolynomial, _check_matrix
 from volentropy.markov import (
     BlockKind,
     PresentationSpec,
@@ -349,7 +349,7 @@ def test_spectrum_split_identity(n):
 
 def test_closed_forms_reject_rank_2():
     for builder in (compacted_matrix, divided_compacted_matrix, super_compacted_matrix):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="matrix needs rank >= 3, got 2"):
             builder(2)
 
 
@@ -378,6 +378,13 @@ def test_closed_forms_refuse_past_the_size_cap_before_allocating(builder, n, siz
 
 
 def test_size_cap_admits_exactly_6320_per_side():
-    _check_side(6320, "the largest matrix")
+    _check_matrix(3, 6320, "largest matrix")
     with pytest.raises(ValueError, match="6321x6321"):
-        _check_side(6321, "one side more")
+        _check_matrix(3, 6321, "one side more")
+
+
+def test_rank_floor_is_checked_before_the_size_cap():
+    # A very negative rank gives a side far past the cap; the floor names it.
+    n = -10**6
+    with pytest.raises(ValueError, match=f"transition matrix needs rank >= 3, got {n}"):
+        _check_matrix(n, 2 * n * (2 * n - 1), "transition matrix")
