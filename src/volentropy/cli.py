@@ -11,7 +11,8 @@ Every subcommand takes --format plain|csv|json (default plain).  Exit code 0
 means success; precondition violations and failed consistency checks exit
 nonzero with a message on stderr, and in csv/json mode nothing is written to
 stdout on error.  The environment variable VOLENTROPY_WIDTH gives the plain
-matrix printer a line-width hint; wider matrices drop their column padding.
+matrix printer a line-width hint; a wider transition matrix drops its block
+rulings.  `verify` refuses to run under `python -O`, which strips its checks.
 """
 
 from __future__ import annotations
@@ -305,6 +306,8 @@ def _first_difference(a: IntMatrix, b: IntMatrix) -> str:
 
 
 def _cmd_verify(args) -> tuple[int, str]:
+    if not __debug__:
+        raise ValueError("verify's checks are assert statements, which python -O strips; run without -O")
     _check_matrix_rank(args.n_max)
     results = _run_battery(args.n_max)
     ok = all(row["pass"] for row in results)

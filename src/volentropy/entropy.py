@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import IntPolynomial, check_tolerance, poly_eval
+from .core import _MAX_TABLE_RANK, IntPolynomial, check_tolerance, poly_eval
 from .markov import PresentationSpec, TransitionOperator
 from .reductions import compacted_matrix, super_compacted_matrix
 from .rome import RomeSpec, q_polynomial, rome_char_poly
@@ -36,10 +36,6 @@ __all__ = [
 # max(1000 * tol, 1e-12) at 1e-3; uncapped, tol = 0.5 passed routes that
 # disagreed by 2.4 as consistent.
 _MAX_TOL = 1e-6
-
-# Largest top rank `entropy_table` accepts: `table --from 3 --to 400` takes 40 s
-# of process CPU (2-core Xeon VM, Python 3.11); 3..460 took 63 s.
-_MAX_TABLE_RANK = 400
 
 # The five independent routes to the growth rate, in report order.
 ROUTE_NAMES = (

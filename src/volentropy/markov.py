@@ -20,9 +20,10 @@ the 0/1 `IntMatrix`; below rank 3 and past rank 40 `core._check_matrix`
 refuses them up front.
 
 For the orientation-reversing (non-orientable) presentation the block rows
-at positions n and 2n act with reversed orientation: in the image route their
-slot tables are mirrored, and in the block route every block in those rows is
-premultiplied by the flip matrix J, which reverses the block row's output.
+at positions n and 2n act with reversed orientation: every block in those
+rows is premultiplied by the flip matrix J, which only reverses the order of
+the row's slots.  The block route reverses the block row's output; the image
+route reads the straight row's slot list backwards.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from itertools import accumulate
 
-from .core import IntMatrix, _check_matrix, mod1
+from .core import IntMatrix, _check_matrix, _ints, mod1
 
 __all__ = [
     "PresentationSpec",
@@ -64,6 +65,7 @@ class PresentationSpec:
     formal: bool = field(default=False, kw_only=True)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _ints((self.n,))[0])
         if self.n < 2:
             raise ValueError(f"rank must be >= 2, got {self.n}")
         if self.orientable and self.n % 2 == 1 and not self.formal:
@@ -173,13 +175,6 @@ def build_block(kind: BlockKind, k: int) -> IntMatrix:
 # Shared index plumbing
 # =====================================================================
 
-def _cyclic_range(a: int, b: int, m: int) -> list[int]:
-    """Indices walking forward from mod1(a, m) to mod1(b, m) inclusive."""
-    start = mod1(a, m)
-    count = (mod1(b, m) - start) % m + 1
-    return [mod1(start + t, m) for t in range(count)]
-
-
 def _reversed_rows(spec: PresentationSpec) -> frozenset[int]:
     """Block rows acting with reversed orientation: n and 2n when non-orientable."""
     if spec.orientable:
@@ -212,56 +207,38 @@ def _slot_images(n: int, l: int, reversed_row: bool) -> list[list[tuple[int, ran
 
     Returns, for slot i (list index i-1), the covered targets as pairs
     (block index, covered slots in that block).  Every target is one run of
-    slots, and a full block shows up as slots 1..2n-1.
+    slots, and a full block shows up as slots 1..2n-1.  J on every block of
+    a reversed row only reverses the row's slots, so its slot i sends where
+    the straight row sends slot 2n-i: the same list read backwards.
     """
     r = 2 * n
     s = 2 * n - 1
     full = range(1, s + 1)
     ahead = mod1(l + n + 1, r)   # block reached from the left half
     behind = mod1(l + n - 1, r)  # block reached from the right half
-    left_run = _cyclic_range(l + 1, l + n - 2, r)       # n-2 blocks
-    right_run = _cyclic_range(l + n + 2, l - 1, r)      # n-2 blocks
+    left_run = [mod1(l + k, r) for k in range(1, n - 1)]       # blocks l+1..l+n-2
+    right_run = [mod1(l + k, r) for k in range(n + 2, 2 * n)]  # blocks l+n+2..l-1
 
     out: list[list[tuple[int, range]]] = []
     for i in range(1, s + 1):
-        if not reversed_row:
-            if i <= n - 3:
-                targets = [(ahead, range(i + 1, i + 2))]
-            elif i == n - 2:
-                targets = [(ahead, range(n - 1, n + 1))]
-            elif i == n - 1:
-                targets = [(ahead, range(n + 1, s + 1))]
-                targets += [(t, full) for t in right_run]
-            elif i == n:
-                targets = [(l, full)]
-            elif i == n + 1:
-                targets = [(t, full) for t in left_run]
-                targets += [(behind, range(1, n))]
-            elif i == n + 2:
-                targets = [(behind, range(n, n + 2))]
-            else:
-                targets = [(behind, range(i - 1, i))]
+        if i <= n - 3:
+            targets = [(ahead, range(i + 1, i + 2))]
+        elif i == n - 2:
+            targets = [(ahead, range(n - 1, n + 1))]
+        elif i == n - 1:
+            targets = [(ahead, range(n + 1, s + 1))]
+            targets += [(t, full) for t in right_run]
+        elif i == n:
+            targets = [(l, full)]
+        elif i == n + 1:
+            targets = [(t, full) for t in left_run]
+            targets += [(behind, range(1, n))]
+        elif i == n + 2:
+            targets = [(behind, range(n, n + 2))]
         else:
-            # Mirror image: the reversed row sends slot i where the straight
-            # row sends slot 2n-i, with left/right roles swapped.
-            if i <= n - 3:
-                targets = [(behind, range(s - i, s - i + 1))]
-            elif i == n - 2:
-                targets = [(behind, range(n, n + 2))]
-            elif i == n - 1:
-                targets = [(behind, range(1, n))]
-                targets += [(t, full) for t in left_run]
-            elif i == n:
-                targets = [(l, full)]
-            elif i == n + 1:
-                targets = [(ahead, range(n + 1, s + 1))]
-                targets += [(t, full) for t in right_run]
-            elif i == n + 2:
-                targets = [(ahead, range(n - 1, n + 1))]
-            else:
-                targets = [(ahead, range(s + 2 - i, s + 3 - i))]
+            targets = [(behind, range(i - 1, i))]
         out.append(targets)
-    return out
+    return out[::-1] if reversed_row else out
 
 
 def build_markov_from_images(spec: PresentationSpec) -> IntMatrix:

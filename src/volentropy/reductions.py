@@ -81,11 +81,10 @@ def is_block_circulant(view: BlockView) -> bool:
 
 
 def sum_first_block_row(view: BlockView) -> IntMatrix:
-    """Sum of the blocks of the first block row."""
-    acc = IntMatrix.zeros(view.block_size)
-    for blk in view.block_row(1):
-        acc = acc + blk
-    return acc
+    """Sum of the blocks of the first block row: column j sums every s-th entry from j."""
+    s = view.block_size
+    rows = view.matrix.rows[:s]
+    return IntMatrix._from_rows(tuple(tuple(sum(row[j::s]) for j in range(s)) for row in rows))
 
 
 def is_disoriented_block_circulant(view: BlockView) -> tuple[bool, IntMatrix | None]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import IntMatrix, IntPolynomial, LaurentPolynomial
+from .core import IntMatrix, IntPolynomial, LaurentPolynomial, _ints
 
 __all__ = [
     "RomeSpec",
@@ -38,7 +38,7 @@ class RomeSpec:
     nodes: tuple[int, ...]
 
     def __init__(self, nodes):
-        object.__setattr__(self, "nodes", tuple(sorted(set(int(v) for v in nodes))))
+        object.__setattr__(self, "nodes", tuple(sorted(set(_ints(nodes)))))
         if any(v < 1 for v in self.nodes):
             raise ValueError(f"rome nodes must be >= 1, got {self.nodes}")
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -141,6 +142,16 @@ def test_build_matrix_past_the_size_cap_exits_1_before_building(
     with pytest.raises(ValueError) as exc:
         getattr(reductions, builder)(n)
     assert captured.err == f"error: {exc.value}\n"
+
+
+def test_size_cap_message_points_at_routes_that_reach_the_refused_rank(capsys):
+    # Rank 3200 is past the reduced builders' cap and far past the table's:
+    # the message offers lambda_n for any rank and the table only up to its cap.
+    code = main(["build-matrix", "--n", "3200", "--which", "compacted"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "`lambda_n` gives the growth rate exactly without a matrix at any rank" in err
+    assert f"`volentropy table` up to rank {entropy._MAX_TABLE_RANK}" in err
 
 
 # =====================================================================
@@ -636,6 +647,24 @@ def test_entropy_past_the_matrix_rank_cap_exits_1_before_building(fmt, capsys):
     assert captured.err.startswith("error:")
     assert "volentropy table" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+@pytest.mark.parametrize(
+    "flags, env", [(["-O"], {}), ([], {"PYTHONOPTIMIZE": "1"})], ids=["-O", "PYTHONOPTIMIZE"]
+)
+def test_verify_refuses_to_run_with_its_asserts_stripped(flags, env, fmt):
+    # Under python -O every assert is gone, so each check would read PASS.
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "volentropy", "verify", "--n-max", "3", "--format", fmt],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, **env},
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "-O strips" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_routes_run_without_numpy():

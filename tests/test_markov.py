@@ -39,6 +39,14 @@ def test_spec_validation():
     assert PresentationSpec(3, True, formal=True).n == 3
 
 
+def test_spec_rank_must_be_an_integer():
+    assert PresentationSpec(4.0, False) == PresentationSpec(4, False)
+    assert type(PresentationSpec(4.0, False).n) is int
+    for bad in (4.5, "4"):
+        with pytest.raises(ValueError, match=repr(bad)):
+            PresentationSpec(bad, False)
+
+
 def test_spec_derived_sizes():
     sp = PresentationSpec(4, True)
     assert sp.block_size == 7
@@ -255,6 +263,20 @@ def test_operator_equals_the_dense_blocks_product(n, orientable):
     # entries of v it selects.
     assert min(map(min, m.rows)) == 0 and max(map(max, m.rows)) == 1
     assert op.apply(v) == [sum(compress(v, row)) for row in m.rows]
+
+
+@pytest.mark.parametrize("build", [build_markov_from_images, build_markov_from_blocks])
+@pytest.mark.parametrize("n", range(3, 17))
+def test_flip_reverses_the_rows_of_block_rows_n_and_2n(build, n):
+    # J on every block of a row reverses the block row's rows; the rest of
+    # the non-orientable matrix is the orientable template's.
+    s = 2 * n - 1
+    minus = build(PresentationSpec(n, False)).rows
+    plus = build(spec_any(n, True)).rows
+    for l in range(1, 2 * n + 1):
+        straight = plus[(l - 1) * s : l * s]
+        expected = straight[::-1] if l in (n, 2 * n) else straight
+        assert minus[(l - 1) * s : l * s] == expected, l
 
 
 def test_operator_keeps_the_rank_cap_without_claiming_a_dense_build():

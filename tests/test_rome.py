@@ -151,6 +151,12 @@ def test_rome_spec_normalizes():
     assert len(RomeSpec((5,))) == 1
 
 
+def test_rome_spec_nodes_must_be_integers():
+    assert RomeSpec((2.0, 1)) == RomeSpec((1, 2))
+    with pytest.raises(ValueError, match="1.5"):
+        RomeSpec((1.5, 2))
+
+
 # ---------------------------------------------------------------- paths
 
 SC3_PATHS = {

@@ -123,8 +123,8 @@ def test_power_iteration_validation():
 
 
 def test_exact_routes_do_not_load_numpy():
-    # numpy is imported by power iteration alone; a table of certified roots
-    # must not pay for loading it.
+    # No volentropy module imports numpy; a table of certified roots must
+    # not start paying for loading it.
     code = (
         "import sys, volentropy; volentropy.entropy_table(3, 40); "
         "assert 'numpy' not in sys.modules, 'numpy was imported'"
