@@ -38,7 +38,9 @@ from .entropy import EntropyReport, _bounds_hold, _lower_bound, volume_entropy, 
 from .markov import (
     PresentationSpec,
     TransitionOperator,
+    _block_masks,
     _check_matrix_rank,
+    _image_masks,
     build_markov_from_blocks,
     build_markov_from_images,
     reference_rows,
@@ -219,10 +221,12 @@ def _check_rank(n: int, results: list[dict]) -> None:
     c, sc = compacted_matrix(n), super_compacted_matrix(n)
 
     with check("blocks-vs-images"):
+        # One shared `_from_masks` turns either route's masks into rows, so
+        # equal masks are equal matrices; the images matrix is never built.
         built = {sp: build_markov_from_blocks(sp) for sp in (plus, minus)}
-        for sp, m in built.items():
-            # Never bound to a name, the images matrix dies once compared.
-            assert build_markov_from_images(sp) == m, _first_difference(build_markov_from_images(sp), m)
+        for sp in built:
+            got, want = _image_masks(sp), _block_masks(sp)
+            assert got == want, _first_mask_difference(got, want)
 
     with check("circulant-collapse"):
         view = BlockView(built[plus], 2 * n, 2 * n - 1)
@@ -235,8 +239,9 @@ def _check_rank(n: int, results: list[dict]) -> None:
         assert ok, "reversing form not disoriented block circulant"
         assert para == built[plus], _first_difference(para, built[plus])
         assert check_J_commutation(c), "compacted matrix not centrally symmetric"
-    # No later check reads a transition matrix; the rank's peak stays blocks-vs-images.
-    del built, para
+    # The rank's memory peak is here: two transition matrices plus the
+    # parallelization.  No later check reads one, so all three go now.
+    del built, para, view
 
     if n in (3, 4):
         with check("reference-rows"):
@@ -303,6 +308,15 @@ def _first_difference(a: IntMatrix, b: IntMatrix) -> str:
             j = next(j for j, (x, y) in enumerate(zip(ra, rb)) if x != y)
             return f"first difference at ({i},{j + 1}): {ra[j]} vs {rb[j]}"
     return ""
+
+
+def _first_mask_difference(a: list[int], b: list[int]) -> str:
+    """`_first_difference` of two 0/1 matrices given as row masks (bit j is column j+1)."""
+    if len(a) != len(b):
+        return f"sizes differ: {len(a)} vs {len(b)}"
+    i, x, y = next((i, x, y) for i, (x, y) in enumerate(zip(a, b), 1) if x != y)
+    j = ((x ^ y) & -(x ^ y)).bit_length()
+    return f"first difference at ({i},{j}): {x >> (j - 1) & 1} vs {y >> (j - 1) & 1}"
 
 
 def _cmd_verify(args) -> tuple[int, str]:

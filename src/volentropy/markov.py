@@ -15,8 +15,9 @@ Two independent constructions are provided and cross-checked in the tests:
   matrix, for power iteration; `build_markov_from_blocks` reads the dense
   matrix off that operator, so the template is written once.
 
-Both routes end in one bit mask per row, which `_from_masks` alone turns into
-the 0/1 `IntMatrix`; below rank 3 and past rank 40 `core._check_matrix`
+Both routes end in one bit mask per row (`_image_masks`, `_block_masks`),
+which `_from_masks` alone turns into the 0/1 `IntMatrix`, so the routes agree
+iff their masks do; below rank 3 and past rank 40 `core._check_matrix`
 refuses them up front.
 
 For the orientation-reversing (non-orientable) presentation the block rows
@@ -241,33 +242,41 @@ def _slot_images(n: int, l: int, reversed_row: bool) -> list[list[tuple[int, ran
     return out[::-1] if reversed_row else out
 
 
-def build_markov_from_images(spec: PresentationSpec) -> IntMatrix:
-    """Transition matrix assembled slot by slot from the image description:
-    a row's mask sums one run of bits per target, and the targets are disjoint."""
+def _image_masks(spec: PresentationSpec) -> list[int]:
+    """One bit mask per row from the image description: a row's mask sums one
+    run of bits per target, and the targets are disjoint."""
     n = spec.n
     _check_matrix_rank(n)
     s = spec.block_size
     reversed_rows = _reversed_rows(spec)
-    masks = [
+    return [
         sum(((1 << len(run)) - 1) << ((t - 1) * s + run.start - 1) for t, run in targets)
         for l in range(1, spec.block_count + 1)
         for targets in _slot_images(n, l, l in reversed_rows)
     ]
-    return _from_masks(masks, spec.matrix_size)
+
+
+def build_markov_from_images(spec: PresentationSpec) -> IntMatrix:
+    """Transition matrix assembled slot by slot from the image description."""
+    return _from_masks(_image_masks(spec), spec.matrix_size)
 
 
 # =====================================================================
 # Route 2: circulant block template
 # =====================================================================
 
-def build_markov_from_blocks(spec: PresentationSpec) -> IntMatrix:
-    """Transition matrix read off `TransitionOperator` applied to the basis.
+def _block_masks(spec: PresentationSpec) -> list[int]:
+    """One bit mask per row: `TransitionOperator` applied to the basis.
 
     Column j goes in as the bit 1 << j.  M is 0/1 and each row sums distinct
     columns, so no sum carries: output i is the bit mask of row i's support.
     """
-    size = spec.matrix_size
-    return _from_masks(TransitionOperator(spec).apply([1 << j for j in range(size)]), size)
+    return TransitionOperator(spec).apply([1 << j for j in range(spec.matrix_size)])
+
+
+def build_markov_from_blocks(spec: PresentationSpec) -> IntMatrix:
+    """Transition matrix read off `TransitionOperator` applied to the basis."""
+    return _from_masks(_block_masks(spec), spec.matrix_size)
 
 
 class TransitionOperator:

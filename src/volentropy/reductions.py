@@ -70,14 +70,22 @@ class BlockView:
             tuple(row[base_c : base_c + s] for row in self.matrix.rows[base_r : base_r + s])
         )
 
-    def block_row(self, i: int) -> list[IntMatrix]:
-        return [self.block(i, j) for j in range(1, self.block_count + 1)]
+
+def _circulant_block_rows(view: BlockView):
+    """(b, the block row starting at row b of the plain circulant matrix that
+    the first block row generates): each first-block row rotated right by b
+    columns, read as one slice of that row written twice."""
+    s, size = view.block_size, view.matrix.size
+    doubled = [f + f for f in view.matrix.rows[:s]]
+    for b in range(0, size, s):
+        yield b, tuple(ff[size - b : 2 * size - b] for ff in doubled)
 
 
 def is_block_circulant(view: BlockView) -> bool:
-    """True iff block (i, j) depends only on (j - i) mod block_count."""
-    ok, parallel = is_disoriented_block_circulant(view)
-    return ok and parallel == view.matrix
+    """True iff block (i, j) depends only on (j - i) mod block_count, checked
+    in place: no parallel matrix is built."""
+    rows, s = view.matrix.rows, view.block_size
+    return all(rows[b : b + s] == straight for b, straight in _circulant_block_rows(view))
 
 
 def sum_first_block_row(view: BlockView) -> IntMatrix:
@@ -96,15 +104,12 @@ def is_disoriented_block_circulant(view: BlockView) -> tuple[bool, IntMatrix | N
     Returns (True, parallelization) where the parallelization is that plain
     circulant matrix, or (False, None).
 
-    Both cases compare whole rows.  Block row i of the circulant matrix is
-    the first block row with each row rotated right by (i-1)*s columns, and
-    applying J to every block of a block row reverses the order of its s rows.
+    Both cases compare whole rows: applying J to every block of a block row
+    reverses the order of its s rows.
     """
-    s = view.block_size
-    rows = view.matrix.rows
+    rows, s = view.matrix.rows, view.block_size
     parallel: list[tuple[int, ...]] = []
-    for b in range(0, len(rows), s):
-        straight = tuple(row[-b:] + row[:-b] for row in rows[:s])  # b = 0: unrotated
+    for b, straight in _circulant_block_rows(view):
         if rows[b : b + s] not in (straight, straight[::-1]):
             return False, None
         parallel.extend(straight)

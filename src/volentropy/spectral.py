@@ -114,16 +114,22 @@ def char_poly_exact(m: IntMatrix) -> IntPolynomial:
     Faddeev-LeVerrier recurrence; every division is exact for integer input,
     and Python integers keep the intermediate traces exact at any size.  Row i
     of m * acc sums rows of acc over the nonzero m[i][j]: O(nnz * k), not k^3.
+    A unit weight adds its row of acc unscaled, and a row with one nonzero
+    copies (or scales) that row of acc with no column sum.
     """
     k = m.size
     nonzero = m.nonzeros()
     coeffs = [0] * k + [1]
     acc = [[int(i == j) for j in range(k)] for i in range(k)]
+
+    def product_row(cols: tuple[int, ...], vals: tuple[int, ...]) -> list[int]:
+        terms = [acc[j] if c == 1 else [c * x for x in acc[j]] for j, c in zip(cols, vals)]
+        if len(terms) == 1:
+            return terms[0][:]  # a copy: the trace shift below writes rows in place
+        return list(map(sum, zip(*terms))) or [0] * k
+
     for step in range(1, k + 1):
-        acc = [
-            list(map(sum, zip(*([c * x for x in acc[j]] for j, c in zip(cols, vals))))) or [0] * k
-            for cols, vals in nonzero
-        ]
+        acc = [product_row(cols, vals) for cols, vals in nonzero]
         q, r = divmod(sum(row[i] for i, row in enumerate(acc)), step)
         assert r == 0, "Faddeev-LeVerrier trace must divide exactly"
         coeffs[k - step] = -q

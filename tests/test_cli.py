@@ -18,6 +18,7 @@ import tracemalloc
 from collections import Counter
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 import volentropy
 from volentropy import cli, entropy, markov, reductions
@@ -364,6 +365,38 @@ def test_rome_charpoly_needs_an_irreducible_supercompacted_matrix(monkeypatch):
     assert row["detail"] == "supercompacted matrix is not irreducible"
 
 
+@pytest.mark.parametrize(
+    "n, row, col, images, blocks",
+    [(3, 1, 22, 0, 1), (3, 30, 1, 1, 0), (5, 13, 8, 0, 1), (5, 90, 90, 1, 0)],
+)
+def test_blocks_vs_images_catches_a_one_cell_route_disagreement(
+    n, row, col, images, blocks, monkeypatch
+):
+    # The images route's masks with one bit flipped, through the name verify
+    # calls: blocks-vs-images fails at that 1-based cell of the first spec
+    # (the orientable form), and no other check's row changes.
+    clean: list[dict] = []
+    cli._check_rank(n, clean)
+    real = cli._image_masks
+
+    def flipped(spec):
+        masks = real(spec)
+        masks[row - 1] ^= 1 << (col - 1)
+        return masks
+
+    monkeypatch.setattr(cli, "_image_masks", flipped)
+    tampered: list[dict] = []
+    cli._check_rank(n, tampered)
+    assert all(r["pass"] for r in clean)
+    for before, after in zip(clean, tampered, strict=True):
+        assert after["check"] == before["check"]
+        if after["check"] == "blocks-vs-images":
+            assert after["pass"] is False
+            assert after["detail"] == f"first difference at ({row},{col}): {images} vs {blocks}"
+        else:
+            assert (after["pass"], after["detail"]) == (before["pass"], before["detail"])
+
+
 def test_verify_with_a_failing_check_exits_1(monkeypatch, capsys):
     _tamper_compacted(monkeypatch)
     code = main(["verify", "--n-max", "3"])
@@ -408,10 +441,22 @@ def test_first_difference_reports_1_based_position():
     assert _first_difference(a, a) == ""
 
 
+@given(st.data())
+def test_mask_difference_reads_like_the_matrix_difference(data):
+    # Row i is the first unequal mask, column j the lowest set bit of the XOR.
+    size = data.draw(st.integers(1, 12))
+    masks = st.lists(st.integers(0, (1 << size) - 1), min_size=size, max_size=size)
+    a, b = data.draw(masks), data.draw(masks)
+    assume(a != b)
+    got = cli._first_mask_difference(a, b)
+    assert got == _first_difference(markov._from_masks(a, size), markov._from_masks(b, size))
+
+
 def test_first_difference_reports_size_mismatch():
     assert _first_difference(IntMatrix.identity(2), IntMatrix.identity(3)) == (
         "sizes differ: 2 vs 3"
     )
+    assert cli._first_mask_difference([1, 2], [1, 2, 4]) == "sizes differ: 2 vs 3"
 
 
 # =====================================================================
@@ -556,11 +601,11 @@ def test_verify_builds_each_closed_form_once_per_rank(monkeypatch):
 
 def test_verify_peak_memory_stays_at_three_transition_matrices():
     # Measured with tracemalloc at --n-max 12, in units of one rank-12
-    # transition matrix (552x552, 2.46 MB traced): the battery peaks at 3.40
-    # when each check is its own closure and 3.41 with the per-rank pass (the
-    # closed forms live from the top of the rank), both while blocks-vs-images
-    # holds two blocks-route matrices and one images-route matrix.  Keeping
-    # rank n-1's matrices alive while rank n builds its own reads 5.49.
+    # transition matrix (552x552, 2.46 MB traced): the battery peaks at 3.27,
+    # in disoriented-collapse, which holds the two blocks-route matrices and
+    # the parallelization.  blocks-vs-images compares the images route on its
+    # row masks, so it holds only the two blocks-route matrices (2.24).
+    # Keeping rank n-1's matrices alive while rank n builds its own read 5.49.
     tracemalloc.start()
     try:
         one = build_markov_from_blocks(PresentationSpec(12, False))

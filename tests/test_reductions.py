@@ -165,27 +165,41 @@ def reference_circulant(view: BlockView) -> bool:
     )
 
 
-@given(st.data())
-def test_circulant_pass_matches_block_by_block_reference(data):
-    r = data.draw(st.integers(1, 4))
-    s = data.draw(st.integers(1, 3))
+@st.composite
+def disoriented_views(draw) -> BlockView:
+    # Block row i is the first block row rotated i blocks, flipped by J when
+    # flips[i] is set; sometimes one cell is perturbed, so every answer occurs.
+    r = draw(st.integers(1, 4))
+    s = draw(st.integers(1, 4))
     # Entries from {0, 1, 2} so that palindromic and repeated blocks occur.
     row = st.lists(st.integers(0, 2), min_size=s, max_size=s)
     block = st.lists(row, min_size=s, max_size=s)
-    blocks = data.draw(st.lists(block, min_size=r, max_size=r))
-    flips = data.draw(st.lists(st.booleans(), min_size=r, max_size=r))
+    blocks = draw(st.lists(block, min_size=r, max_size=r))
+    flips = draw(st.lists(st.booleans(), min_size=r, max_size=r))
     rows = []
     for i in range(r):
         row_blocks = [blocks[(j - i) % r] for j in range(r)]
         if flips[i]:
             row_blocks = [blk[::-1] for blk in row_blocks]
         rows += [[v for blk in row_blocks for v in blk[a]] for a in range(s)]
-    if data.draw(st.booleans()):
-        a, b = data.draw(st.integers(0, r * s - 1)), data.draw(st.integers(0, r * s - 1))
-        rows[a][b] += data.draw(st.sampled_from([-1, 1, 3]))
-    view = BlockView(IntMatrix(rows), r, s)
+    if draw(st.booleans()):
+        a, b = draw(st.integers(0, r * s - 1)), draw(st.integers(0, r * s - 1))
+        rows[a][b] += draw(st.sampled_from([-1, 1, 3]))
+    return BlockView(IntMatrix(rows), r, s)
+
+
+@given(disoriented_views())
+def test_circulant_pass_matches_block_by_block_reference(view):
     assert is_disoriented_block_circulant(view) == reference_disoriented(view)
     assert is_block_circulant(view) == reference_circulant(view)
+
+
+@given(disoriented_views())
+def test_in_place_circulance_matches_the_parallelization(view):
+    # The former definition: disoriented block circulant, with the plain
+    # circulant parallelization equal to the matrix itself.
+    ok, para = is_disoriented_block_circulant(view)
+    assert is_block_circulant(view) == (ok and para == view.matrix)
 
 
 def test_check_J_commutation():

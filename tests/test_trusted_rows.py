@@ -77,7 +77,8 @@ def test_blocks_are_canonical(data):
     m = data.draw(square_rows(r * s).map(IntMatrix))
     view = BlockView(m, r, s)
     for i in range(1, r + 1):
-        for blk in view.block_row(i):
+        for j in range(1, r + 1):
+            blk = view.block(i, j)
             assert blk.size == s
             assert_canonical(blk)
 
