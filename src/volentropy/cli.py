@@ -49,10 +49,10 @@ from .reductions import (
     BlockView,
     compacted_matrix,
     divided_compacted_matrix,
-    is_block_circulant,
-    is_disoriented_block_circulant,
+    is_block_circulant_masks,
+    is_disoriented_block_circulant_masks,
     check_J_commutation,
-    sum_first_block_row,
+    sum_first_block_row_masks,
     super_compacted_matrix,
 )
 from .rome import RomeSpec, q_polynomial, rome_char_poly, rome_check
@@ -215,33 +215,35 @@ def _check(results: list[dict], n: int, name: str):
 
 
 def _check_rank(n: int, results: list[dict]) -> None:
-    """Every check of rank n, in run order, sharing the rank's matrices as locals."""
+    """Every check of rank n, in run order, sharing the rank's matrices, masks and report."""
     check = partial(_check, results, n)
     plus, minus = PresentationSpec(n, True, formal=True), PresentationSpec(n, False)
+    s = 2 * n - 1
     c, sc = compacted_matrix(n), super_compacted_matrix(n)
 
     with check("blocks-vs-images"):
-        # One shared `_from_masks` turns either route's masks into rows, so
-        # equal masks are equal matrices; the images matrix is never built.
-        built = {sp: build_markov_from_blocks(sp) for sp in (plus, minus)}
-        for sp in built:
-            got, want = _image_masks(sp), _block_masks(sp)
+        # markov-power's operator on the bit basis against the independent images route.
+        masks = {sp: _block_masks(sp) for sp in (plus, minus)}
+        for sp, want in masks.items():
+            got = _image_masks(sp)
             assert got == want, _first_mask_difference(got, want)
 
     with check("circulant-collapse"):
-        view = BlockView(built[plus], 2 * n, 2 * n - 1)
-        assert is_block_circulant(view), "orientation-preserving form not circulant"
-        got = sum_first_block_row(view)
+        circulant = is_block_circulant_masks(masks[plus], s)
+        assert circulant, "orientation-preserving form not circulant"
+        got = sum_first_block_row_masks(masks[plus], s)
         assert got == c, _first_difference(got, c)
 
     with check("disoriented-collapse"):
-        ok, para = is_disoriented_block_circulant(BlockView(built[minus], 2 * n, 2 * n - 1))
-        assert ok, "reversing form not disoriented block circulant"
-        assert para == built[plus], _first_difference(para, built[plus])
+        assert is_disoriented_block_circulant_masks(masks[minus], s), (
+            "reversing form not disoriented block circulant"
+        )
+        # The parallelization is circulant, so it equals the orientable
+        # matrix iff that is circulant too and the first block rows agree.
+        assert circulant, "orientation-preserving form not circulant"
+        got, want = masks[minus][:s], masks[plus][:s]
+        assert got == want, _first_mask_difference(got, want)
         assert check_J_commutation(c), "compacted matrix not centrally symmetric"
-    # The rank's memory peak is here: two transition matrices plus the
-    # parallelization.  No later check reads one, so all three go now.
-    del built, para, view
 
     if n in (3, 4):
         with check("reference-rows"):
@@ -254,16 +256,22 @@ def _check_rank(n: int, results: list[dict]) -> None:
                 got = [list(row) for row in m.rows[: len(ref)]]
                 assert got == ref, "built rows differ from the frozen reference"
 
+    report = None
+    with check("route-consensus"):
+        report = volume_entropy(minus)
+        assert report.consistent and report.agreement <= 1e-7, f"routes spread {report.agreement:.3e}"
+
     with check("spectral-collapse"):
         # Perron-Frobenius: irreducible, so the growth rate is the spectral radius.
         assert is_irreducible(c), "compacted matrix is not irreducible"
-        target = power_iteration(c).value
-        for sp in (plus, minus):
-            est = power_iteration(TransitionOperator(sp))
-            assert est.converged, f"power iteration did not converge for {sp}"
-            assert abs(est.value - target) <= 1e-7, (
-                f"spectral radius gap {abs(est.value - target):.3e}"
-            )
+        assert report is not None, "no entropy report: route-consensus failed"
+        # The report iterated c and the non-orientable operator at the default tol.
+        est = power_iteration(TransitionOperator(plus))
+        assert est.converged, f"power iteration did not converge for {plus}"
+        assert report.consistent, f"power iteration did not converge for {minus}, or routes disagree"
+        target = report.routes["compacted-power"]
+        for value in (est.value, report.routes["markov-power"]):
+            assert abs(value - target) <= 1e-7, f"spectral radius gap {abs(value - target):.3e}"
 
     with check("spectrum-split"):
         dc = divided_compacted_matrix(n)
@@ -293,11 +301,6 @@ def _check_rank(n: int, results: list[dict]) -> None:
 
     with check("root-bounds"):
         assert _bounds_hold(n), "bracket signs wrong at the exact bounds"
-
-    with check("route-consensus"):
-        report = volume_entropy(minus)
-        assert report.consistent, f"routes spread {report.agreement:.3e}"
-        assert report.agreement <= 1e-7, f"routes spread {report.agreement:.3e}"
 
 
 def _first_difference(a: IntMatrix, b: IntMatrix) -> str:

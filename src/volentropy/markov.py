@@ -17,8 +17,8 @@ Two independent constructions are provided and cross-checked in the tests:
 
 Both routes end in one bit mask per row (`_image_masks`, `_block_masks`),
 which `_from_masks` alone turns into the 0/1 `IntMatrix`, so the routes agree
-iff their masks do; below rank 3 and past rank 40 `core._check_matrix`
-refuses them up front.
+iff their masks do; `verify` compares and collapses the masks themselves.
+`core._check_matrix` refuses ranks below 3 and past 40 up front.
 
 For the orientation-reversing (non-orientable) presentation the block rows
 at positions n and 2n act with reversed orientation: every block in those

@@ -7,7 +7,8 @@ preserving the spectral radius:
    orientation-preserving matrix gives the (2n-1) x (2n-1) compacted matrix;
    the non-orientable matrix is *disoriented* block circulant (each block row
    is the circulant template row, possibly flipped by J) and collapses to the
-   same compacted matrix.
+   same compacted matrix.  The `*_masks` forms read both off one bit mask a
+   row (`markov._block_masks`) by rotations and popcounts, with no matrix.
 2. column doubling: splitting the middle column of the compacted matrix gives
    the 2n x 2n divided compacted matrix, whose spectrum adds only a simple
    eigenvalue 1.
@@ -29,9 +30,10 @@ from .core import IntMatrix, _check_matrix
 
 __all__ = [
     "BlockView",
-    "is_block_circulant",
     "sum_first_block_row",
-    "is_disoriented_block_circulant",
+    "is_block_circulant_masks",
+    "is_disoriented_block_circulant_masks",
+    "sum_first_block_row_masks",
     "check_J_commutation",
     "compacted_matrix",
     "divided_compacted_matrix",
@@ -71,23 +73,6 @@ class BlockView:
         )
 
 
-def _circulant_block_rows(view: BlockView):
-    """(b, the block row starting at row b of the plain circulant matrix that
-    the first block row generates): each first-block row rotated right by b
-    columns, read as one slice of that row written twice."""
-    s, size = view.block_size, view.matrix.size
-    doubled = [f + f for f in view.matrix.rows[:s]]
-    for b in range(0, size, s):
-        yield b, tuple(ff[size - b : 2 * size - b] for ff in doubled)
-
-
-def is_block_circulant(view: BlockView) -> bool:
-    """True iff block (i, j) depends only on (j - i) mod block_count, checked
-    in place: no parallel matrix is built."""
-    rows, s = view.matrix.rows, view.block_size
-    return all(rows[b : b + s] == straight for b, straight in _circulant_block_rows(view))
-
-
 def sum_first_block_row(view: BlockView) -> IntMatrix:
     """Sum of the blocks of the first block row: column j sums every s-th entry from j."""
     s = view.block_size
@@ -95,25 +80,36 @@ def sum_first_block_row(view: BlockView) -> IntMatrix:
     return IntMatrix._from_rows(tuple(tuple(sum(row[j::s]) for j in range(s)) for row in rows))
 
 
-def is_disoriented_block_circulant(view: BlockView) -> tuple[bool, IntMatrix | None]:
-    """Detect a block-circulant matrix with some rows flipped by J.
+def _rotated_block_rows(masks: list[int], s: int):
+    """(block row b, the first block row rotated to row b) for each block row
+    of the 0/1 matrix whose entry (i+1, j+1) is bit j of masks[i]: block row b
+    of the plain circulant matrix that the first block row generates has each
+    first-block mask rotated left by b bits in N = len(masks) bits."""
+    size, full = len(masks), (1 << len(masks)) - 1
+    for b in range(0, size, s):
+        yield masks[b : b + s], [(f << b | f >> (size - b)) & full for f in masks[:s]]
 
-    A matrix is *disoriented* block circulant when every block row i equals
-    the i-th block row of the circulant matrix generated by the first block
-    row, either exactly or with every block premultiplied by the flip J.
-    Returns (True, parallelization) where the parallelization is that plain
-    circulant matrix, or (False, None).
 
-    Both cases compare whole rows: applying J to every block of a block row
-    reverses the order of its s rows.
-    """
-    rows, s = view.matrix.rows, view.block_size
-    parallel: list[tuple[int, ...]] = []
-    for b, straight in _circulant_block_rows(view):
-        if rows[b : b + s] not in (straight, straight[::-1]):
-            return False, None
-        parallel.extend(straight)
-    return True, IntMatrix._from_rows(tuple(parallel))
+def is_block_circulant_masks(masks: list[int], s: int) -> bool:
+    """True iff block (i, j) depends only on (j - i) mod the block count."""
+    return all(got == rotated for got, rotated in _rotated_block_rows(masks, s))
+
+
+def is_disoriented_block_circulant_masks(masks: list[int], s: int) -> bool:
+    """True iff every block row is that of the plain circulant matrix the
+    first block row generates, either exactly or with every block
+    premultiplied by the flip J, which reverses the order of its s rows.
+    That plain circulant matrix is the parallelization."""
+    return all(got in (rotated, rotated[::-1]) for got, rotated in _rotated_block_rows(masks, s))
+
+
+def sum_first_block_row_masks(masks: list[int], s: int) -> IntMatrix:
+    """`sum_first_block_row` from masks: entry (i, j) counts the bits of mask i
+    at columns j, j+s, j+2s, ...."""
+    stride = sum(1 << k for k in range(0, len(masks), s))
+    return IntMatrix._from_rows(
+        tuple(tuple((f & stride << j).bit_count() for j in range(s)) for f in masks[:s])
+    )
 
 
 def check_J_commutation(m: IntMatrix) -> bool:

@@ -1,4 +1,5 @@
-"""Make a bare `python -m pytest` work from a source checkout.
+"""Make a bare `python -m pytest` work from a source checkout, and share the
+images-route product with the operator tests.
 
 `pythonpath = ["src"]` in pyproject.toml reaches the pytest process only; the
 tests that start `python -m volentropy` in a subprocess need `src` on
@@ -6,9 +7,39 @@ PYTHONPATH as well.
 """
 
 import os
+import re
 from pathlib import Path
+
+import pytest
+
+from volentropy.markov import _image_masks
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 _paths = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
 if _SRC not in map(os.path.abspath, _paths):
     os.environ["PYTHONPATH"] = os.pathsep.join([_SRC, *_paths])
+
+
+class ImageRows:
+    """The images-route transition matrix as a product v -> M v, with no
+    dense matrix built (6320² cells at n = 40).
+
+    Row i sums v over the set bits of `markov._image_masks(spec)[i]` in
+    ascending columns, the order in which power iteration's sparse-row pass
+    sums a row of the 0/1 `IntMatrix`, so the two agree bit for bit.
+    """
+
+    def __init__(self, spec):
+        self.size = spec.matrix_size
+        self.masks = _image_masks(spec)
+        self._columns = [[m.start() for m in re.finditer("1", bin(x)[:1:-1])] for x in self.masks]
+
+    def apply(self, v: list) -> list:
+        at = v.__getitem__
+        return [sum(map(at, cols)) for cols in self._columns]
+
+
+@pytest.fixture
+def image_rows():
+    """`ImageRows`, the images-route product of a presentation spec."""
+    return ImageRows

@@ -8,6 +8,7 @@ the ``python -m`` wiring.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -397,6 +398,135 @@ def test_blocks_vs_images_catches_a_one_cell_route_disagreement(
             assert (after["pass"], after["detail"]) == (before["pass"], before["detail"])
 
 
+def _tamper_masks(monkeypatch, orientable: bool, tamper) -> None:
+    # Both routes' masks of the specs of one orientability, through the names
+    # verify calls, tampered alike: blocks-vs-images still passes.
+    for name in ("_block_masks", "_image_masks"):
+        real = getattr(cli, name)
+
+        def tampered(spec, real=real):
+            masks = real(spec)
+            if spec.orientable == orientable:
+                tamper(spec, masks)
+            return masks
+
+        monkeypatch.setattr(cli, name, tampered)
+
+
+@pytest.mark.parametrize("n, row, col", [(3, 6, 1), (3, 30, 30), (5, 40, 17)])
+def test_circulant_collapse_catches_a_bit_flipped_past_the_first_block_row(
+    n, row, col, monkeypatch
+):
+    # The orientable masks with one bit flipped at a 1-based cell outside the
+    # first block row: the first block row still sums to the compacted matrix,
+    # but the form is no longer circulant, so the non-orientable form's
+    # parallelization cannot equal it either.  No other check's row changes.
+    clean: list[dict] = []
+    cli._check_rank(n, clean)
+
+    def flip(spec, masks):
+        masks[row - 1] ^= 1 << (col - 1)
+
+    _tamper_masks(monkeypatch, True, flip)
+    tampered: list[dict] = []
+    cli._check_rank(n, tampered)
+    failing = ("circulant-collapse", "disoriented-collapse")
+    for before, after in zip(clean, tampered, strict=True):
+        assert after["check"] == before["check"]
+        if after["check"] in failing:
+            assert after["pass"] is False
+            assert after["detail"] == "orientation-preserving form not circulant"
+        else:
+            assert (after["pass"], after["detail"]) == (True, "")
+
+
+@pytest.mark.parametrize("n, row, col", [(3, 1, 1), (4, 3, 20), (6, 11, 60)])
+def test_disoriented_collapse_reports_where_the_first_block_rows_differ(
+    n, row, col, monkeypatch
+):
+    # The orientable masks with one bit flipped at the same place in every
+    # block row: still circulant, but with another first block row, so the
+    # non-orientable form's parallelization differs from it at that cell.
+    s, size = 2 * n - 1, 2 * n * (2 * n - 1)
+    before = cli._block_masks(PresentationSpec(n, False))[row - 1] >> (col - 1) & 1
+
+    def flip_every_block_row(spec, masks):
+        for b in range(0, size, s):
+            masks[b + row - 1] ^= 1 << (col - 1 + b) % size
+
+    _tamper_masks(monkeypatch, True, flip_every_block_row)
+    rows: list[dict] = []
+    cli._check_rank(n, rows)
+    failed = {r["check"]: r["detail"] for r in rows if not r["pass"]}
+    assert set(failed) == {"circulant-collapse", "disoriented-collapse"}
+    assert failed["circulant-collapse"].startswith(f"first difference at ({row},")
+    assert failed["disoriented-collapse"] == (
+        f"first difference at ({row},{col}): {before} vs {1 - before}"
+    )
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_disoriented_collapse_catches_two_rows_swapped_in_a_reversed_block_row(
+    n, monkeypatch
+):
+    # Block row n of the non-orientable form is reversed by J; with two of its
+    # rows swapped it is neither the rotated first block row nor its reverse.
+    s = 2 * n - 1
+    a, b = (n - 1) * s, (n - 1) * s + 2
+    masks = cli._block_masks(PresentationSpec(n, False))
+    assert masks[a] != masks[b]
+
+    def swap(spec, masks):
+        masks[a], masks[b] = masks[b], masks[a]
+
+    _tamper_masks(monkeypatch, False, swap)
+    rows: list[dict] = []
+    cli._check_rank(n, rows)
+    results = {row["check"]: row for row in rows}
+    assert results["blocks-vs-images"]["pass"] is True
+    assert results["circulant-collapse"]["pass"] is True
+    assert results["disoriented-collapse"]["pass"] is False
+    assert results["disoriented-collapse"]["detail"] == (
+        "reversing form not disoriented block circulant"
+    )
+
+
+@pytest.mark.parametrize("route", ["markov-power", "compacted-power"])
+def test_spectral_collapse_reads_the_power_routes_of_the_entropy_report(route, monkeypatch):
+    # One power route of the report moved by 1e-5, the report still calling
+    # itself consistent: route-consensus passes, spectral-collapse sees the gap.
+    real = cli.volume_entropy
+
+    def shifted(spec, tol=1e-10):
+        report = real(spec, tol)
+        return dataclasses.replace(report, routes={**report.routes, route: report.routes[route] + 1e-5})
+
+    monkeypatch.setattr(cli, "volume_entropy", shifted)
+    results = {row["check"]: row for row in cli._run_battery(3)}
+    failed = {name: row["detail"] for name, row in results.items() if not row["pass"]}
+    assert list(failed) == ["spectral-collapse"]
+    assert failed["spectral-collapse"] == "spectral radius gap 1.000e-05"
+
+
+def test_an_assertion_inside_volume_entropy_fails_the_rows_that_read_it(monkeypatch, capsys):
+    # route-consensus and spectral-collapse both read the one report; with no
+    # report both FAIL, and verify prints its table instead of a traceback.
+    def failing(spec, tol=1e-10):
+        raise AssertionError("routes broke")
+
+    monkeypatch.setattr(cli, "volume_entropy", failing)
+    results = {row["check"]: row for row in cli._run_battery(3)}
+    failed = {name: row["detail"] for name, row in results.items() if not row["pass"]}
+    assert failed == {
+        "route-consensus": "routes broke",
+        "spectral-collapse": "no entropy report: route-consensus failed",
+    }
+    assert main(["verify", "--n-max", "3"]) == 1
+    lines = capsys.readouterr().out.rstrip("\n").splitlines()
+    assert lines[-1] == "CHECKS FAILED (10 run)"
+    assert sum(line.startswith("FAIL") for line in lines) == 2
+
+
 def test_verify_with_a_failing_check_exits_1(monkeypatch, capsys):
     _tamper_compacted(monkeypatch)
     code = main(["verify", "--n-max", "3"])
@@ -568,12 +698,22 @@ def test_volume_entropy_builds_no_dense_matrix(monkeypatch):
     assert calls == []
 
 
-def test_verify_builds_each_blocks_matrix_once_per_rank(monkeypatch):
-    # Counted in every module, route-consensus included: 16 builds at
-    # --n-max 10, one per spec.
-    calls = _count_blocks_builds(monkeypatch)
+def test_verify_builds_no_blocks_matrix_and_each_blocks_mask_list_once(monkeypatch):
+    # The collapse checks read the blocks route's row masks, built once per
+    # spec in blocks-vs-images: 16 mask lists at --n-max 10 and, counted in
+    # every module, route-consensus included, no blocks-route matrix.
+    builds = _count_blocks_builds(monkeypatch)
+    calls = []
+    real = cli._block_masks
+
+    def counting(spec):
+        calls.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(cli, "_block_masks", counting)
     results = cli._run_battery(10)
     assert all(row["pass"] for row in results)
+    assert builds == []
     assert Counter(spec.n for spec in calls) == {n: 2 for n in range(3, 11)}
     assert len(set(calls)) == len(calls)
 
@@ -599,13 +739,11 @@ def test_verify_builds_each_closed_form_once_per_rank(monkeypatch):
     }
 
 
-def test_verify_peak_memory_stays_at_three_transition_matrices():
+def test_verify_peak_memory_stays_below_half_a_transition_matrix():
     # Measured with tracemalloc at --n-max 12, in units of one rank-12
-    # transition matrix (552x552, 2.46 MB traced): the battery peaks at 3.27,
-    # in disoriented-collapse, which holds the two blocks-route matrices and
-    # the parallelization.  blocks-vs-images compares the images route on its
-    # row masks, so it holds only the two blocks-route matrices (2.24).
-    # Keeping rank n-1's matrices alive while rank n builds its own read 5.49.
+    # transition matrix (552x552, 2.46 MB traced): the battery peaks at 0.19.
+    # It builds no transition matrix past rank 4; the collapse checks read
+    # row masks, N bits a row.
     tracemalloc.start()
     try:
         one = build_markov_from_blocks(PresentationSpec(12, False))
@@ -620,7 +758,7 @@ def test_verify_peak_memory_stays_at_three_transition_matrices():
     finally:
         tracemalloc.stop()
     assert all(row["pass"] for row in results)
-    assert peak < 3.5 * size, peak / size
+    assert peak < 0.5 * size, peak / size
 
 
 def _csv_cell(value) -> str:

@@ -9,6 +9,7 @@ from volentropy.core import IntMatrix, IntPolynomial, _check_matrix
 from volentropy.markov import (
     BlockKind,
     PresentationSpec,
+    _block_masks,
     build_block,
     build_markov_from_blocks,
 )
@@ -16,10 +17,12 @@ from volentropy.reductions import (
     BlockView,
     check_J_commutation,
     compacted_matrix,
+    _rotated_block_rows,
     divided_compacted_matrix,
-    is_block_circulant,
-    is_disoriented_block_circulant,
+    is_block_circulant_masks,
+    is_disoriented_block_circulant_masks,
     sum_first_block_row,
+    sum_first_block_row_masks,
     super_compacted_matrix,
 )
 from volentropy.spectral import char_poly_exact
@@ -77,29 +80,34 @@ def test_block_view_extraction():
 
 # ---------------------------------------------------------------- circulant
 
+def to_masks(m: IntMatrix) -> list[int]:
+    """Row masks of a 0/1 matrix: bit j of mask i is entry (i+1, j+1)."""
+    return [sum(1 << j for j, v in enumerate(row) if v) for row in m.rows]
+
+
+def parallelization(masks: list[int], s: int) -> list[int]:
+    """The plain circulant matrix that the first block row generates."""
+    return [m for _, rotated in _rotated_block_rows(masks, s) for m in rotated]
+
+
 @pytest.mark.parametrize("n", range(3, 8))
 def test_plus_form_is_block_circulant(n):
-    m = build_markov_from_blocks(plus_form(n))
-    assert is_block_circulant(BlockView(m, 2 * n, 2 * n - 1))
+    assert is_block_circulant_masks(_block_masks(plus_form(n)), 2 * n - 1)
 
 
 def test_minus_form_is_not_block_circulant():
-    m = build_markov_from_blocks(PresentationSpec(3, False))
-    assert not is_block_circulant(BlockView(m, 6, 5))
+    assert not is_block_circulant_masks(_block_masks(PresentationSpec(3, False)), 5)
 
 
 def test_unequal_diagonal_blocks_are_not_circulant():
-    # Block diagonal diag(I, 2I): the circulant continuation of the first
-    # block row (I 0) demands I again at block (2, 2), but 2I sits there.
-    rows = [[0] * 6 for _ in range(6)]
-    for i in range(3):
-        rows[i][i] = 1
-        rows[3 + i][3 + i] = 2
-    assert not is_block_circulant(BlockView(IntMatrix(rows), 2, 3))
+    # Block diagonal diag(I, 0): the circulant continuation of the first
+    # block row (I 0) demands I again at block (2, 2), but 0 sits there.
+    rows = [[int(i == j < 3) for j in range(6)] for i in range(6)]
+    assert not is_block_circulant_masks(to_masks(IntMatrix(rows)), 3)
     # Equal diagonal blocks, by contrast, do continue the template.
-    assert is_block_circulant(BlockView(IntMatrix.identity(6), 2, 3))
+    assert is_block_circulant_masks(to_masks(IntMatrix.identity(6)), 3)
     # ...but as 1x1 blocks of size 6 it trivially is.
-    assert is_block_circulant(BlockView(IntMatrix.identity(6), 1, 6))
+    assert is_block_circulant_masks(to_masks(IntMatrix.identity(6)), 6)
 
 
 @pytest.mark.parametrize("n", range(3, 10))
@@ -116,30 +124,32 @@ def test_minus_first_block_row_sums_to_compacted(n):
     assert sum_first_block_row(BlockView(m, 2 * n, 2 * n - 1)) == compacted_matrix(n)
 
 
+@pytest.mark.parametrize("n", range(3, 10))
+@pytest.mark.parametrize("orientable", [True, False])
+def test_first_block_row_masks_sum_to_compacted(n, orientable):
+    masks = _block_masks(PresentationSpec(n, orientable, formal=True))
+    assert sum_first_block_row_masks(masks, 2 * n - 1) == compacted_matrix(n)
+
+
 # ---------------------------------------------------------------- disoriented
 
 @pytest.mark.parametrize("n", range(3, 8))
 def test_minus_form_is_disoriented_with_plus_parallelization(n):
-    m = build_markov_from_blocks(PresentationSpec(n, False))
-    ok, para = is_disoriented_block_circulant(BlockView(m, 2 * n, 2 * n - 1))
-    assert ok
-    assert para == build_markov_from_blocks(plus_form(n))
+    masks = _block_masks(PresentationSpec(n, False))
+    assert is_disoriented_block_circulant_masks(masks, 2 * n - 1)
+    assert parallelization(masks, 2 * n - 1) == _block_masks(plus_form(n))
 
 
 def test_plus_form_is_disoriented_with_itself():
-    m = build_markov_from_blocks(PresentationSpec(4, True))
-    ok, para = is_disoriented_block_circulant(BlockView(m, 8, 7))
-    assert ok
-    assert para == m
+    masks = _block_masks(PresentationSpec(4, True))
+    assert is_disoriented_block_circulant_masks(masks, 7)
+    assert parallelization(masks, 7) == masks
 
 
 def test_disoriented_rejects_scrambled_matrix():
-    m = build_markov_from_blocks(PresentationSpec(3, False))
-    rows = [list(r) for r in m.rows]
-    rows[7], rows[8] = rows[8], rows[7]  # break one block row's structure
-    ok, para = is_disoriented_block_circulant(BlockView(IntMatrix(rows), 6, 5))
-    assert not ok
-    assert para is None
+    masks = _block_masks(PresentationSpec(3, False))
+    masks[7], masks[8] = masks[8], masks[7]  # break one block row's structure
+    assert not is_disoriented_block_circulant_masks(masks, 5)
 
 
 def reference_disoriented(view: BlockView) -> tuple[bool, IntMatrix | None]:
@@ -167,12 +177,12 @@ def reference_circulant(view: BlockView) -> bool:
 
 @st.composite
 def disoriented_views(draw) -> BlockView:
-    # Block row i is the first block row rotated i blocks, flipped by J when
-    # flips[i] is set; sometimes one cell is perturbed, so every answer occurs.
+    # A 0/1 matrix whose block row i is the first block row rotated i blocks,
+    # flipped by J when flips[i] is set; sometimes one bit is flipped, so
+    # every answer occurs.  Palindromic and repeated blocks occur at small s.
     r = draw(st.integers(1, 4))
     s = draw(st.integers(1, 4))
-    # Entries from {0, 1, 2} so that palindromic and repeated blocks occur.
-    row = st.lists(st.integers(0, 2), min_size=s, max_size=s)
+    row = st.lists(st.integers(0, 1), min_size=s, max_size=s)
     block = st.lists(row, min_size=s, max_size=s)
     blocks = draw(st.lists(block, min_size=r, max_size=r))
     flips = draw(st.lists(st.booleans(), min_size=r, max_size=r))
@@ -184,22 +194,28 @@ def disoriented_views(draw) -> BlockView:
         rows += [[v for blk in row_blocks for v in blk[a]] for a in range(s)]
     if draw(st.booleans()):
         a, b = draw(st.integers(0, r * s - 1)), draw(st.integers(0, r * s - 1))
-        rows[a][b] += draw(st.sampled_from([-1, 1, 3]))
+        rows[a][b] ^= 1
     return BlockView(IntMatrix(rows), r, s)
 
 
 @given(disoriented_views())
 def test_circulant_pass_matches_block_by_block_reference(view):
-    assert is_disoriented_block_circulant(view) == reference_disoriented(view)
-    assert is_block_circulant(view) == reference_circulant(view)
+    masks, s = to_masks(view.matrix), view.block_size
+    ok, para = reference_disoriented(view)
+    assert is_disoriented_block_circulant_masks(masks, s) == ok
+    if ok:
+        assert parallelization(masks, s) == to_masks(para)
+    assert is_block_circulant_masks(masks, s) == reference_circulant(view)
+    assert sum_first_block_row_masks(masks, s) == sum_first_block_row(view)
 
 
 @given(disoriented_views())
 def test_in_place_circulance_matches_the_parallelization(view):
     # The former definition: disoriented block circulant, with the plain
     # circulant parallelization equal to the matrix itself.
-    ok, para = is_disoriented_block_circulant(view)
-    assert is_block_circulant(view) == (ok and para == view.matrix)
+    masks, s = to_masks(view.matrix), view.block_size
+    disoriented = is_disoriented_block_circulant_masks(masks, s)
+    assert is_block_circulant_masks(masks, s) == (disoriented and parallelization(masks, s) == masks)
 
 
 def test_check_J_commutation():

@@ -295,11 +295,13 @@ def test_sparse_power_iteration_matches_dense_numpy_on_weights_and_zero_rows():
 
 @pytest.mark.parametrize("n", [*range(3, 25), 40])
 @pytest.mark.parametrize("orientable", [True, False])
-def test_power_iteration_on_the_operator_matches_the_dense_matrix(n, orientable):
-    # The operator sums each row in another order than the sparse-row pass,
-    # so the values may differ in the last bits, but never the stop.
+def test_power_iteration_on_the_operator_matches_the_dense_matrix(n, orientable, image_rows):
+    # The dense side is the images-route matrix, summed row by row as the
+    # sparse-row pass sums an IntMatrix.  The operator sums each row in
+    # another order, so the values may differ in the last bits, but never
+    # the stop.
     sp = PresentationSpec(n, orientable, formal=True)
-    dense = power_iteration(build_markov_from_blocks(sp))
+    dense = power_iteration(image_rows(sp))
     est = power_iteration(TransitionOperator(sp))
     assert (est.iterations, est.converged) == (dense.iterations, dense.converged)
     assert est.converged

@@ -20,7 +20,7 @@ from volentropy.reductions import (
     BlockView,
     compacted_matrix,
     divided_compacted_matrix,
-    is_disoriented_block_circulant,
+    sum_first_block_row_masks,
     super_compacted_matrix,
 )
 
@@ -84,25 +84,12 @@ def test_blocks_are_canonical(data):
 
 
 @given(st.data())
-def test_parallelization_is_canonical(data):
-    # A disoriented block-circulant matrix: block row i is the template row
-    # shifted i blocks, with its blocks flipped by J when flips[i] is set.
+def test_mask_block_sum_is_canonical(data):
+    # The first block row of a 0/1 matrix given as row masks, summed.
     r = data.draw(st.integers(1, 4))
     s = data.draw(st.integers(1, 3))
-    template = data.draw(st.lists(square_rows(s), min_size=r, max_size=r))
-    flips = [False] + data.draw(st.lists(st.booleans(), min_size=r - 1, max_size=r - 1))
-
-    def block_row(i: int, flipped: bool) -> list[list[int]]:
-        blocks = [template[(j - i) % r] for j in range(r)]
-        if flipped:
-            blocks = [blk[::-1] for blk in blocks]
-        return [[v for blk in blocks for v in blk[a]] for a in range(s)]
-
-    rows = [row for i in range(r) for row in block_row(i, flips[i])]
-    ok, para = is_disoriented_block_circulant(BlockView(IntMatrix(rows), r, s))
-    assert ok
-    assert_canonical(para)
-    assert para == IntMatrix([row for i in range(r) for row in block_row(i, False)])
+    masks = data.draw(st.lists(st.integers(0, (1 << r * s) - 1), min_size=r * s, max_size=r * s))
+    assert_canonical(sum_first_block_row_masks(masks, s))
 
 
 @pytest.mark.parametrize("n", range(3, 7))
