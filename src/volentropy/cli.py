@@ -10,9 +10,11 @@ Subcommands:
 Every subcommand takes --format plain|csv|json (default plain).  Exit code 0
 means success; precondition violations and failed consistency checks exit
 nonzero with a message on stderr, and in csv/json mode nothing is written to
-stdout on error.  The environment variable VOLENTROPY_WIDTH gives the plain
-matrix printer a line-width hint; a wider transition matrix drops its block
-rulings.  `verify` refuses to run under `python -O`, which strips its checks.
+stdout on error.  A reader that closes stdout early (`| head`) ends the
+command with exit code 1 and no traceback.  The environment variable
+VOLENTROPY_WIDTH gives the plain matrix printer a line-width hint; a wider
+transition matrix drops its block rulings.  `verify` refuses to run under
+`python -O`, which strips its checks.
 """
 
 from __future__ import annotations
@@ -268,7 +270,9 @@ def _check_rank(n: int, results: list[dict]) -> None:
         # The report iterated c and the non-orientable operator at the default tol.
         est = power_iteration(TransitionOperator(plus))
         assert est.converged, f"power iteration did not converge for {plus}"
-        assert report.consistent, f"power iteration did not converge for {minus}, or routes disagree"
+        stuck = [name for name, ok in report.converged.items() if not ok]
+        assert not stuck, f"power iteration did not converge for {minus}: {', '.join(stuck)}"
+        assert report.consistent, f"routes disagree (spread {report.agreement:.3e})"
         target = report.routes["compacted-power"]
         for value in (est.value, report.routes["markov-power"]):
             assert abs(value - target) <= 1e-7, f"spectral radius gap {abs(value - target):.3e}"
@@ -423,7 +427,16 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if text:
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader closed the pipe (`| head`).  Point stdout at devnull
+            # so the flush at exit raises no second BrokenPipeError.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 1
     return code
 
 

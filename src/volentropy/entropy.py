@@ -2,8 +2,11 @@
 
 The growth rate of the rank-n presentations is the unique root above 1 of
 the degree-n polynomial from `q_polynomial`; the volume entropy is its
-natural logarithm.  This module certifies that root by bisection with exact
-rational sign evaluations, cross-checks it against four independent
+natural logarithm.  `lambda_n_bracket` and the tables certify that root by
+bisection with exact rational sign evaluations.  `volume_entropy` finds the
+root of each route polynomial by a float bisection down to two adjacent
+floats and certifies that bracket with one exact sign pair, then reports the
+float nearest the root.  It cross-checks the root against four independent
 computational routes through the matrix reductions, and packages the result.
 
 For n = 2 (torus and Klein bottle) the entropy is exactly 0 and no matrices
@@ -77,6 +80,35 @@ def _bisect_root(p: IntPolynomial, lo: Fraction, hi: Fraction, tol: float) -> tu
     return lo, hi
 
 
+def _route_root(p: IntPolynomial, b: int, tol: float) -> float:
+    """The root of p in (1, b) as a float, certified by exact signs.
+
+    A float bisection on [1, b] runs until lo and hi are adjacent floats
+    (about 57 steps).  `_bisect_root` then certifies that bracket by its two
+    exact endpoint signs, halving only if tol is below one ulp.  When the
+    bracket is still the two adjacent floats, one exact sign at their
+    midpoint picks the float nearest the root.  If the float search
+    overflows or meets inf or nan, or its bracket fails the certificate,
+    the root is bisected exactly on [1, b].
+    """
+    try:
+        lo, hi = 1.0, float(b)
+        while (mid := (lo + hi) / 2) not in (lo, hi):
+            value = poly_eval(p, mid)
+            if not math.isfinite(value):
+                raise OverflowError(f"p({mid}) = {value}")
+            lo, hi = (mid, hi) if value < 0 else (lo, mid)
+        floats = Fraction(lo), Fraction(hi)
+        lo, hi = _bisect_root(p, *floats, tol)
+    except (OverflowError, ValueError):
+        floats = ()
+        lo, hi = _bisect_root(p, Fraction(1), Fraction(b), tol)
+    mid = (lo + hi) / 2
+    if (lo, hi) == floats and (sign := poly_eval(p, mid)):
+        return float(hi if sign < 0 else lo)
+    return float(mid)
+
+
 def lambda_n_bracket(n: int, tol: float = 1e-12) -> tuple[Fraction, Fraction]:
     """Exact rational bracket around the growth rate of rank n.
 
@@ -135,6 +167,7 @@ class EntropyReport:
     """Growth rate and volume entropy of one presentation, with receipts.
 
     routes     -- per-route growth-rate estimates (empty for rank 2)
+    converged  -- per power route, whether it converged (empty for rank 2)
     agreement  -- max pairwise discrepancy among the routes
     consistent -- all routes converged and agree within the combined tolerance
     bounds_hold-- every applicable exact bound certification passed
@@ -147,6 +180,7 @@ class EntropyReport:
     lambda_: float
     entropy: float
     routes: dict[str, float] = field(default_factory=dict)
+    converged: dict[str, bool] = field(default_factory=dict)
     agreement: float = 0.0
     consistent: bool = True
     bounds_hold: bool = True
@@ -157,9 +191,11 @@ def volume_entropy(spec: PresentationSpec, tol: float = 1e-10) -> EntropyReport:
 
     Routes: power iteration on the full transition matrix (applied by a
     `TransitionOperator`, never stored), on the compacted matrix and on the
-    supercompacted matrix; bisection on the characteristic polynomial of the
-    supercompacted matrix obtained through a rome, and on the same polynomial
-    from exact elimination (one bisection when the two are equal).  The
+    supercompacted matrix; the root of the characteristic polynomial of the
+    supercompacted matrix obtained through a rome, and of the same polynomial
+    from exact elimination (one root search when the two are equal).  Each
+    root is found by float bisection and certified by the exact signs of the
+    polynomial at the two adjacent floats around it (`_route_root`).  The
     consensus value is the certified rome-route root.  Routes disagreeing
     beyond the combined tolerance set consistent=False; they are never
     averaged.  The tolerance must lie in (0, 1e-6].
@@ -172,12 +208,12 @@ def volume_entropy(spec: PresentationSpec, tol: float = 1e-10) -> EntropyReport:
         return EntropyReport(n=n, orientable=spec.orientable, lambda_=1.0, entropy=0.0)
 
     routes: dict[str, float] = {}
-    all_converged = True
+    converged: dict[str, bool] = {}
     matrices = (TransitionOperator(spec), compacted_matrix(n), super_compacted_matrix(n))
     for name, matrix in zip(ROUTE_NAMES[:3], matrices):
         est = power_iteration(matrix, tol=tol)
         routes[name] = est.value
-        all_converged = all_converged and est.converged
+        converged[name] = est.converged
 
     sc = matrices[2]
     polys = (rome_char_poly(sc, RomeSpec((n - 1, n))), char_poly_exact(sc))
@@ -185,15 +221,14 @@ def volume_entropy(spec: PresentationSpec, tol: float = 1e-10) -> EntropyReport:
     roots: dict[IntPolynomial, float] = {}
     for name, poly in zip(ROUTE_NAMES[3:], polys):
         if poly not in roots:
-            lo, hi = _bisect_root(poly, Fraction(1), Fraction(2 * n - 1), root_tol)
-            roots[poly] = float((lo + hi) / 2)
+            roots[poly] = _route_root(poly, 2 * n - 1, root_tol)
         routes[name] = roots[poly]
 
     values = list(routes.values())
     agreement = max(abs(a - b) for a in values for b in values)
     # Power iteration and bisection are each good to ~tol; give the spread
     # three orders of headroom before declaring the routes inconsistent.
-    consistent = all_converged and agreement <= max(1000 * tol, 1e-12)
+    consistent = all(converged.values()) and agreement <= max(1000 * tol, 1e-12)
 
     lam = routes["rome-root"]
     return EntropyReport(
@@ -202,6 +237,7 @@ def volume_entropy(spec: PresentationSpec, tol: float = 1e-10) -> EntropyReport:
         lambda_=lam,
         entropy=math.log(lam),
         routes=routes,
+        converged=converged,
         agreement=agreement,
         consistent=consistent,
         bounds_hold=_bounds_hold(n),

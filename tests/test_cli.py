@@ -193,6 +193,15 @@ def test_entropy_json_payload(capsys):
     assert payload["bounds"] == {"hold": True, "lower": "342/49", "upper": "7"}
 
 
+def test_entropy_json_rank_40_reports_the_correctly_rounded_root(capsys):
+    # lambda_40 = 79 - 1.6e-74: the nearest float is 79.0 itself.
+    code = main(["entropy", "--n", "40", "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["lambda"] == 79.0
+    assert payload["routes"]["rome-root"] == payload["routes"]["charpoly-root"] == 79.0
+
+
 def test_entropy_json_rank2_bounds_are_null(capsys):
     code = main(["entropy", "--n", "2", "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
@@ -508,6 +517,34 @@ def test_spectral_collapse_reads_the_power_routes_of_the_entropy_report(route, m
     assert failed["spectral-collapse"] == "spectral radius gap 1.000e-05"
 
 
+@pytest.mark.parametrize("route", ROUTE_NAMES[:3])
+def test_spectral_collapse_names_the_power_route_that_did_not_converge(route, monkeypatch):
+    real = cli.volume_entropy
+
+    def stuck(spec, tol=1e-10):
+        report = real(spec, tol)
+        return dataclasses.replace(
+            report, converged={**report.converged, route: False}, consistent=False
+        )
+
+    monkeypatch.setattr(cli, "volume_entropy", stuck)
+    results = {row["check"]: row for row in cli._run_battery(3)}
+    assert results["spectral-collapse"]["detail"] == (
+        f"power iteration did not converge for {PresentationSpec(3, False)}: {route}"
+    )
+
+
+def test_spectral_collapse_tells_disagreeing_routes_from_unconverged_ones(monkeypatch):
+    real = cli.volume_entropy
+
+    def disagreeing(spec, tol=1e-10):
+        return dataclasses.replace(real(spec, tol), agreement=0.5, consistent=False)
+
+    monkeypatch.setattr(cli, "volume_entropy", disagreeing)
+    results = {row["check"]: row for row in cli._run_battery(3)}
+    assert results["spectral-collapse"]["detail"] == "routes disagree (spread 5.000e-01)"
+
+
 def test_an_assertion_inside_volume_entropy_fails_the_rows_that_read_it(monkeypatch, capsys):
     # route-consensus and spectral-collapse both read the one report; with no
     # report both FAIL, and verify prints its table instead of a traceback.
@@ -818,6 +855,24 @@ def test_module_entry_point_subprocess():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert abs(payload["lambda"] - 4.791287847477925) < 1e-9
+
+
+def test_a_stdout_pipe_closed_early_ends_without_a_traceback():
+    # `table ... | head -1`: the reader is gone before the table is written.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "volentropy", "table", "--from", "3", "--to", "60"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
 
 
 @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])

@@ -156,6 +156,60 @@ def test_a_charpoly_that_differs_is_bisected_and_reads_inconsistent(monkeypatch)
     assert report.lambda_ == report.routes["rome-root"]
 
 
+def _spy_bisections(monkeypatch) -> list[tuple[Fraction, Fraction]]:
+    """The (lo, hi) each `_bisect_root` call starts from, in call order."""
+    starts = []
+    real = entropy._bisect_root
+
+    def spy(p, lo, hi, tol):
+        starts.append((lo, hi))
+        return real(p, lo, hi, tol)
+
+    monkeypatch.setattr(entropy, "_bisect_root", spy)
+    return starts
+
+
+def test_route_roots_are_the_nearest_float_to_the_root(monkeypatch):
+    # The float search ends on two adjacent floats, which the exact bisection
+    # takes as its certified bracket: no fallback to [1, 2n-1] at any rank.
+    # Exactly, q changes sign between the midpoints around lambda.
+    starts = _spy_bisections(monkeypatch)
+    for n in range(3, 41):
+        q, b = q_polynomial(n), 2 * n - 1
+        lam = entropy._route_root(q, b, 1e-12)
+        lo, hi = starts.pop()
+        assert starts == [] and hi == math.nextafter(lo, math.inf) and lo > 1
+        below = (Fraction(math.nextafter(lam, 0)) + Fraction(lam)) / 2
+        above = (Fraction(lam) + Fraction(math.nextafter(lam, math.inf))) / 2
+        assert poly_eval(q, below) < 0 < poly_eval(q, above), n
+
+
+def test_a_tolerance_below_one_ulp_halves_inside_the_float_bracket(monkeypatch):
+    starts = _spy_bisections(monkeypatch)
+    q = q_polynomial(5)
+    assert entropy._route_root(q, 9, 1e-30) == entropy._route_root(q, 9, 1e-12)
+    assert starts[0] == starts[1] and starts[0][0] > 1
+
+
+@pytest.mark.parametrize("scale", [10**306, 10**400], ids=["inf", "overflow"])
+def test_a_charpoly_past_the_float_range_falls_back_to_the_exact_bisection(scale, monkeypatch):
+    # scale * q_5 has the same root, but its float values run to -inf
+    # (10**306) or its coefficients do not convert to float (10**400).
+    scaled = q_polynomial(5) * IntPolynomial([scale])
+    monkeypatch.setattr(entropy, "char_poly_exact", lambda m: scaled)
+    starts = _spy_bisections(monkeypatch)
+    report = volume_entropy(PresentationSpec(5, False))
+    assert starts[-1] == (1, 9)
+    assert report.routes["charpoly-root"] == pytest.approx(report.routes["rome-root"], abs=1e-12)
+    assert report.consistent and report.bounds_hold
+
+
+def test_report_records_convergence_per_power_route():
+    report = volume_entropy(PresentationSpec(5, False))
+    assert report.converged == dict.fromkeys(ROUTE_NAMES[:3], True)
+    assert volume_entropy(PresentationSpec(2, False)).converged == {}
+
+
 def test_report_validation():
     with pytest.raises(ValueError):
         volume_entropy(PresentationSpec(4, True), tol=-1.0)
