@@ -11,9 +11,7 @@ Every subcommand takes --format plain|csv|json (default plain).  Exit code 0
 means success; precondition violations and failed consistency checks exit
 nonzero with a message on stderr, and in csv/json mode nothing is written to
 stdout on error.  A reader that closes stdout early (`| head`) ends the
-command with exit code 1 and no traceback.  The environment variable
-VOLENTROPY_WIDTH gives the plain matrix printer a line-width hint; a wider
-transition matrix drops its block rulings.  `verify` refuses to run under
+command with exit code 1 and no traceback.  `verify` refuses to run under
 `python -O`, which strips its checks.
 """
 
@@ -78,14 +76,6 @@ def _csv(records: list[dict]) -> str:
     return "\n".join([",".join(header)] + [",".join(cell(r[k]) for k in header) for r in records])
 
 
-def _width_hint() -> int:
-    raw = os.environ.get("VOLENTROPY_WIDTH", "")
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 0
-
-
 # =====================================================================
 # build-matrix
 # =====================================================================
@@ -117,13 +107,7 @@ def _cmd_build_matrix(args) -> tuple[int, str]:
             "rows": [[str(v) for v in row] for row in matrix.rows],
         }
         return 0, json.dumps(payload, indent=2)
-    if block:
-        text = format_blocks(matrix, block)
-        hint = _width_hint()
-        if hint and len(text.splitlines()[0]) > hint:
-            text = str(matrix)
-        return 0, text
-    return 0, str(matrix)
+    return 0, format_blocks(matrix, block) if block else str(matrix)
 
 
 # =====================================================================
@@ -134,8 +118,9 @@ def _bounds_payload(report: EntropyReport) -> dict:
     n = report.n
     if n < 3:
         return {"hold": report.bounds_hold, "lower": None, "upper": None}
-    lower = str(_lower_bound(n)) if n >= 4 else None
-    return {"hold": report.bounds_hold, "lower": lower, "upper": str(2 * n - 1)}
+    lower = _lower_bound(n)
+    lower_text = None if lower is None else str(lower)
+    return {"hold": report.bounds_hold, "lower": lower_text, "upper": str(2 * n - 1)}
 
 
 def _cmd_entropy(args) -> tuple[int, str]:

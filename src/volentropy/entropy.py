@@ -2,11 +2,11 @@
 
 The growth rate of the rank-n presentations is the unique root above 1 of
 the degree-n polynomial from `q_polynomial`; the volume entropy is its
-natural logarithm.  `lambda_n_bracket` and the tables certify that root by
-bisection with exact rational sign evaluations.  `volume_entropy` finds the
-root of each route polynomial by a float bisection down to two adjacent
-floats and certifies that bracket with one exact sign pair, then reports the
-float nearest the root.  It cross-checks the root against four independent
+natural logarithm.  `_route_root` gives every float growth rate reported
+(`lambda_n`, the tables, the two root routes of `volume_entropy`): a float
+bisection to two adjacent floats, certified by one exact sign pair, and the
+float nearest the root.  `lambda_n_bracket` gives an exact rational bracket
+of any width.  `volume_entropy` cross-checks the root against four independent
 computational routes through the matrix reductions, and packages the result.
 
 For n = 2 (torus and Klein bottle) the entropy is exactly 0 and no matrices
@@ -80,16 +80,16 @@ def _bisect_root(p: IntPolynomial, lo: Fraction, hi: Fraction, tol: float) -> tu
     return lo, hi
 
 
-def _route_root(p: IntPolynomial, b: int, tol: float) -> float:
-    """The root of p in (1, b) as a float, certified by exact signs.
+def _route_root(p: IntPolynomial, b: int) -> float:
+    """The float nearest the root of p in (1, b), certified by exact signs.
 
     A float bisection on [1, b] runs until lo and hi are adjacent floats
-    (about 57 steps).  `_bisect_root` then certifies that bracket by its two
-    exact endpoint signs, halving only if tol is below one ulp.  When the
-    bracket is still the two adjacent floats, one exact sign at their
-    midpoint picks the float nearest the root.  If the float search
-    overflows or meets inf or nan, or its bracket fails the certificate,
-    the root is bisected exactly on [1, b].
+    (about 57 steps).  `_bisect_root`, given that bracket's own width as its
+    tolerance, certifies it by its two exact endpoint signs without halving,
+    and one exact sign at the midpoint picks the nearer float.  If the float
+    search overflows or meets inf or nan (q_n does from n = 129), or its
+    bracket fails the certificate, the root is bisected exactly on [1, b]
+    to 1e-12 and the midpoint of that bracket is returned.
     """
     try:
         lo, hi = 1.0, float(b)
@@ -98,15 +98,22 @@ def _route_root(p: IntPolynomial, b: int, tol: float) -> float:
             if not math.isfinite(value):
                 raise OverflowError(f"p({mid}) = {value}")
             lo, hi = (mid, hi) if value < 0 else (lo, mid)
-        floats = Fraction(lo), Fraction(hi)
-        lo, hi = _bisect_root(p, *floats, tol)
+        lo, hi = _bisect_root(p, Fraction(lo), Fraction(hi), hi - lo)
     except (OverflowError, ValueError):
-        floats = ()
-        lo, hi = _bisect_root(p, Fraction(1), Fraction(b), tol)
-    mid = (lo + hi) / 2
-    if (lo, hi) == floats and (sign := poly_eval(p, mid)):
-        return float(hi if sign < 0 else lo)
-    return float(mid)
+        lo, hi = _bisect_root(p, Fraction(1), Fraction(b), 1e-12)
+        return float((lo + hi) / 2)
+    # At a tie both floats are nearest, and lo is returned.
+    return float(hi if poly_eval(p, (lo + hi) / 2) < 0 else lo)
+
+
+def _q(n: int) -> IntPolynomial:
+    """The closed-form polynomial of rank n, which needs n >= 3."""
+    if n < 3:
+        raise ValueError(
+            f"rank must be >= 3 for a growth rate above 1, got {n}"
+            " (rank 2 has entropy 0; see volume_entropy)"
+        )
+    return q_polynomial(n)
 
 
 def lambda_n_bracket(n: int, tol: float = 1e-12) -> tuple[Fraction, Fraction]:
@@ -116,19 +123,16 @@ def lambda_n_bracket(n: int, tol: float = 1e-12) -> tuple[Fraction, Fraction]:
     exactly one root above 1; both endpoint signs are certified in rational
     arithmetic, as is every bisection step.
     """
-    if n < 3:
-        raise ValueError(
-            f"rank must be >= 3 for a growth rate above 1, got {n}"
-            " (rank 2 has entropy 0; see volume_entropy)"
-        )
+    p = _q(n)
     check_tolerance(tol)
-    return _bisect_root(q_polynomial(n), Fraction(1), Fraction(2 * n - 1), tol)
+    return _bisect_root(p, Fraction(1), Fraction(2 * n - 1), tol)
 
 
-def lambda_n(n: int, tol: float = 1e-12) -> float:
-    """Growth rate of the rank-n presentations, certified to within tol."""
-    lo, hi = lambda_n_bracket(n, tol)
-    return float((lo + hi) / 2)
+def lambda_n(n: int) -> float:
+    """Growth rate of the rank-n presentations by `_route_root`: the certified
+    nearest float up to n = 128 (2n-1 itself from n = 13), and the midpoint
+    of a 1e-12 exact bracket from n = 129, where the float search overflows."""
+    return _route_root(_q(n), 2 * n - 1)
 
 
 def bounds_check(n: int) -> bool:
@@ -143,18 +147,21 @@ def bounds_check(n: int) -> bool:
     return _bounds_hold(n)
 
 
-def _lower_bound(n: int) -> Fraction:
-    """The exact lower bound 2n-1 - (2n-1)^-(n-2) on the growth rate (n >= 4)."""
+def _lower_bound(n: int) -> Fraction | None:
+    """The exact lower bound 2n-1 - (2n-1)^-(n-2) on the growth rate; None below n = 4."""
+    if n < 4:
+        return None
     b = 2 * n - 1
     return b - Fraction(1, b ** (n - 2))
 
 
 def _bounds_hold(n: int) -> bool:
     """The closed-form polynomial is negative at the lower end and positive
-    at 2n-1, by exact signs.  The lower end is `_lower_bound(n)` for n >= 4
-    and 1 at n = 3, where that bound does not apply."""
+    at 2n-1, by exact signs.  The lower end is `_lower_bound(n)`, or 1 where
+    that bound does not apply."""
     p = q_polynomial(n)
-    lo = _lower_bound(n) if n >= 4 else Fraction(1)
+    lower = _lower_bound(n)
+    lo = Fraction(1) if lower is None else lower
     return poly_eval(p, lo) < 0 < poly_eval(p, Fraction(2 * n - 1))
 
 
@@ -217,11 +224,10 @@ def volume_entropy(spec: PresentationSpec, tol: float = 1e-10) -> EntropyReport:
 
     sc = matrices[2]
     polys = (rome_char_poly(sc, RomeSpec((n - 1, n))), char_poly_exact(sc))
-    root_tol = min(tol, 1e-12)
     roots: dict[IntPolynomial, float] = {}
     for name, poly in zip(ROUTE_NAMES[3:], polys):
         if poly not in roots:
-            roots[poly] = _route_root(poly, 2 * n - 1, root_tol)
+            roots[poly] = _route_root(poly, 2 * n - 1)
         routes[name] = roots[poly]
 
     values = list(routes.values())
@@ -286,13 +292,13 @@ def entropy_table(n_min: int, n_max: int) -> list[EntropyTableRow]:
         lam = lambda_n(n)
         b = 2 * n - 1
         delta = math.exp(math.log(b * lam - 1) - n * math.log(lam))
-        lb = float(_lower_bound(n)) if n >= 4 else None
+        lb = _lower_bound(n)
         rows.append(
             EntropyTableRow(
                 n=n,
                 lambda_=lam,
                 entropy=math.log(lam),
-                lower_bound=lb,
+                lower_bound=None if lb is None else float(lb),
                 upper_bound=float(b),
                 gap=-math.log1p(-delta / b),
             )

@@ -39,11 +39,6 @@ def parse_csv(text: str) -> IntMatrix:
     return IntMatrix([int(tok) for tok in line.split(",")] for line in text.splitlines() if line.strip())
 
 
-@pytest.fixture(autouse=True)
-def _no_width_hint(monkeypatch):
-    monkeypatch.delenv("VOLENTROPY_WIDTH", raising=False)
-
-
 # =====================================================================
 # build-matrix
 # =====================================================================
@@ -83,24 +78,6 @@ def test_build_matrix_plain_nonmarkov_has_no_block_ruling(capsys):
     assert code == 0
     assert out == str(super_compacted_matrix(3)) + "\n"
     assert "+" not in out
-
-
-def test_width_hint_drops_block_layout(monkeypatch, capsys):
-    monkeypatch.setenv("VOLENTROPY_WIDTH", "10")
-    code = main(["build-matrix", "--n", "3"])
-    out = capsys.readouterr().out
-    lines = out.rstrip("\n").splitlines()
-    assert code == 0
-    assert len(lines) == 30  # one line per row, no separator ruling
-    assert "+" not in out
-
-
-def test_width_hint_ignores_junk_value(monkeypatch, capsys):
-    monkeypatch.setenv("VOLENTROPY_WIDTH", "not-a-number")
-    code = main(["build-matrix", "--n", "3"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert out == format_blocks(build_markov_from_blocks(PresentationSpec(3, False)), 5) + "\n"
 
 
 def test_build_matrix_json_payload(capsys):

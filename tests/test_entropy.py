@@ -57,18 +57,33 @@ def test_lambda_bracket_meets_tiny_tolerances(tol):
 
 
 def test_lambda_is_increasing_and_below_ceiling():
+    # From n = 13 the float nearest the root is 2n-1 itself (delta < ulp/2);
+    # the strict bound lambda < 2n-1 is certified exactly by bounds_check.
     values = [lambda_n(n) for n in range(3, 31)]
     for a, b in zip(values, values[1:]):
         assert a < b
     for n, v in zip(range(3, 31), values):
-        assert 1 < v < 2 * n - 1
+        assert 1 < v <= 2 * n - 1
 
 
 def test_lambda_validation():
     with pytest.raises(ValueError):
         lambda_n(2)
     with pytest.raises(ValueError):
-        lambda_n(3, tol=0.0)
+        lambda_n_bracket(3, tol=0.0)
+
+
+def _is_nearest_float(q: IntPolynomial, lam: float) -> bool:
+    """q changes sign, exactly, between the half-way points around lam."""
+    below = (Fraction(math.nextafter(lam, 0)) + Fraction(lam)) / 2
+    above = (Fraction(lam) + Fraction(math.nextafter(lam, math.inf))) / 2
+    return poly_eval(q, below) < 0 < poly_eval(q, above)
+
+
+def test_lambda_is_the_report_lambda_at_every_matrix_rank():
+    for n in range(3, 41):
+        for orientable in (False, True) if n % 2 == 0 else (False,):
+            assert lambda_n(n) == volume_entropy(PresentationSpec(n, orientable)).lambda_, n
 
 
 # ---------------------------------------------------------------- bounds
@@ -176,19 +191,10 @@ def test_route_roots_are_the_nearest_float_to_the_root(monkeypatch):
     starts = _spy_bisections(monkeypatch)
     for n in range(3, 41):
         q, b = q_polynomial(n), 2 * n - 1
-        lam = entropy._route_root(q, b, 1e-12)
+        lam = entropy._route_root(q, b)
         lo, hi = starts.pop()
         assert starts == [] and hi == math.nextafter(lo, math.inf) and lo > 1
-        below = (Fraction(math.nextafter(lam, 0)) + Fraction(lam)) / 2
-        above = (Fraction(lam) + Fraction(math.nextafter(lam, math.inf))) / 2
-        assert poly_eval(q, below) < 0 < poly_eval(q, above), n
-
-
-def test_a_tolerance_below_one_ulp_halves_inside_the_float_bracket(monkeypatch):
-    starts = _spy_bisections(monkeypatch)
-    q = q_polynomial(5)
-    assert entropy._route_root(q, 9, 1e-30) == entropy._route_root(q, 9, 1e-12)
-    assert starts[0] == starts[1] and starts[0][0] > 1
+        assert _is_nearest_float(q, lam), n
 
 
 @pytest.mark.parametrize("scale", [10**306, 10**400], ids=["inf", "overflow"])
@@ -275,6 +281,19 @@ def test_table_gap_has_relative_accuracy(n):
     want = -math.log1p(-float(delta / b))
     (row,) = entropy_table(n, n)
     assert abs(row.gap - want) <= 1e-12 * want
+
+
+def test_table_rows_are_the_nearest_float_and_clear_the_lower_bound():
+    for row in entropy_table(3, 128):
+        assert _is_nearest_float(q_polynomial(row.n), row.lambda_), row.n
+        assert row.lower_bound is None or row.lambda_ >= row.lower_bound, row.n
+
+
+def test_table_rows_past_the_float_range_stay_within_1e_12():
+    # From n = 129 q_n overflows floats and the row takes the exact fallback.
+    for row in entropy_table(129, 150):
+        lo, hi = lambda_n_bracket(row.n, 1e-15)
+        assert abs(row.lambda_ - float((lo + hi) / 2)) <= 1e-12, row.n
 
 
 def test_table_validation():
