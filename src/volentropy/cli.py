@@ -23,7 +23,6 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict
 from functools import partial
 
 from .core import (
@@ -341,7 +340,7 @@ def _cmd_verify(args) -> tuple[int, str]:
 def _cmd_table(args) -> tuple[int, str]:
     rows = entropy_table(args.n_min, args.n_max)
     # The rows' fields, `lambda_` spelled `lambda`.
-    records = [{k.rstrip("_"): v for k, v in asdict(row).items()} for row in rows]
+    records = [{k.rstrip("_"): getattr(row, k) for k in row.__slots__} for row in rows]
     if args.format == "json":
         return 0, json.dumps(records, indent=2)
     if args.format == "csv":

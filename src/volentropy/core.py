@@ -11,7 +11,8 @@ Polynomial arithmetic is written once, in `IntPolynomial`; a
 rome path matrix, whose determinant is taken in x^-1.  Numerical
 work (power iteration) lives in `spectral`, over the nonzero entries of an
 `IntMatrix` or through the matrix-free `markov.TransitionOperator`.  The value
-types are frozen dataclasses, compared and hashed by their fields.
+types of the package derive from `_Frozen`: their fields are their `__slots__`,
+set once in `__init__`, and they compare and hash by class and fields.
 
 Sparse view: `IntMatrix.nonzeros()`, each row's nonzero columns and values,
 is the one place the package reads a nonzero pattern, so edges are never
@@ -27,10 +28,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import compress, starmap, zip_longest
-from typing import Iterable, Sequence
 
 __all__ = [
     "mod1",
@@ -45,7 +45,7 @@ __all__ = [
 
 
 # =====================================================================
-# Cyclic index helper
+# Helpers: cyclic index, input guards, the value-type base
 # =====================================================================
 
 def mod1(k: int, l: int) -> int:
@@ -104,20 +104,56 @@ def _check_matrix(n: int, side: int, name: str) -> None:
         )
 
 
+class _Frozen:
+    """Base of the value types: a subclass names its fields in `__slots__` and sets them once,
+    through `_init`.  Values of one class with equal fields are equal; none can change."""
+
+    __slots__ = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    # copy and pickle restore the fields through _init, not __setattr__
+    __getstate__ = _values
+
+    def __setstate__(self, state: tuple) -> None:
+        self._init(*state)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 # =====================================================================
 # Dense square integer matrix
 # =====================================================================
 
-@dataclass(frozen=True, slots=True)
-class IntMatrix:
+class IntMatrix(_Frozen):
     """Immutable square matrix of Python ints.
 
     Rows are stored as a tuple of tuples.  Equality is entrywise.  Matrix
     product and sum stay exact for arbitrarily large entries.
     """
 
-    rows: tuple[tuple[int, ...], ...]
-    size: int
+    __slots__ = ("rows", "size")
 
     def __init__(self, rows: Iterable[Iterable[int]]):
         mat = tuple(map(_ints, rows))
@@ -129,8 +165,7 @@ class IntMatrix:
                 raise ValueError(
                     f"matrix must be square, got row of length {len(r)} in a {k}-row matrix"
                 )
-        object.__setattr__(self, "rows", mat)
-        object.__setattr__(self, "size", k)
+        self._init(mat, k)
 
     @classmethod
     def _from_rows(cls, rows: tuple[tuple[int, ...], ...]) -> "IntMatrix":
@@ -138,8 +173,7 @@ class IntMatrix:
         int tuples.  Nothing is coerced or checked, so callers must only pass
         rows that the public constructor would store unchanged."""
         self = object.__new__(cls)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "size", len(rows))
+        self._init(rows, len(rows))
         return self
 
     # -- constructors --------------------------------------------------
@@ -225,15 +259,14 @@ class IntMatrix:
 # Integer polynomials (index = degree)
 # =====================================================================
 
-@dataclass(frozen=True, slots=True)
-class IntPolynomial:
+class IntPolynomial(_Frozen):
     """Polynomial with integer coefficients, coefficient index = degree.
 
     Canonical form: trailing zero coefficients stripped; the zero polynomial
     is stored as the single coefficient (0,).
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[int]):
         cs = list(_ints(coeffs))
@@ -241,7 +274,7 @@ class IntPolynomial:
             cs.pop()
         if not cs:
             cs = [0]
-        object.__setattr__(self, "coeffs", tuple(cs))
+        self._init(tuple(cs))
 
     @property
     def degree(self) -> int:
@@ -325,23 +358,20 @@ def poly_reciprocal_check(p: IntPolynomial) -> bool:
 # Laurent polynomials over the integers
 # =====================================================================
 
-@dataclass(frozen=True, slots=True)
-class LaurentPolynomial:
+class LaurentPolynomial(_Frozen):
     """Integer Laurent polynomial x^min_exponent * p(x), for an `IntPolynomial`
     p with nonzero constant term: an entry of the rome path matrix, with sums
     and integer multiples only.  `coeffs` holds p's coefficients, so both
     ends are nonzero; the zero element is exponent 0 over the zero polynomial,
     with coeffs ()."""
 
-    min_exponent: int
-    _poly: IntPolynomial
+    __slots__ = ("min_exponent", "_poly")
 
     def __init__(self, min_exponent: int, coeffs: Sequence[int]):
         cs = _ints(coeffs)
         lead = next((k for k, c in enumerate(cs) if c), len(cs))
         poly = IntPolynomial(cs[lead:])
-        object.__setattr__(self, "min_exponent", 0 if poly.is_zero() else int(min_exponent) + lead)
-        object.__setattr__(self, "_poly", poly)
+        self._init(0 if poly.is_zero() else int(min_exponent) + lead, poly)
 
     @classmethod
     def zero(cls) -> "LaurentPolynomial":

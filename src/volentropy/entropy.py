@@ -16,10 +16,9 @@ are built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import _MAX_TABLE_RANK, IntPolynomial, check_tolerance, poly_eval
+from .core import _MAX_TABLE_RANK, IntPolynomial, _Frozen, check_tolerance, poly_eval
 from .markov import PresentationSpec, TransitionOperator
 from .reductions import compacted_matrix, super_compacted_matrix
 from .rome import RomeSpec, q_polynomial, rome_char_poly
@@ -169,8 +168,7 @@ def _bounds_hold(n: int) -> bool:
 # The consensus report
 # =====================================================================
 
-@dataclass(frozen=True, slots=True)
-class EntropyReport:
+class EntropyReport(_Frozen):
     """Growth rate and volume entropy of one presentation, with receipts.
 
     routes     -- per-route growth-rate estimates (empty for rank 2)
@@ -182,15 +180,14 @@ class EntropyReport:
     entropy    -- log(lambda_), natural log
     """
 
-    n: int
-    orientable: bool
-    lambda_: float
-    entropy: float
-    routes: dict[str, float] = field(default_factory=dict)
-    converged: dict[str, bool] = field(default_factory=dict)
-    agreement: float = 0.0
-    consistent: bool = True
-    bounds_hold: bool = True
+    __slots__ = ("n", "orientable", "lambda_", "entropy", "routes", "converged",
+                 "agreement", "consistent", "bounds_hold")
+
+    def __init__(self, n: int, orientable: bool, lambda_: float, entropy: float,
+                 routes: dict[str, float] | None = None, converged: dict[str, bool] | None = None,
+                 agreement: float = 0.0, consistent: bool = True, bounds_hold: bool = True) -> None:
+        self._init(n, orientable, lambda_, entropy, {} if routes is None else routes,
+                   {} if converged is None else converged, agreement, consistent, bounds_hold)
 
 
 def volume_entropy(spec: PresentationSpec, tol: float = 1e-10) -> EntropyReport:
@@ -254,8 +251,7 @@ def volume_entropy(spec: PresentationSpec, tol: float = 1e-10) -> EntropyReport:
 # Entropy tables
 # =====================================================================
 
-@dataclass(frozen=True, slots=True)
-class EntropyTableRow:
+class EntropyTableRow(_Frozen):
     """One rank's worth of growth data.
 
     lower_bound is None at n = 3, where the closed-form lower bound does not
@@ -264,12 +260,11 @@ class EntropyTableRow:
     is subnormal from n = 129 and reads 0.0 from n = 135, below 2^-1074.
     """
 
-    n: int
-    lambda_: float
-    entropy: float
-    lower_bound: float | None
-    upper_bound: float
-    gap: float
+    __slots__ = ("n", "lambda_", "entropy", "lower_bound", "upper_bound", "gap")
+
+    def __init__(self, n: int, lambda_: float, entropy: float, lower_bound: float | None,
+                 upper_bound: float, gap: float) -> None:
+        self._init(n, lambda_, entropy, lower_bound, upper_bound, gap)
 
 
 def entropy_table(n_min: int, n_max: int) -> list[EntropyTableRow]:

@@ -29,11 +29,9 @@ route reads the straight row's slot list backwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from importlib import resources
 from itertools import accumulate
 
-from .core import IntMatrix, _check_matrix, _ints, mod1
+from .core import IntMatrix, _Frozen, _check_matrix, _ints, mod1
 
 __all__ = [
     "PresentationSpec",
@@ -50,8 +48,7 @@ __all__ = [
 # Presentation data
 # =====================================================================
 
-@dataclass(frozen=True, slots=True)
-class PresentationSpec:
+class PresentationSpec(_Frozen):
     """A minimal symmetric presentation: rank n plus orientability.
 
     The orientable presentation exists geometrically only for even rank
@@ -61,12 +58,10 @@ class PresentationSpec:
     user-facing (CLI, entropy reports) sticks to ``formal=False``.
     """
 
-    n: int
-    orientable: bool
-    formal: bool = field(default=False, kw_only=True)
+    __slots__ = ("n", "orientable", "formal")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _ints((self.n,))[0])
+    def __init__(self, n: int, orientable: bool, *, formal: bool = False) -> None:
+        self._init(_ints((n,))[0], orientable, formal)
         if self.n < 2:
             raise ValueError(f"rank must be >= 2, got {self.n}")
         if self.orientable and self.n % 2 == 1 and not self.formal:
@@ -93,16 +88,15 @@ class PresentationSpec:
 # Structural blocks
 # =====================================================================
 
-@dataclass(frozen=True, slots=True)
-class BlockKind:
+class BlockKind(_Frozen):
     """One of the structural block shapes: T, JTJ, U(i), J, zero, identity."""
 
-    name: str
-    row: int | None = None
+    __slots__ = ("name", "row")
 
     _NAMES = ("T", "JTJ", "U", "J", "zero", "identity")
 
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, row: int | None = None) -> None:
+        self._init(name, row)
         if self.name not in self._NAMES:
             raise ValueError(f"unknown block kind {self.name!r}")
         if self.name == "U":
@@ -334,6 +328,7 @@ def reference_rows(n: int, orientable: bool) -> list[list[int]]:
         raise ValueError(
             f"no reference data for n={n}, orientable={orientable}"
         ) from None
+    from importlib import resources
     text = resources.files("volentropy.data").joinpath(fname).read_text()
     rows = [[int(tok) for tok in line.split()] for line in text.splitlines() if line.strip()]
     return rows

@@ -24,9 +24,7 @@ the supercompacted matrix) before anything is allocated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import IntMatrix, _check_matrix
+from .core import IntMatrix, _Frozen, _check_matrix
 
 __all__ = [
     "BlockView",
@@ -45,16 +43,14 @@ __all__ = [
 # Block structure
 # =====================================================================
 
-@dataclass(frozen=True, slots=True)
-class BlockView:
+class BlockView(_Frozen):
     """A square matrix seen as an r x r grid of s x s blocks (r*s = size)."""
 
-    matrix: IntMatrix
-    block_count: int
-    block_size: int
+    __slots__ = ("matrix", "block_count", "block_size")
 
-    def __post_init__(self) -> None:
-        r, s = self.block_count, self.block_size
+    def __init__(self, matrix: IntMatrix, block_count: int, block_size: int) -> None:
+        self._init(matrix, block_count, block_size)
+        r, s = block_count, block_size
         if r < 1 or s < 1:
             raise ValueError("block count and size must be >= 1")
         if r * s != self.matrix.size:

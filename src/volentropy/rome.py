@@ -14,9 +14,7 @@ comes out in closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import IntMatrix, IntPolynomial, LaurentPolynomial, _ints
+from .core import IntMatrix, IntPolynomial, LaurentPolynomial, _Frozen, _ints
 
 __all__ = [
     "RomeSpec",
@@ -31,14 +29,13 @@ __all__ = [
 # Romes
 # =====================================================================
 
-@dataclass(frozen=True, slots=True)
-class RomeSpec:
+class RomeSpec(_Frozen):
     """An ordered set of 1-based vertex indices proposed as a rome."""
 
-    nodes: tuple[int, ...]
+    __slots__ = ("nodes",)
 
     def __init__(self, nodes):
-        object.__setattr__(self, "nodes", tuple(sorted(set(_ints(nodes)))))
+        self._init(tuple(sorted(set(_ints(nodes)))))
         if any(v < 1 for v in self.nodes):
             raise ValueError(f"rome nodes must be >= 1, got {self.nodes}")
 

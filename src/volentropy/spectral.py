@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
-from .core import IntMatrix, IntPolynomial, check_tolerance
+from .core import IntMatrix, IntPolynomial, _Frozen, check_tolerance
 from .markov import TransitionOperator
 
 __all__ = [
@@ -32,8 +31,7 @@ __all__ = [
 _WINDOW = 8
 
 
-@dataclass(frozen=True, slots=True)
-class SpectralEstimate:
+class SpectralEstimate(_Frozen):
     """Result of power iteration.
 
     value      -- estimate of the spectral radius
@@ -42,10 +40,10 @@ class SpectralEstimate:
     converged  -- True iff the residual dropped below the tolerance
     """
 
-    value: float
-    iterations: int
-    residual: float
-    converged: bool
+    __slots__ = ("value", "iterations", "residual", "converged")
+
+    def __init__(self, value: float, iterations: int, residual: float, converged: bool) -> None:
+        self._init(value, iterations, residual, converged)
 
 
 def _row_product(m: IntMatrix):

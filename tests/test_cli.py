@@ -8,7 +8,6 @@ the ``python -m`` wiring.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -477,6 +476,11 @@ def test_disoriented_collapse_catches_two_rows_swapped_in_a_reversed_block_row(
     )
 
 
+def _replaced(report: EntropyReport, **changes) -> EntropyReport:
+    """The report with the named fields changed and the rest as they were."""
+    return EntropyReport(**{**{name: getattr(report, name) for name in report.__slots__}, **changes})
+
+
 @pytest.mark.parametrize("route", ["markov-power", "compacted-power"])
 def test_spectral_collapse_reads_the_power_routes_of_the_entropy_report(route, monkeypatch):
     # One power route of the report moved by 1e-5, the report still calling
@@ -485,7 +489,7 @@ def test_spectral_collapse_reads_the_power_routes_of_the_entropy_report(route, m
 
     def shifted(spec, tol=1e-10):
         report = real(spec, tol)
-        return dataclasses.replace(report, routes={**report.routes, route: report.routes[route] + 1e-5})
+        return _replaced(report, routes={**report.routes, route: report.routes[route] + 1e-5})
 
     monkeypatch.setattr(cli, "volume_entropy", shifted)
     results = {row["check"]: row for row in cli._run_battery(3)}
@@ -500,7 +504,7 @@ def test_spectral_collapse_names_the_power_route_that_did_not_converge(route, mo
 
     def stuck(spec, tol=1e-10):
         report = real(spec, tol)
-        return dataclasses.replace(
+        return _replaced(
             report, converged={**report.converged, route: False}, consistent=False
         )
 
@@ -515,7 +519,7 @@ def test_spectral_collapse_tells_disagreeing_routes_from_unconverged_ones(monkey
     real = cli.volume_entropy
 
     def disagreeing(spec, tol=1e-10):
-        return dataclasses.replace(real(spec, tol), agreement=0.5, consistent=False)
+        return _replaced(real(spec, tol), agreement=0.5, consistent=False)
 
     monkeypatch.setattr(cli, "volume_entropy", disagreeing)
     results = {row["check"]: row for row in cli._run_battery(3)}
