@@ -27,7 +27,6 @@ from functools import partial
 
 from .core import (
     IntMatrix,
-    IntPolynomial,
     format_blocks,
     matrix_to_csv,
     poly_eval,
@@ -46,6 +45,8 @@ from .markov import (
 )
 from .reductions import (
     BlockView,
+    _first_row_difference,
+    _spectrum_split_failure,
     compacted_matrix,
     divided_compacted_matrix,
     is_block_circulant_masks,
@@ -262,10 +263,10 @@ def _check_rank(n: int, results: list[dict]) -> None:
             assert abs(value - target) <= 1e-7, f"spectral radius gap {abs(value - target):.3e}"
 
     with check("spectrum-split"):
+        # char(divided) = (x - 1) * char(compacted), by the certificate.
         dc = divided_compacted_matrix(n)
-        lhs = char_poly_exact(dc)
-        rhs = char_poly_exact(c) * IntPolynomial([-1, 1])
-        assert lhs == rhs, "char(divided) != (x - 1) * char(compacted)"
+        failure = _spectrum_split_failure(dc, c)
+        assert not failure, failure
         view = BlockView(dc, 2, n)
         folded = view.block(1, 1) + view.block(1, 2).reverse_columns()
         assert folded == sc, _first_difference(folded, sc)
@@ -294,11 +295,7 @@ def _check_rank(n: int, results: list[dict]) -> None:
 def _first_difference(a: IntMatrix, b: IntMatrix) -> str:
     if a.size != b.size:
         return f"sizes differ: {a.size} vs {b.size}"
-    for i, (ra, rb) in enumerate(zip(a.rows, b.rows), 1):
-        if ra != rb:
-            j = next(j for j, (x, y) in enumerate(zip(ra, rb)) if x != y)
-            return f"first difference at ({i},{j + 1}): {ra[j]} vs {rb[j]}"
-    return ""
+    return _first_row_difference(a.rows, b.rows)
 
 
 def _first_mask_difference(a: list[int], b: list[int]) -> str:

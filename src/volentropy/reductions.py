@@ -11,7 +11,10 @@ preserving the spectral radius:
    row (`markov._block_masks`) by rotations and popcounts, with no matrix.
 2. column doubling: splitting the middle column of the compacted matrix gives
    the 2n x 2n divided compacted matrix, whose spectrum adds only a simple
-   eigenvalue 1.
+   eigenvalue 1.  `_spectrum_split_failure` proves char(divided) =
+   (x - 1) char(compacted) by an O(n^2) integer certificate: summing the two
+   middle rows of the divided matrix gives the compacted rows with the middle
+   column doubled, and e_n - e_{n+1} is an eigenvector for 1.
 3. folding by the central symmetry: the divided compacted matrix commutes
    with the rotation by half a turn, and folding identifies it with the
    n x n supercompacted matrix (up to spectrum below the spectral radius).
@@ -23,6 +26,8 @@ the supercompacted matrix) before anything is allocated.
 """
 
 from __future__ import annotations
+
+from operator import add
 
 from .core import IntMatrix, _Frozen, _check_matrix
 
@@ -106,6 +111,54 @@ def sum_first_block_row_masks(masks: list[int], s: int) -> IntMatrix:
     return IntMatrix._from_rows(
         tuple(tuple((f & stride << j).bit_count() for j in range(s)) for f in masks[:s])
     )
+
+
+def _first_row_difference(a: tuple, b: tuple) -> str:
+    """Where two tables of rows of one shape first differ, 1-based, as
+    `first difference at (i,j): x vs y`; "" if they are equal."""
+    for i, (ra, rb) in enumerate(zip(a, b), 1):
+        if ra != rb:
+            j = next(j for j, (x, y) in enumerate(zip(ra, rb)) if x != y)
+            return f"first difference at ({i},{j + 1}): {ra[j]} vs {rb[j]}"
+    return ""
+
+
+def _spectrum_split_failure(d: IntMatrix, c: IntMatrix) -> str:
+    """Where the certificate of char(d) = (x - 1) char(c) first fails,
+    1-based, or "" if it holds; O(n^2) comparisons of integers.
+
+    Lemma.  Let d be 2n x 2n and c (2n-1) x (2n-1).  Let S be the
+    (2n-1) x 2n matrix that sums coordinates n and n+1 and keeps the others
+    in order; S is onto, and k = e_n - e_{n+1} spans ker S.
+    (i) If S d = c S, then S d k = c S k = 0, so d maps ker S into itself,
+        and the map d induces on R^2n / ker S, which S identifies with
+        R^(2n-1), is c.
+    (ii) If also d k = k, then in a basis k, b_1, ..., b_{2n-1} with
+        S b_i = e_i, d is block triangular [[1, *], [0, c]], so
+        char(d) = (x - 1) char(c).
+    Row i of S d is row i of d with rows n and n+1 replaced by their sum;
+    row i of c S is row i of c with its middle column doubled,
+    `row[:n] + row[n-1:]`; and d k is column n minus column n+1 of d.
+    S d and c S are compared before d k, and their first difference is
+    reported in the wording of `_first_row_difference`.
+    """
+    n, odd = divmod(d.size, 2)
+    if odd or c.size != 2 * n - 1:
+        return f"sizes differ: {d.size} vs {c.size} + 1"
+    rows = d.rows
+    merged = rows[: n - 1] + (tuple(map(add, rows[n - 1], rows[n])),) + rows[n + 1 :]
+    doubled = tuple(row[:n] + row[n - 1 :] for row in c.rows)
+    if merged != doubled:
+        return _first_row_difference(merged, doubled)
+    image = tuple(row[n - 1] - row[n] for row in rows)
+    k = (0,) * (n - 1) + (1, -1) + (0,) * (n - 1)
+    if image != k:
+        i = next(i for i, (x, y) in enumerate(zip(image, k), 1) if x != y)
+        return (
+            f"e_{n} - e_{n + 1} is not an eigenvector for 1: column {n} minus "
+            f"column {n + 1} first differs at row {i}: {image[i - 1]} vs {k[i - 1]}"
+        )
+    return ""
 
 
 def check_J_commutation(m: IntMatrix) -> bool:

@@ -321,6 +321,45 @@ def test_failing_check_is_reported_with_its_first_difference(monkeypatch):
     assert row["detail"] == "first difference at (1,1): 0 vs 5"
 
 
+def test_spectrum_split_compares_the_divided_matrix_with_the_compacted_one(monkeypatch):
+    # The divided matrix is built independently of the tampered compacted
+    # matrix, so its middle rows summed differ from it where it was changed.
+    _tamper_compacted(monkeypatch)
+    row = {row["check"]: row for row in cli._run_battery(3)}["spectrum-split"]
+    assert row["pass"] is False
+    assert row["detail"] == "first difference at (1,1): 0 vs 5"
+
+
+def test_spectrum_split_catches_a_unit_moved_between_the_middle_rows(monkeypatch):
+    # Entry (3,3) of the rank-3 divided matrix moved down to (4,3): rows 3 and
+    # 4 still sum to the doubled middle row, but e_3 - e_4 is no longer fixed.
+    # spectrum-split is the only check that reads the divided matrix.
+    clean: list[dict] = []
+    cli._check_rank(3, clean)
+    real = cli.divided_compacted_matrix
+
+    def moved(n):
+        rows = [list(row) for row in real(n).rows]
+        rows[n - 1][n - 1] -= 1
+        rows[n][n - 1] += 1
+        return IntMatrix(rows)
+
+    monkeypatch.setattr(cli, "divided_compacted_matrix", moved)
+    tampered: list[dict] = []
+    cli._check_rank(3, tampered)
+    assert all(r["pass"] for r in clean)
+    for before, after in zip(clean, tampered, strict=True):
+        assert after["check"] == before["check"]
+        if after["check"] == "spectrum-split":
+            assert after["pass"] is False
+            assert after["detail"] == (
+                "e_3 - e_4 is not an eigenvector for 1: column 3 minus column 4 "
+                "first differs at row 3: 0 vs 1"
+            )
+        else:
+            assert (after["pass"], after["detail"]) == (before["pass"], before["detail"])
+
+
 def test_spectral_collapse_needs_an_irreducible_compacted_matrix(monkeypatch):
     # The compacted matrix plus an isolated vertex keeps its spectral radius
     # but is reducible, so Perron-Frobenius no longer ties the growth rate to it.

@@ -18,6 +18,7 @@ from volentropy.reductions import (
     check_J_commutation,
     compacted_matrix,
     _rotated_block_rows,
+    _spectrum_split_failure,
     divided_compacted_matrix,
     is_block_circulant_masks,
     is_disoriented_block_circulant_masks,
@@ -370,11 +371,82 @@ def test_conjugating_by_central_flip_pairs_the_blocks(n):
     assert cview.block(2, 1) == d12 * j
 
 
-@pytest.mark.parametrize("n", range(3, 11))
+@pytest.mark.parametrize("n", range(3, 25))
 def test_spectrum_split_identity(n):
     lhs = char_poly_exact(divided_compacted_matrix(n))
     rhs = char_poly_exact(compacted_matrix(n)) * IntPolynomial([-1, 1])
     assert lhs == rhs
+
+
+def test_spectrum_split_certificate_holds_for_the_closed_forms():
+    for n in range(3, 301):
+        assert _spectrum_split_failure(divided_compacted_matrix(n), compacted_matrix(n)) == ""
+
+
+@pytest.mark.parametrize("n", [3, 4, 7])
+def test_spectrum_split_certificate_rejects_a_unit_moved_between_the_middle_rows(n):
+    # The unit at (n, n) moved down to (n+1, n): rows n and n+1 still sum to
+    # the doubled middle row, but d(e_n - e_{n+1}) = 0, not e_n - e_{n+1}.
+    rows = [list(row) for row in divided_compacted_matrix(n).rows]
+    rows[n - 1][n - 1] -= 1
+    rows[n][n - 1] += 1
+    assert _spectrum_split_failure(IntMatrix(rows), compacted_matrix(n)) == (
+        f"e_{n} - e_{n + 1} is not an eigenvector for 1: column {n} minus "
+        f"column {n + 1} first differs at row {n}: 0 vs 1"
+    )
+
+
+@pytest.mark.parametrize("n", [3, 4, 7])
+def test_spectrum_split_certificate_rejects_a_changed_compacted_entry(n):
+    rows = [list(row) for row in compacted_matrix(n).rows]
+    rows[n][1] += 1  # row n+1, column 2: columns of the doubled row keep their place
+    got = _spectrum_split_failure(divided_compacted_matrix(n), IntMatrix(rows))
+    assert got == f"first difference at ({n + 1},2): {rows[n][1] - 1} vs {rows[n][1]}"
+
+
+@pytest.mark.parametrize("n", [3, 4, 7])
+def test_spectrum_split_certificate_rejects_a_changed_doubled_entry(n):
+    # Row 1 of d carries the compacted middle column twice, at n and n+1;
+    # raising the second copy breaks S d = c S at (1, n+1).
+    d = divided_compacted_matrix(n)
+    rows = [list(row) for row in d.rows]
+    rows[0][n] += 1
+    got = _spectrum_split_failure(IntMatrix(rows), compacted_matrix(n))
+    assert got == f"first difference at (1,{n + 1}): {rows[0][n]} vs {rows[0][n] - 1}"
+
+
+def test_spectrum_split_certificate_rejects_mismatched_sizes():
+    assert _spectrum_split_failure(DC3, C3) == ""
+    assert _spectrum_split_failure(DC3, SC3) == "sizes differ: 6 vs 3 + 1"
+    assert _spectrum_split_failure(C3, C3) == "sizes differ: 5 vs 5 + 1"
+
+
+@st.composite
+def split_pairs(draw):
+    # A nonnegative c of odd size 2n-1 and the d whose rows are c's rows with
+    # the middle column doubled, except that the doubled middle row is split
+    # into two nonnegative rows n and n+1.  Half the draws pin the split at
+    # columns n, n+1 to the one that makes e_n - e_{n+1} an eigenvector for 1.
+    n = draw(st.integers(1, 4))
+    size = 2 * n - 1
+    entries = st.lists(st.integers(0, 3), min_size=size, max_size=size)
+    c = draw(st.lists(entries, min_size=size, max_size=size))
+    doubled = [row[:n] + row[n - 1 :] for row in c]
+    middle = doubled[n - 1]
+    top = [draw(st.integers(0, v)) for v in middle]
+    if middle[n - 1] and draw(st.booleans()):
+        t = draw(st.integers(0, middle[n - 1] - 1))
+        top[n - 1], top[n] = t + 1, t
+    bottom = [v - t for v, t in zip(middle, top)]
+    d = doubled[: n - 1] + [top, bottom] + doubled[n:]
+    return IntMatrix(d), IntMatrix(c)
+
+
+@given(split_pairs())
+def test_spectrum_split_certificate_implies_the_charpoly_identity(pair):
+    d, c = pair
+    if _spectrum_split_failure(d, c) == "":
+        assert char_poly_exact(d) == char_poly_exact(c) * IntPolynomial([-1, 1])
 
 
 def test_closed_forms_reject_rank_2():
