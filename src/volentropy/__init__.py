@@ -6,8 +6,8 @@ dynamics is captured by a 2n(2n-1) x 2n(2n-1) nonnegative transition matrix.
 This package builds that matrix two independent ways, collapses it through a
 chain of exact spectral-radius-preserving reductions down to an n x n matrix
 and finally to a single degree-n polynomial, and certifies the volume entropy
-log(growth rate) by rational-arithmetic bisection, cross-checked against
-numerical power iteration at every stage.
+log(growth rate) by exact signs, cross-checked by exact integer bounds on
+the spectral radius of the transition matrix and its reductions.
 """
 
 from . import core, entropy, markov, reductions, rome, spectral

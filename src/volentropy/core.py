@@ -8,9 +8,9 @@ point.  The public constructors reject entries that are not integers, and
 past 6320.
 Polynomial arithmetic is written once, in `IntPolynomial`; a
 `LaurentPolynomial` is a power of x times one, kept only to present the
-rome path matrix, whose determinant is taken in x^-1.  Numerical
-work (power iteration) lives in `spectral`, over the nonzero entries of an
-`IntMatrix` or through the matrix-free `markov.TransitionOperator`.  The value
+rome path matrix, whose determinant is taken in x^-1.  Products m v live in
+`spectral`, over the nonzero entries of an `IntMatrix` or through the
+matrix-free `markov.TransitionOperator`.  The value
 types of the package derive from `_Frozen`: their fields are their `__slots__`,
 set once in `__init__`, and they compare and hash by class and fields.
 

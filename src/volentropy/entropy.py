@@ -7,7 +7,8 @@ natural logarithm.  `_route_root` gives every float growth rate reported
 bisection to two adjacent floats, certified by one exact sign pair, and the
 float nearest the root.  `lambda_n_bracket` gives an exact rational bracket
 of any width.  `volume_entropy` cross-checks the root against four independent
-computational routes through the matrix reductions, and packages the result.
+computational routes through the matrix reductions, three of them proven by
+exact products (`_power_route`), and packages the result.
 
 For n = 2 (torus and Klein bottle) the entropy is exactly 0 and no matrices
 are built.
@@ -17,12 +18,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import truediv
 
-from .core import _MAX_TABLE_RANK, IntPolynomial, _Frozen, check_tolerance, poly_eval
+from .core import _MAX_TABLE_RANK, IntMatrix, IntPolynomial, _Frozen, check_tolerance, poly_eval
 from .markov import PresentationSpec, TransitionOperator
-from .reductions import compacted_matrix, super_compacted_matrix
+from .reductions import _perron_profile, compacted_matrix, super_compacted_matrix
 from .rome import RomeSpec, q_polynomial, rome_char_poly
-from .spectral import char_poly_exact, power_iteration
+from .spectral import _apply, _collatz_wielandt_failure, char_poly_exact
 
 __all__ = [
     "EntropyReport",
@@ -34,9 +36,8 @@ __all__ = [
     "entropy_table",
 ]
 
-# Largest tolerance volume_entropy accepts.  It caps the consistency bound
-# max(1000 * tol, 1e-12) at 1e-3; uncapped, tol = 0.5 passed routes that
-# disagreed by 2.4 as consistent.
+# Largest tolerance volume_entropy accepts: no power route proves a bracket
+# wider than 1e-6, and max(1000 * tol, 1e-12) lets routes spread by 1e-3.
 _MAX_TOL = 1e-6
 
 # The five independent routes to the growth rate, in report order.
@@ -172,9 +173,11 @@ class EntropyReport(_Frozen):
     """Growth rate and volume entropy of one presentation, with receipts.
 
     routes     -- per-route growth-rate estimates (empty for rank 2)
-    converged  -- per power route, whether it converged (empty for rank 2)
+    converged  -- per power route, whether its spectral radius is proven
+                  within tol/2 of lambda_ (empty for rank 2)
     agreement  -- max pairwise discrepancy among the routes
-    consistent -- all routes converged and agree within the combined tolerance
+    consistent -- all power routes certified, and the routes agree within
+                  the combined tolerance
     bounds_hold-- every applicable exact bound certification passed
     lambda_    -- consensus growth rate (the certified bisection root)
     entropy    -- log(lambda_), natural log
@@ -190,19 +193,34 @@ class EntropyReport(_Frozen):
                    {} if converged is None else converged, agreement, consistent, bounds_hold)
 
 
+def _power_route(matrix: IntMatrix | TransitionOperator, n: int, lam: float,
+                 tol: float = 1e-10) -> tuple[float, str]:
+    """(lam, "") if two exact products prove rho(matrix) within tol/2 of lam,
+    and at least to the floats either side of it, so that the smallest tol
+    still certifies (`_collatz_wielandt_failure` on `_perron_profile`); else
+    the midpoint of the lower-end ratios (m v)_i / v_i, which still bracket
+    rho(matrix), and where the proof fails."""
+    ends = (min(lam - tol / 2, math.nextafter(lam, 0)), max(lam + tol / 2, math.nextafter(lam, math.inf)))
+    profiles = [_perron_profile(n, x, matrix.size) for x in ends]
+    failure = _collatz_wielandt_failure(matrix, ends, profiles)
+    if not failure:
+        return lam, ""
+    ratios = list(map(truediv, _apply(matrix)(profiles[0]), profiles[0]))
+    return (min(ratios) + max(ratios)) / 2, failure
+
+
 def volume_entropy(spec: PresentationSpec, tol: float = 1e-10) -> EntropyReport:
     """Volume entropy of the presentation, cross-checked five ways.
 
-    Routes: power iteration on the full transition matrix (applied by a
-    `TransitionOperator`, never stored), on the compacted matrix and on the
-    supercompacted matrix; the root of the characteristic polynomial of the
-    supercompacted matrix obtained through a rome, and of the same polynomial
-    from exact elimination (one root search when the two are equal).  Each
-    root is found by float bisection and certified by the exact signs of the
-    polynomial at the two adjacent floats around it (`_route_root`).  The
-    consensus value is the certified rome-route root.  Routes disagreeing
-    beyond the combined tolerance set consistent=False; they are never
-    averaged.  The tolerance must lie in (0, 1e-6].
+    Routes: the roots of the characteristic polynomial of the supercompacted
+    matrix through a rome and by exact elimination (one search when they are
+    equal), each certified by exact signs at the two floats around it
+    (`_route_root`); and the spectral radii of the transition matrix (a
+    `TransitionOperator`, never stored), the compacted and the supercompacted
+    matrix, each proven within tol/2 of the rome-route root (`_power_route`),
+    which is the consensus value.  A route failing its certificate, or routes
+    disagreeing beyond the combined tolerance, set consistent=False; they are
+    never averaged.  The tolerance must lie in (0, 1e-6].
     """
     check_tolerance(tol)
     if tol > _MAX_TOL:
@@ -211,29 +229,23 @@ def volume_entropy(spec: PresentationSpec, tol: float = 1e-10) -> EntropyReport:
     if n == 2:
         return EntropyReport(n=n, orientable=spec.orientable, lambda_=1.0, entropy=0.0)
 
-    routes: dict[str, float] = {}
-    converged: dict[str, bool] = {}
     matrices = (TransitionOperator(spec), compacted_matrix(n), super_compacted_matrix(n))
-    for name, matrix in zip(ROUTE_NAMES[:3], matrices):
-        est = power_iteration(matrix, tol=tol)
-        routes[name] = est.value
-        converged[name] = est.converged
-
     sc = matrices[2]
     polys = (rome_char_poly(sc, RomeSpec((n - 1, n))), char_poly_exact(sc))
-    roots: dict[IntPolynomial, float] = {}
-    for name, poly in zip(ROUTE_NAMES[3:], polys):
-        if poly not in roots:
-            roots[poly] = _route_root(poly, 2 * n - 1)
-        routes[name] = roots[poly]
+    roots = {poly: _route_root(poly, 2 * n - 1) for poly in dict.fromkeys(polys)}
+    lam = roots[polys[0]]
+    routes, converged = {}, {}
+    for name, matrix in zip(ROUTE_NAMES[:3], matrices):
+        routes[name], failure = _power_route(matrix, n, lam, tol)
+        converged[name] = not failure
+    routes.update((name, roots[poly]) for name, poly in zip(ROUTE_NAMES[3:], polys))
 
     values = list(routes.values())
     agreement = max(abs(a - b) for a in values for b in values)
-    # Power iteration and bisection are each good to ~tol; give the spread
-    # three orders of headroom before declaring the routes inconsistent.
+    # Certified power routes report lam, so this bounds the root routes'
+    # spread, with three orders of headroom over tol.
     consistent = all(converged.values()) and agreement <= max(1000 * tol, 1e-12)
 
-    lam = routes["rome-root"]
     return EntropyReport(
         n=n,
         orientable=spec.orientable,

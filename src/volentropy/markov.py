@@ -12,8 +12,8 @@ Two independent constructions are provided and cross-checked in the tests:
   using the combinatorial description of where each subinterval lands;
 * `TransitionOperator` applies the circulant template of (2n-1) x (2n-1)
   structural blocks (T, JTJ, U(i), zero) to a vector without storing a
-  matrix, for power iteration; `build_markov_from_blocks` reads the dense
-  matrix off that operator, so the template is written once.
+  matrix; `build_markov_from_blocks` reads the dense matrix off that
+  operator, so the template is written once.
 
 Both routes end in one bit mask per row (`_image_masks`, `_block_masks`),
 which `_from_masks` alone turns into the 0/1 `IntMatrix`, so the routes agree

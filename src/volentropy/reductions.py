@@ -213,6 +213,23 @@ def divided_compacted_matrix(n: int) -> IntMatrix:
     return IntMatrix._from_rows(doubled[: n - 1] + (ones + zeros, zeros + ones) + doubled[n:])
 
 
+def _perron_profile(n: int, x: float, size: int) -> list[int]:
+    """V = d^(n-2) (a^2 - d^2) v(x) at the float x = a/d, on integers, where
+    w = (x^(n-1) - 1)/(x^2 - 1) and v(x) = (1, x, ..., x^(n-3), x^(n-2) - 2w, w)
+    has (S_n - x I) v(x) = -q_n(x)/(x + 1) e_(n-1); v > 0 for x >= 1 + sqrt(2).
+    For side 2n-1 (C_n, whose middle coordinate merges n and n+1 of the
+    centrosymmetric D_n with profile (V, JV)) it is the palindrome with 2 V_n
+    in the middle; for 2n(2n-1), the transition matrix, that palindrome in
+    each of the 2n blocks."""
+    a, d = x.as_integer_ratio()
+    scale, w = a * a - d * d, (a ** (n - 1) - d ** (n - 1)) * d
+    v = [a**i * d ** (n - 2 - i) * scale for i in range(n - 2)] + [a ** (n - 2) * scale - 2 * w, w]
+    if size == n:
+        return v
+    palindrome = v[: n - 1] + [2 * w] + v[n - 2 :: -1]
+    return palindrome if size == 2 * n - 1 else palindrome * (2 * n)
+
+
 def super_compacted_matrix(n: int) -> IntMatrix:
     """The n x n supercompacted matrix, the final exact reduction.
 

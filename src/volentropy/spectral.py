@@ -1,13 +1,14 @@
-"""Spectral radius estimation and exact characteristic polynomials.
+"""Spectral radius bounds and exact characteristic polynomials.
 
-Power iteration runs in floating point (the only numerical code in the
-package) and smooths its estimates over a sliding window so that
-permutation-like matrices, whose raw Collatz-Wielandt quotients oscillate,
-still terminate.  It is one pure-Python loop over a product v -> m v, taken
-over each row's nonzero entries of an `IntMatrix` or by a matrix-free
-`markov.TransitionOperator`.  Characteristic polynomials are computed
-exactly over the integers, with a sparse left factor, so downstream root
-work can reason about signs with no rounding.
+`_collatz_wielandt_failure` proves lo <= rho(m) <= hi by two exact integer
+products, one positive vector at each end, for an `IntMatrix` (over each
+row's nonzero entries) or a matrix-free `markov.TransitionOperator`.  Power
+iteration, the only float loop in the package, stays as a public estimate
+that no route calls; it smooths its estimates over a sliding window so that
+permutation-like matrices, whose raw quotients oscillate, still terminate.
+Characteristic polynomials are computed exactly over the integers, with a
+sparse left factor, so downstream root work can reason about signs with no
+rounding.
 """
 
 from __future__ import annotations
@@ -46,17 +47,41 @@ class SpectralEstimate(_Frozen):
         self._init(value, iterations, residual, converged)
 
 
-def _row_product(m: IntMatrix):
-    """v -> m v over each row's nonzero entries."""
+def _apply(m: IntMatrix | TransitionOperator):
+    """v -> m v: the operator's own, or over each row's nonzero entries."""
+    if not isinstance(m, IntMatrix):
+        return m.apply
     if not m.is_nonnegative():
-        raise ValueError("power iteration requires a nonnegative matrix")
+        raise ValueError("the matrix must be nonnegative")
     sparse = m.nonzeros()
 
-    def product(v: list[float]) -> list[float]:
+    def product(v: list) -> list:
         at = v.__getitem__
         return [sum(map(operator.mul, vals, map(at, cols))) for cols, vals in sparse]
 
     return product
+
+
+def _collatz_wielandt_failure(m: IntMatrix | TransitionOperator, ends: tuple[float, float],
+                              profiles: list[list[int]]) -> str:
+    """Where the proof of lo <= rho(m) <= hi first fails, as `row i below the
+    lower end lo` or `row i above the upper end hi` (1-based), or "".
+
+    For m >= 0 and v > 0, min (m v)_i / v_i <= rho(m) <= max (m v)_i / v_i
+    (Collatz 1942, Wielandt 1950), with no irreducibility or convergence
+    needed.  So d (m v)_i >= a v_i in every row at lo = a/d, and <= at hi,
+    prove the bracket exactly, whatever positive integer vectors are given.
+    """
+    product = _apply(m)
+    for end, x, v, holds in zip(("lower", "upper"), ends, profiles, (operator.ge, operator.le)):
+        if min(v) <= 0:
+            raise ValueError(f"the {end}-end vector must be positive")
+        a, d = x.as_integer_ratio()
+        rows = list(map(holds, map(d.__mul__, product(v)), map(a.__mul__, v)))
+        if not all(rows):
+            side = "below" if holds is operator.ge else "above"
+            return f"row {rows.index(False) + 1} {side} the {end} end {x!r}"
+    return ""
 
 
 def power_iteration(
@@ -71,7 +96,7 @@ def power_iteration(
     via converged=False, never silently.
     """
     check_tolerance(tol)
-    product = _row_product(m) if isinstance(m, IntMatrix) else m.apply
+    product = _apply(m)
     if max_iter is None:
         max_iter = 100 * m.size + 1000
     if max_iter < 1:

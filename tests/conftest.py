@@ -1,5 +1,5 @@
 """Make a bare `python -m pytest` work from a source checkout, and share the
-images-route product with the operator tests.
+images-route product and a tampered operator with the operator tests.
 
 `pythonpath = ["src"]` in pyproject.toml reaches the pytest process only; the
 tests that start `python -m volentropy` in a subprocess need `src` on
@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from volentropy.markov import _image_masks
+from volentropy.markov import TransitionOperator, _image_masks
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 _paths = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
@@ -43,3 +43,18 @@ class ImageRows:
 def image_rows():
     """`ImageRows`, the images-route product of a presentation spec."""
     return ImageRows
+
+
+class RaisedOperator(TransitionOperator):
+    """The transition operator with its (1, 1) entry raised by 1."""
+
+    def apply(self, v: list) -> list:
+        out = super().apply(v)
+        out[0] += v[0]
+        return out
+
+
+@pytest.fixture
+def raised_operator():
+    """`RaisedOperator`, built from a presentation spec."""
+    return RaisedOperator

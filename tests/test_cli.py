@@ -550,7 +550,23 @@ def test_spectral_collapse_names_the_power_route_that_did_not_converge(route, mo
     monkeypatch.setattr(cli, "volume_entropy", stuck)
     results = {row["check"]: row for row in cli._run_battery(3)}
     assert results["spectral-collapse"]["detail"] == (
-        f"power iteration did not converge for {PresentationSpec(3, False)}: {route}"
+        f"not certified for {PresentationSpec(3, False)}: {route}"
+    )
+
+
+def test_spectral_collapse_certifies_the_formal_orientable_operator(monkeypatch, raised_operator):
+    # One entry of the formal orientable operator raised by 1 moves its
+    # spectral radius above the bracket; the report's routes stay certified.
+    plus = PresentationSpec(3, True, formal=True)
+    real = markov.TransitionOperator
+    monkeypatch.setattr(cli, "TransitionOperator", lambda spec: (raised_operator if spec == plus else real)(spec))
+    rows = []
+    cli._check_rank(3, rows)
+    failed = {row["check"]: row["detail"] for row in rows if not row["pass"]}
+    assert list(failed) == ["spectral-collapse"]
+    hi = volume_entropy(PresentationSpec(3, False)).lambda_ + 1e-10 / 2
+    assert failed["spectral-collapse"] == (
+        f"not certified for {plus}: markov-power (row 1 above the upper end {hi!r})"
     )
 
 
@@ -926,7 +942,7 @@ def test_verify_refuses_to_run_with_its_asserts_stripped(flags, env, fmt):
 
 
 def test_routes_run_without_numpy():
-    # Power iteration is pure Python: with numpy made unimportable, verify
+    # No route loads numpy: with numpy made unimportable, verify
     # and entropy still succeed.
     code = (
         "import sys; sys.modules['numpy'] = None\n"

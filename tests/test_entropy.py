@@ -4,8 +4,9 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from volentropy import entropy
+from volentropy import cli, entropy, spectral
 from volentropy.core import IntMatrix, IntPolynomial, poly_eval
 from volentropy.entropy import (
     ROUTE_NAMES,
@@ -15,7 +16,8 @@ from volentropy.entropy import (
     lambda_n_bracket,
     volume_entropy,
 )
-from volentropy.markov import PresentationSpec
+from volentropy.markov import PresentationSpec, TransitionOperator
+from volentropy.reductions import compacted_matrix, super_compacted_matrix
 from volentropy.rome import q_polynomial
 from volentropy.spectral import power_iteration
 
@@ -214,6 +216,75 @@ def test_report_records_convergence_per_power_route():
     report = volume_entropy(PresentationSpec(5, False))
     assert report.converged == dict.fromkeys(ROUTE_NAMES[:3], True)
     assert volume_entropy(PresentationSpec(2, False)).converged == {}
+
+
+def _raised(m: IntMatrix) -> IntMatrix:
+    """m with its (1, 1) entry raised by 1."""
+    return IntMatrix([[m.rows[0][0] + 1, *m.rows[0][1:]], *m.rows[1:]])
+
+
+@pytest.mark.parametrize("route", ROUTE_NAMES[:3])
+def test_a_power_route_whose_matrix_is_raised_comes_out_uncertified(route, monkeypatch, raised_operator):
+    # The root routes keep q_5; the route's own matrix has one entry raised
+    # by 1, so its spectral radius leaves the bracket around lambda_5.
+    n, q = 5, q_polynomial(5)
+    monkeypatch.setattr(entropy, "rome_char_poly", lambda m, rome: q)
+    monkeypatch.setattr(entropy, "char_poly_exact", lambda m: q)
+    tamper = {
+        "markov-power": ("TransitionOperator", raised_operator),
+        "compacted-power": ("compacted_matrix", lambda n: _raised(compacted_matrix(n))),
+        "supercompacted-power": ("super_compacted_matrix", lambda n: _raised(super_compacted_matrix(n))),
+    }
+    monkeypatch.setattr(entropy, *tamper[route])
+    report = volume_entropy(PresentationSpec(n, False))
+    assert report.converged == {name: name != route for name in ROUTE_NAMES[:3]}
+    assert not report.consistent
+    assert report.lambda_ == report.routes["rome-root"] == lambda_n(n)
+    # The midpoint of the lower-end ratios: every row at least the lower end,
+    # row 1 one whole unit above it.
+    assert report.routes[route] == pytest.approx(lambda_n(n) + 0.5, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [3, 6, 24])
+def test_a_bracket_shifted_off_lambda_fails_at_the_lower_end(n):
+    lam, tol = lambda_n(n), 1e-10
+    matrices = (
+        TransitionOperator(PresentationSpec(n, False)),
+        compacted_matrix(n),
+        super_compacted_matrix(n),
+    )
+    for m in matrices:
+        assert entropy._power_route(m, n, lam, tol) == (lam, "")
+        value, failure = entropy._power_route(m, n, lam + 1e-6, tol)
+        lo = lam + 1e-6 - tol / 2
+        assert failure == f"row {n - 1} below the lower end {lo!r}", m.size
+        assert abs(value - lam) < 1e-6
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(3, 40).flatmap(lambda n: st.tuples(st.just(n), st.booleans() if n % 2 == 0 else st.just(False))),
+    st.floats(math.log(5e-324), math.log(1e-6)),
+)
+def test_every_power_route_is_certified_at_any_tolerance(case, log_tol):
+    # The bracket never narrows past the floats either side of lambda, so
+    # even tol = 5e-324 certifies.
+    (n, orientable), tol = case, min(max(math.exp(log_tol), 5e-324), 1e-6)
+    report = volume_entropy(PresentationSpec(n, orientable), tol=tol)
+    assert report.converged == dict.fromkeys(ROUTE_NAMES[:3], True)
+    assert report.consistent and report.bounds_hold
+    assert set(report.routes.values()) == {report.lambda_}
+
+
+def test_no_route_calls_power_iteration(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("power_iteration was called")
+
+    for mod in (spectral, entropy, cli):
+        monkeypatch.setattr(mod, "power_iteration", refuse, raising=False)
+    for n, orientable in ((3, False), (6, True), (7, False)):
+        assert volume_entropy(PresentationSpec(n, orientable)).consistent
+    assert all(row["pass"] for row in cli._run_battery(6))
 
 
 def test_report_validation():

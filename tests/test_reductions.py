@@ -1,14 +1,18 @@
 """The reduction chain: block views, circulant collapse, closed-form matrices."""
 
+import math
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from volentropy.core import IntMatrix, IntPolynomial, _check_matrix
+from volentropy.core import IntMatrix, IntPolynomial, _check_matrix, poly_eval
+from volentropy.entropy import lambda_n
 from volentropy.markov import (
     BlockKind,
     PresentationSpec,
+    TransitionOperator,
     _block_masks,
     build_block,
     build_markov_from_blocks,
@@ -17,6 +21,7 @@ from volentropy.reductions import (
     BlockView,
     check_J_commutation,
     compacted_matrix,
+    _perron_profile,
     _rotated_block_rows,
     _spectrum_split_failure,
     divided_compacted_matrix,
@@ -26,7 +31,8 @@ from volentropy.reductions import (
     sum_first_block_row_masks,
     super_compacted_matrix,
 )
-from volentropy.spectral import char_poly_exact
+from volentropy.rome import q_polynomial
+from volentropy.spectral import _apply, char_poly_exact
 
 C3 = IntMatrix(
     [
@@ -490,3 +496,65 @@ def test_rank_floor_is_checked_before_the_size_cap():
     n = -10**6
     with pytest.raises(ValueError, match=f"transition matrix needs rank >= 3, got {n}"):
         _check_matrix(n, 2 * n * (2 * n - 1), "transition matrix")
+
+
+# ---------------------------------------------------------------- Perron profile
+
+def _profile(n: int, x: Fraction) -> list[Fraction]:
+    """v(x) = (1, x, ..., x^(n-3), x^(n-2) - 2w, w), w = (x^(n-1) - 1)/(x^2 - 1)."""
+    w = (x ** (n - 1) - 1) / (x * x - 1)
+    return [x**i for i in range(n - 2)] + [x ** (n - 2) - 2 * w, w]
+
+
+PROFILE_POINTS = [Fraction(3), Fraction(7, 2), Fraction(11), Fraction(-5, 3)]
+
+
+@pytest.mark.parametrize("x", PROFILE_POINTS, ids=str)
+@pytest.mark.parametrize("n", range(3, 13))
+def test_perron_profile_is_an_eigenvector_of_s_n_but_for_row_n_minus_1(n, x):
+    # (S_n - x I) v(x) = -q_n(x)/(x + 1) e_(n-1), exactly.
+    v = _profile(n, x)
+    residual = [mv - x * vi for mv, vi in zip(_apply(super_compacted_matrix(n))(v), v)]
+    want = [0] * n
+    want[n - 2] = -poly_eval(q_polynomial(n), x) / (x + 1)
+    assert residual == want
+
+
+@pytest.mark.parametrize("x", [3.0, 3.5, 11.0, -5 / 3, 79.0], ids=str)
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 12, 40])
+def test_integer_perron_profile_is_the_scaled_profile(n, x):
+    a, d = x.as_integer_ratio()
+    scale = d ** (n - 2) * (a * a - d * d)
+    assert _perron_profile(n, x, n) == [scale * vi for vi in _profile(n, Fraction(a, d))]
+
+
+def _smallest_float_from_1_plus_sqrt2() -> float:
+    x = 1 + math.sqrt(2)
+    while (Fraction(x) - 1) ** 2 < 2:
+        x = math.nextafter(x, math.inf)
+    while (Fraction(math.nextafter(x, 0)) - 1) ** 2 >= 2:
+        x = math.nextafter(x, 0)
+    return x
+
+
+@pytest.mark.parametrize("n", range(3, 41))
+def test_integer_perron_profile_is_positive_from_1_plus_sqrt2(n):
+    for x in (_smallest_float_from_1_plus_sqrt2(), lambda_n(3), 79.0):
+        assert min(_perron_profile(n, x, n)) > 0, (n, x)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 9])
+def test_lifted_profiles_are_eigenvectors_but_at_the_middle_neighbours(n):
+    # C_n's palindrome misses x u by the S_n defect at rows n-1 and n+1; the
+    # transition matrices', in both orientations, by that in each block.
+    x = 3.5
+    a, d = x.as_integer_ratio()
+    defect = -poly_eval(q_polynomial(n), Fraction(x)) / (x + 1) * d ** (n - 2) * (a * a - d * d)
+    s = 2 * n - 1
+    block = [defect if i in (n - 2, n) else 0 for i in range(s)]
+    matrices = [compacted_matrix(n), TransitionOperator(PresentationSpec(n, False))]
+    matrices.append(TransitionOperator(PresentationSpec(n, True, formal=n % 2 == 1)))
+    for m in matrices:
+        u = _perron_profile(n, x, m.size)
+        residual = [Fraction(mu) - x * ui for mu, ui in zip(_apply(m)(u), u)]
+        assert residual == block * (m.size // s), m.size

@@ -20,7 +20,12 @@ from volentropy.reductions import (
     divided_compacted_matrix,
     super_compacted_matrix,
 )
-from volentropy.spectral import char_poly_exact, is_irreducible, power_iteration
+from volentropy.spectral import (
+    _collatz_wielandt_failure,
+    char_poly_exact,
+    is_irreducible,
+    power_iteration,
+)
 
 
 # ---------------------------------------------------------------- oracle
@@ -120,6 +125,24 @@ def test_power_iteration_validation():
         power_iteration(IntMatrix([[1, -1], [0, 1]]))
     with pytest.raises(ValueError):
         power_iteration(IntMatrix.identity(2), max_iter=0)
+
+
+# ---------------------------------------------------------------- Collatz-Wielandt bounds
+
+def test_collatz_wielandt_bounds_name_the_end_and_row_that_fail():
+    # rho = 3 with Perron vector (1, 2); (1, 1) has ratios 2 and 4.
+    m = IntMatrix([[1, 1], [2, 2]])
+    assert _collatz_wielandt_failure(m, (3.0, 3.0), [[1, 2], [1, 2]]) == ""
+    assert _collatz_wielandt_failure(m, (2.0, 4.0), [[1, 1], [1, 1]]) == ""
+    assert _collatz_wielandt_failure(m, (2.5, 4.0), [[1, 1], [1, 1]]) == "row 1 below the lower end 2.5"
+    assert _collatz_wielandt_failure(m, (2.0, 3.5), [[1, 1], [1, 1]]) == "row 2 above the upper end 3.5"
+
+
+def test_collatz_wielandt_bounds_need_a_nonnegative_matrix_and_positive_vectors():
+    with pytest.raises(ValueError, match="nonnegative"):
+        _collatz_wielandt_failure(IntMatrix([[1, -1], [0, 1]]), (1.0, 1.0), [[1, 1], [1, 1]])
+    with pytest.raises(ValueError, match="upper-end vector must be positive"):
+        _collatz_wielandt_failure(IntMatrix.identity(2), (1.0, 1.0), [[1, 1], [1, 0]])
 
 
 def test_exact_routes_do_not_load_numpy():
