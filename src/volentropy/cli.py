@@ -119,7 +119,7 @@ def _bounds_payload(report: EntropyReport) -> dict:
     if n < 3:
         return {"hold": report.bounds_hold, "lower": None, "upper": None}
     lower = _lower_bound(n)
-    lower_text = None if lower is None else str(lower)
+    lower_text = None if lower is None else f"{lower[0]}/{lower[1]}"
     return {"hold": report.bounds_hold, "lower": lower_text, "upper": str(2 * n - 1)}
 
 

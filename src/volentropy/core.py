@@ -1,11 +1,11 @@
 """Exact arithmetic building blocks: integer matrices and polynomials.
 
 Everything in this module is exact.  Matrices hold arbitrary-precision Python
-integers, polynomials hold integer coefficients, and evaluation goes through
-`fractions.Fraction` so sign decisions are never at the mercy of floating
-point.  The public constructors reject entries that are not integers, and
-`_check_matrix`, the one matrix guard, refuses a rank below 3 or a side
-past 6320.
+integers, polynomials hold integer coefficients, and the sign of a polynomial
+at a rational a/d is the sign of the integer d^deg * p(a/d) (`_scaled_eval`),
+so sign decisions are never at the mercy of floating point.  The public
+constructors reject entries that are not integers, and `_check_matrix`, the
+one matrix guard, refuses a rank below 3 or a side past 6320.
 Polynomial arithmetic is written once, in `IntPolynomial`; a
 `LaurentPolynomial` is a power of x times one, kept only to present the
 rome path matrix, whose determinant is taken in x^-1.  Products m v live in
@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 from itertools import compress, starmap, zip_longest
 
 __all__ = [
@@ -334,13 +333,25 @@ class IntPolynomial(_Frozen):
 
 
 def poly_eval(p: IntPolynomial, x):
-    """Evaluate p at x by Horner's rule.
+    """Evaluate p at x by Horner's rule, in the arithmetic of x.
 
-    With an int or Fraction argument the result is exact; floats float.
+    With an int or a `fractions.Fraction` argument the result is exact;
+    floats float.  The package takes its exact signs from `_scaled_eval`.
     """
-    acc = 0 * x if not isinstance(x, (int, Fraction)) else 0
+    acc = 0
     for c in reversed(p.coeffs):
         acc = acc * x + c
+    return acc
+
+
+def _scaled_eval(p: IntPolynomial, a: int, d: int) -> int:
+    """d^deg * p(a/d) = sum of c_i a^i d^(deg-i) for d > 0, deg = len(coeffs) - 1:
+    an integer with the sign of p(a/d), by Horner's rule homogenised in d."""
+    coeffs = p.coeffs
+    acc, dk = coeffs[-1], 1
+    for c in coeffs[-2::-1]:
+        dk *= d
+        acc = acc * a + c * dk
     return acc
 
 

@@ -4,9 +4,10 @@ The growth rate of the rank-n presentations is the unique root above 1 of
 the degree-n polynomial from `q_polynomial`; the volume entropy is its
 natural logarithm.  `_route_root` gives every float growth rate reported
 (`lambda_n`, the tables, the two root routes of `volume_entropy`): a float
-bisection to two adjacent floats, certified by one exact sign pair, and the
-float nearest the root.  `lambda_n_bracket` gives an exact rational bracket
-of any width.  `volume_entropy` cross-checks the root against four independent
+bisection to two adjacent floats, certified by one exact integer sign pair,
+and the float nearest the root.  `lambda_n_bracket` gives an exact rational
+bracket of any width; only it and the fallback of `_route_root` load
+`fractions`.  `volume_entropy` cross-checks the root against four independent
 computational routes through the matrix reductions, three of them proven by
 exact products (`_power_route`), and packages the result.
 
@@ -17,10 +18,9 @@ are built.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import truediv
 
-from .core import _MAX_TABLE_RANK, IntMatrix, IntPolynomial, _Frozen, check_tolerance, poly_eval
+from .core import _MAX_TABLE_RANK, IntMatrix, IntPolynomial, _Frozen, _scaled_eval, check_tolerance, poly_eval
 from .markov import PresentationSpec, TransitionOperator
 from .reductions import _perron_profile, compacted_matrix, super_compacted_matrix
 from .rome import RomeSpec, q_polynomial, rome_char_poly
@@ -54,13 +54,17 @@ ROUTE_NAMES = (
 # Certified root of the closed-form polynomial
 # =====================================================================
 
-def _bisect_root(p: IntPolynomial, lo: Fraction, hi: Fraction, tol: float) -> tuple[Fraction, Fraction]:
-    """Shrink [lo, hi] around the sign change of p with exact arithmetic.
+def _bisect_root(p: IntPolynomial, lo: int, hi: int, tol: float) -> tuple[Fraction, Fraction]:
+    """Shrink [lo, hi] around the sign change of p in `Fraction` arithmetic.
 
-    Requires p(lo) < 0 < p(hi); returns the final bracket, of width <= tol.
-    There is no iteration cap: the smallest tolerance, 5e-324, takes about
-    1080 halvings (0.14 s at n = 5, 3.8 s at n = 40; process CPU, 2-core VM).
+    Requires p(lo) < 0 < p(hi); returns the final bracket, as Fractions, of
+    width <= tol.  There is no iteration cap: the smallest tolerance, 5e-324,
+    takes about 1080 halvings (0.14 s at n = 5, 3.8 s at n = 40; process CPU,
+    2-core VM).
     """
+    from fractions import Fraction
+
+    lo, hi = Fraction(lo), Fraction(hi)
     flo = poly_eval(p, lo)
     fhi = poly_eval(p, hi)
     if not (flo < 0 < fhi):
@@ -84,12 +88,13 @@ def _route_root(p: IntPolynomial, b: int) -> float:
     """The float nearest the root of p in (1, b), certified by exact signs.
 
     A float bisection on [1, b] runs until lo and hi are adjacent floats
-    (about 57 steps).  `_bisect_root`, given that bracket's own width as its
-    tolerance, certifies it by its two exact endpoint signs without halving,
-    and one exact sign at the midpoint picks the nearer float.  If the float
-    search overflows or meets inf or nan (q_n does from n = 129), or its
-    bracket fails the certificate, the root is bisected exactly on [1, b]
-    to 1e-12 and the midpoint of that bracket is returned.
+    (about 57 steps).  With lo = a1/d1 and hi = a2/d2 exactly, the integer
+    signs p(lo) < 0 < p(hi) (`_scaled_eval`) certify that bracket, and one
+    more at its exact midpoint (a1*d2 + a2*d1) / (2*d1*d2) picks the nearer
+    float.  If the float search overflows or meets inf or nan (q_n does from
+    n = 129), or its bracket fails the certificate, the root is bisected
+    exactly on [1, b] to 1e-12 (`_bisect_root`) and the midpoint of that
+    bracket is returned.
     """
     try:
         lo, hi = 1.0, float(b)
@@ -98,12 +103,14 @@ def _route_root(p: IntPolynomial, b: int) -> float:
             if not math.isfinite(value):
                 raise OverflowError(f"p({mid}) = {value}")
             lo, hi = (mid, hi) if value < 0 else (lo, mid)
-        lo, hi = _bisect_root(p, Fraction(lo), Fraction(hi), hi - lo)
+        (a1, d1), (a2, d2) = lo.as_integer_ratio(), hi.as_integer_ratio()
+        if not _scaled_eval(p, a1, d1) < 0 < _scaled_eval(p, a2, d2):
+            raise ValueError(f"no certified sign change between {lo!r} and {hi!r}")
     except (OverflowError, ValueError):
-        lo, hi = _bisect_root(p, Fraction(1), Fraction(b), 1e-12)
+        lo, hi = _bisect_root(p, 1, b, 1e-12)
         return float((lo + hi) / 2)
     # At a tie both floats are nearest, and lo is returned.
-    return float(hi if poly_eval(p, (lo + hi) / 2) < 0 else lo)
+    return hi if _scaled_eval(p, a1 * d2 + a2 * d1, 2 * d1 * d2) < 0 else lo
 
 
 def _q(n: int) -> IntPolynomial:
@@ -125,20 +132,21 @@ def lambda_n_bracket(n: int, tol: float = 1e-12) -> tuple[Fraction, Fraction]:
     """
     p = _q(n)
     check_tolerance(tol)
-    return _bisect_root(p, Fraction(1), Fraction(2 * n - 1), tol)
+    return _bisect_root(p, 1, 2 * n - 1, tol)
 
 
 def lambda_n(n: int) -> float:
-    """Growth rate of the rank-n presentations by `_route_root`: the certified
-    nearest float up to n = 128 (2n-1 itself from n = 13), and the midpoint
-    of a 1e-12 exact bracket from n = 129, where the float search overflows."""
+    """Growth rate of the rank-n presentations by `_route_root`: the nearest
+    float, certified by integer signs, up to n = 128 (2n-1 itself from
+    n = 13), and from n = 129, where the float search overflows, the midpoint
+    of a 1e-12 bracket bisected in `Fraction` arithmetic."""
     return _route_root(_q(n), 2 * n - 1)
 
 
 def bounds_check(n: int) -> bool:
     """Certify 2n-1 - (2n-1)^-(n-2) < growth rate < 2n-1 by exact signs.
 
-    Evaluates the closed-form polynomial at both bounds in rational
+    Evaluates the closed-form polynomial at both bounds in exact integer
     arithmetic: strictly negative at the lower bound, strictly positive at
     2n-1.  The lower bound needs n >= 4.
     """
@@ -147,22 +155,23 @@ def bounds_check(n: int) -> bool:
     return _bounds_hold(n)
 
 
-def _lower_bound(n: int) -> Fraction | None:
-    """The exact lower bound 2n-1 - (2n-1)^-(n-2) on the growth rate; None below n = 4."""
+def _lower_bound(n: int) -> tuple[int, int] | None:
+    """The exact lower bound 2n-1 - (2n-1)^-(n-2) on the growth rate as
+    (numerator, denominator) in lowest terms, (b^(n-1) - 1, b^(n-2)) with
+    b = 2n-1; None below n = 4."""
     if n < 4:
         return None
     b = 2 * n - 1
-    return b - Fraction(1, b ** (n - 2))
+    return b ** (n - 1) - 1, b ** (n - 2)
 
 
 def _bounds_hold(n: int) -> bool:
     """The closed-form polynomial is negative at the lower end and positive
-    at 2n-1, by exact signs.  The lower end is `_lower_bound(n)`, or 1 where
-    that bound does not apply."""
+    at 2n-1, by exact integer signs.  The lower end is `_lower_bound(n)`, or
+    1 where that bound does not apply."""
     p = q_polynomial(n)
-    lower = _lower_bound(n)
-    lo = Fraction(1) if lower is None else lower
-    return poly_eval(p, lo) < 0 < poly_eval(p, Fraction(2 * n - 1))
+    lower = _lower_bound(n) or (1, 1)
+    return _scaled_eval(p, *lower) < 0 < _scaled_eval(p, 2 * n - 1, 1)
 
 
 # =====================================================================
@@ -305,7 +314,8 @@ def entropy_table(n_min: int, n_max: int) -> list[EntropyTableRow]:
                 n=n,
                 lambda_=lam,
                 entropy=math.log(lam),
-                lower_bound=None if lb is None else float(lb),
+                # int / int rounds correctly, as float(Fraction) does
+                lower_bound=None if lb is None else lb[0] / lb[1],
                 upper_bound=float(b),
                 gap=-math.log1p(-delta / b),
             )

@@ -3,12 +3,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from volentropy.core import (
     IntMatrix,
     IntPolynomial,
     LaurentPolynomial,
+    _scaled_eval,
     format_blocks,
     matrix_to_csv,
     mod1,
@@ -254,6 +255,28 @@ def test_poly_eval_int_and_float_paths(p, k, x):
     for c in reversed(p.coeffs):
         acc = acc * x + c
     assert poly_eval(p, x) == acc
+
+
+# a/d with d > 0: any ratio, a <= 0 over 1, and every finite float, down to
+# the subnormals (5e-324 is 1/2**1074)
+ratios = st.one_of(
+    st.tuples(st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+    st.tuples(st.integers(-10**6, 0), st.just(1)),
+    st.floats(allow_nan=False, allow_infinity=False).map(float.as_integer_ratio),
+)
+
+
+@given(polynomials, ratios)
+@example(IntPolynomial([7]), (-3, 1))
+@example(IntPolynomial([0]), (5, 3))
+@example(IntPolynomial([-2, 0, 3]), (-(2**60), 1))
+@example(IntPolynomial([1, -8, -8, -8, -8, 1]), (5e-324).as_integer_ratio())
+@example(IntPolynomial([1, -8, -8, -8, -8, 1]), (-2.2250738585072014e-308).as_integer_ratio())
+def test_scaled_eval_is_the_fraction_value_times_d_to_the_degree(p, ratio):
+    a, d = ratio
+    got = _scaled_eval(p, a, d)
+    assert type(got) is int
+    assert got == d ** (len(p.coeffs) - 1) * poly_eval(p, Fraction(a, d))
 
 
 def test_reciprocal_check():

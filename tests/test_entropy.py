@@ -100,6 +100,17 @@ def test_bounds_check_needs_rank_4():
         bounds_check(3)
 
 
+def test_bounds_check_fails_when_either_sign_is_wrong(monkeypatch):
+    # At n = 8, 2n-1 - lambda is about 8.7e-8: a lower end 1e-9 below 15
+    # lies above lambda, where q is positive.
+    with monkeypatch.context() as m:
+        m.setattr(entropy, "_lower_bound", lambda n: (15 * 10**9 - 1, 10**9))
+        assert not bounds_check(8)
+    # -1 is negative at the lower end but also at 2n-1.
+    monkeypatch.setattr(entropy, "q_polynomial", lambda n: IntPolynomial([-1]))
+    assert not bounds_check(8)
+
+
 def test_lambda_sits_inside_certified_bounds():
     # Float shadow of the exact certification; stops at rank 9 because beyond
     # that the root crowds the lower bound below float bisection resolution.
@@ -145,17 +156,23 @@ def test_report_consensus_is_the_certified_root():
     assert report.entropy == math.log(report.lambda_)
 
 
+def _spy(monkeypatch, name: str) -> list[tuple]:
+    """The arguments of each call to `entropy.<name>`, in call order."""
+    calls = []
+    real = getattr(entropy, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(entropy, name, spy)
+    return calls
+
+
 def test_equal_polynomials_share_one_bisection(monkeypatch):
-    brackets = []
-    real = entropy._bisect_root
-
-    def counting(p, lo, hi, tol):
-        brackets.append(p)
-        return real(p, lo, hi, tol)
-
-    monkeypatch.setattr(entropy, "_bisect_root", counting)
+    searches = _spy(monkeypatch, "_route_root")
     report = volume_entropy(PresentationSpec(5, False))
-    assert brackets == [q_polynomial(5)]
+    assert [p for p, b in searches] == [q_polynomial(5)]
     assert report.routes["charpoly-root"] == report.routes["rome-root"]
     assert report.consistent
 
@@ -173,30 +190,38 @@ def test_a_charpoly_that_differs_is_bisected_and_reads_inconsistent(monkeypatch)
     assert report.lambda_ == report.routes["rome-root"]
 
 
-def _spy_bisections(monkeypatch) -> list[tuple[Fraction, Fraction]]:
-    """The (lo, hi) each `_bisect_root` call starts from, in call order."""
-    starts = []
-    real = entropy._bisect_root
-
-    def spy(p, lo, hi, tol):
-        starts.append((lo, hi))
-        return real(p, lo, hi, tol)
-
-    monkeypatch.setattr(entropy, "_bisect_root", spy)
-    return starts
-
-
 def test_route_roots_are_the_nearest_float_to_the_root(monkeypatch):
-    # The float search ends on two adjacent floats, which the exact bisection
-    # takes as its certified bracket: no fallback to [1, 2n-1] at any rank.
-    # Exactly, q changes sign between the midpoints around lambda.
-    starts = _spy_bisections(monkeypatch)
+    # The float search ends on two adjacent floats, whose exact integer signs
+    # certify the bracket and one more, at its midpoint, picks the nearer:
+    # no fallback to [1, 2n-1] at any rank.  Exactly, q changes sign between
+    # the midpoints around lambda.
+    signs = _spy(monkeypatch, "_scaled_eval")
+    fallbacks = _spy(monkeypatch, "_bisect_root")
     for n in range(3, 41):
         q, b = q_polynomial(n), 2 * n - 1
         lam = entropy._route_root(q, b)
-        lo, hi = starts.pop()
-        assert starts == [] and hi == math.nextafter(lo, math.inf) and lo > 1
+        (_, a1, d1), (_, a2, d2), _midpoint = signs
+        lo, hi = a1 / d1, a2 / d2
+        assert hi == math.nextafter(lo, math.inf) and lo > 1
         assert _is_nearest_float(q, lam), n
+        signs.clear()
+    assert fallbacks == []
+
+
+@pytest.mark.parametrize("shift", [1, -1], ids=["below", "above"])
+def test_a_float_search_led_off_the_root_fails_the_exact_signs(shift, monkeypatch):
+    # Float values of q_5 + shift lead the search to a pair of floats below
+    # (or above) the root; the exact sign of q_5 at hi (or lo) rejects it, and
+    # the exact bisection takes over.
+    q = q_polynomial(5)
+    monkeypatch.setattr(
+        entropy, "poly_eval", lambda p, x: poly_eval(p, x) + (shift if isinstance(x, float) else 0)
+    )
+    bisections = _spy(monkeypatch, "_bisect_root")
+    lam = entropy._route_root(q, 9)
+    assert bisections[0][1:3] == (1, 9)
+    lo, hi = lambda_n_bracket(5, 1e-15)
+    assert abs(lam - float((lo + hi) / 2)) <= 1e-12
 
 
 @pytest.mark.parametrize("scale", [10**306, 10**400], ids=["inf", "overflow"])
@@ -205,9 +230,9 @@ def test_a_charpoly_past_the_float_range_falls_back_to_the_exact_bisection(scale
     # (10**306) or its coefficients do not convert to float (10**400).
     scaled = q_polynomial(5) * IntPolynomial([scale])
     monkeypatch.setattr(entropy, "char_poly_exact", lambda m: scaled)
-    starts = _spy_bisections(monkeypatch)
+    bisections = _spy(monkeypatch, "_bisect_root")
     report = volume_entropy(PresentationSpec(5, False))
-    assert starts[-1] == (1, 9)
+    assert bisections[-1][1:3] == (1, 9)
     assert report.routes["charpoly-root"] == pytest.approx(report.routes["rome-root"], abs=1e-12)
     assert report.consistent and report.bounds_hold
 
@@ -358,6 +383,14 @@ def test_table_rows_are_the_nearest_float_and_clear_the_lower_bound():
     for row in entropy_table(3, 128):
         assert _is_nearest_float(q_polynomial(row.n), row.lambda_), row.n
         assert row.lower_bound is None or row.lambda_ >= row.lower_bound, row.n
+
+
+def test_table_lower_bound_is_the_rounded_exact_bound(monkeypatch):
+    # The bound does not depend on lambda, so a stub keeps n = 4..400 cheap.
+    monkeypatch.setattr(entropy, "lambda_n", lambda n: float(2 * n - 1))
+    for row in entropy_table(4, 400):
+        b = 2 * row.n - 1
+        assert row.lower_bound == float(b - Fraction(1, b ** (row.n - 2))), row.n
 
 
 def test_table_rows_past_the_float_range_stay_within_1e_12():

@@ -117,12 +117,20 @@ def test_value_type_signatures_and_repr():
 
 def test_importing_the_cli_loads_only_modules_the_package_computes_with():
     # -S: without `site`, no .pth file can preload a module the package does not.
-    heavy = ("dataclasses", "inspect", "typing", "importlib.resources", "pathlib")
+    # `fractions` (with `decimal` and `numbers`) loads only for the exact
+    # fallback of the root search and for `lambda_n_bracket`, which returns
+    # Fractions; verify and the float-range table rows sign on ints.
+    heavy = ("dataclasses", "inspect", "typing", "importlib.resources", "pathlib",
+             "fractions", "decimal", "numbers")
     code = (
-        "import sys, volentropy.cli\n"
+        "import contextlib, io, sys, volentropy.cli\n"
         f"print(sorted(set({heavy!r}) & set(sys.modules)))\n"
         "rows = volentropy.reference_rows(4, True)\n"
         "print(len(rows), len(rows[0]), sum(map(sum, rows)))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = volentropy.cli.main(['verify', '--n-max', '10'])\n"
+        "print(code, len(volentropy.entropy_table(3, 128)), 'fractions' in sys.modules)\n"
+        "print(*(type(end).__name__ for end in volentropy.lambda_n_bracket(5)))\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     out = subprocess.run(
@@ -133,4 +141,4 @@ def test_importing_the_cli_loads_only_modules_the_package_computes_with():
         check=True,
         timeout=60,
     ).stdout
-    assert out.splitlines() == ["[]", "21 56 141"]
+    assert out.splitlines() == ["[]", "21 56 141", "0 126 False", "Fraction Fraction"]
