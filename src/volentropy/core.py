@@ -98,9 +98,26 @@ def _check_matrix(n: int, side: int, name: str) -> None:
         raise ValueError(
             f"the rank-{n} {name} is {side}x{side}, over the {_MAX_SIDE}x{_MAX_SIDE} cap: "
             "transition matrices go up to rank 40, reduced ones up to that size; "
-            "`lambda_n` gives the growth rate exactly without a matrix at any rank, "
+            "`lambda_n` gives the growth rate as a float without a matrix at any rank, "
+            "`lambda_n_bracket` an exact rational bracket of it, "
             f"`volentropy table` up to rank {_MAX_TABLE_RANK}"
         )
+
+
+# `_memo`'s results, emptied when eight are held so that few matrices stay
+# alive: verify asks for each rank's two polynomials in two of its checks.
+_MEMO: dict = {}
+
+
+def _memo(compute, *args):
+    """compute(*args), answered from `_MEMO` when an equal call is held there:
+    the arguments are frozen values, so an equal call has an equal result."""
+    value = _MEMO.get(key := (compute, *args))
+    if value is None:
+        if len(_MEMO) >= 8:
+            _MEMO.clear()
+        value = _MEMO[key] = compute(*args)
+    return value
 
 
 class _Frozen:

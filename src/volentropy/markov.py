@@ -8,8 +8,8 @@ transition matrix records which slot covers which.
 
 Two independent constructions are provided and cross-checked in the tests:
 
-* `build_markov_from_images` walks the image of every slot directly,
-  using the combinatorial description of where each subinterval lands;
+* `build_markov_from_images` writes each slot's image directly as runs of
+  bits, from the combinatorial description of where each subinterval lands;
 * `TransitionOperator` applies the circulant template of (2n-1) x (2n-1)
   structural blocks (T, JTJ, U(i), zero) to a vector without storing a
   matrix; `build_markov_from_blocks` reads the dense matrix off that
@@ -24,14 +24,14 @@ For the orientation-reversing (non-orientable) presentation the block rows
 at positions n and 2n act with reversed orientation: every block in those
 rows is premultiplied by the flip matrix J, which only reverses the order of
 the row's slots.  The block route reverses the block row's output; the image
-route reads the straight row's slot list backwards.
+route reads the straight row's list of slot masks backwards.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
 
-from .core import IntMatrix, _Frozen, _check_matrix, _ints, mod1
+from .core import IntMatrix, _Frozen, _check_matrix, _ints
 
 __all__ = [
     "PresentationSpec",
@@ -197,57 +197,34 @@ def _from_masks(masks: list[int], size: int) -> IntMatrix:
 # Route 1: direct slot images
 # =====================================================================
 
-def _slot_images(n: int, l: int, reversed_row: bool) -> list[list[tuple[int, range]]]:
-    """Images of the 2n-1 slots of block row l.
-
-    Returns, for slot i (list index i-1), the covered targets as pairs
-    (block index, covered slots in that block).  Every target is one run of
-    slots, and a full block shows up as slots 1..2n-1.  J on every block of
-    a reversed row only reverses the row's slots, so its slot i sends where
-    the straight row sends slot 2n-i: the same list read backwards.
-    """
-    r = 2 * n
-    s = 2 * n - 1
-    full = range(1, s + 1)
-    ahead = mod1(l + n + 1, r)   # block reached from the left half
-    behind = mod1(l + n - 1, r)  # block reached from the right half
-    left_run = [mod1(l + k, r) for k in range(1, n - 1)]       # blocks l+1..l+n-2
-    right_run = [mod1(l + k, r) for k in range(n + 2, 2 * n)]  # blocks l+n+2..l-1
-
-    out: list[list[tuple[int, range]]] = []
-    for i in range(1, s + 1):
-        if i <= n - 3:
-            targets = [(ahead, range(i + 1, i + 2))]
-        elif i == n - 2:
-            targets = [(ahead, range(n - 1, n + 1))]
-        elif i == n - 1:
-            targets = [(ahead, range(n + 1, s + 1))]
-            targets += [(t, full) for t in right_run]
-        elif i == n:
-            targets = [(l, full)]
-        elif i == n + 1:
-            targets = [(t, full) for t in left_run]
-            targets += [(behind, range(1, n))]
-        elif i == n + 2:
-            targets = [(behind, range(n, n + 2))]
-        else:
-            targets = [(behind, range(i - 1, i))]
-        out.append(targets)
-    return out[::-1] if reversed_row else out
-
-
 def _image_masks(spec: PresentationSpec) -> list[int]:
-    """One bit mask per row from the image description: a row's mask sums one
-    run of bits per target, and the targets are disjoint."""
+    """One bit mask per row from the image description.  Block b holds bits
+    from (b-1)(2n-1), so each slot's image is a few runs of bits shifted into
+    place, a run of full blocks past block 2n folded back to block 1.  J on a
+    reversed row's blocks only reverses its slots: the straight row's list
+    backwards."""
     n = spec.n
     _check_matrix_rank(n)
-    s = spec.block_size
+    s, r = spec.block_size, spec.block_count
+    size, full, tail = r * s, (1 << s) - 1, (1 << n - 1) - 1  # tail: n-1 slots
     reversed_rows = _reversed_rows(spec)
-    return [
-        sum(((1 << len(run)) - 1) << ((t - 1) * s + run.start - 1) for t, run in targets)
-        for l in range(1, spec.block_count + 1)
-        for targets in _slot_images(n, l, l in reversed_rows)
-    ]
+
+    def blocks(first: int) -> int:  # the n-2 full blocks from 0-based block `first`
+        run = ((1 << (n - 2) * s) - 1) << first * s
+        return (run & (1 << size) - 1) | run >> size
+
+    out: list[int] = []
+    for l in range(r):  # 0-based: block row l+1
+        ahead, behind = (l + n + 1) % r * s, (l + n - 1) % r * s
+        row = [1 << ahead + i for i in range(1, n - 2)]  # slot i <= n-3: ahead's slot i+1
+        row += [3 << ahead + n - 2,  # slot n-2: ahead's slots n-1, n
+                tail << ahead + n | blocks((l + n + 2) % r),  # n-1: ahead's n+1.., blocks l+n+2..l-1
+                full << l * s,  # slot n: all of block l
+                blocks((l + 1) % r) | tail << behind,  # n+1: blocks l+1..l+n-2, behind's 1..n-1
+                3 << behind + n - 1]  # slot n+2: behind's slots n, n+1
+        row += [1 << behind + n + i for i in range(1, n - 2)]  # slot n+2+i: behind's n+1+i
+        out += row[::-1] if l + 1 in reversed_rows else row
+    return out
 
 
 def build_markov_from_images(spec: PresentationSpec) -> IntMatrix:
@@ -322,13 +299,10 @@ def reference_rows(n: int, orientable: bool) -> list[list[int]]:
     verification battery and the test suite as ground truth for the
     constructions.
     """
-    try:
-        fname = _REFERENCE_FILES[(n, orientable)]
-    except KeyError:
-        raise ValueError(
-            f"no reference data for n={n}, orientable={orientable}"
-        ) from None
-    from importlib import resources
-    text = resources.files("volentropy.data").joinpath(fname).read_text()
-    rows = [[int(tok) for tok in line.split()] for line in text.splitlines() if line.strip()]
-    return rows
+    fname = _REFERENCE_FILES.get((n, orientable))
+    if fname is None:
+        raise ValueError(f"no reference data for n={n}, orientable={orientable}")
+    # This module's loader reads the file beside it, from a directory or a
+    # zip archive, and imports nothing.
+    text = __spec__.loader.get_data(f"{__file__.rpartition('markov.')[0]}data/{fname}").decode()
+    return [[int(tok) for tok in line.split()] for line in text.splitlines() if line.strip()]

@@ -14,7 +14,7 @@ comes out in closed form.
 
 from __future__ import annotations
 
-from .core import IntMatrix, IntPolynomial, LaurentPolynomial, _Frozen, _ints
+from .core import IntMatrix, IntPolynomial, LaurentPolynomial, _Frozen, _ints, _memo
 
 __all__ = [
     "RomeSpec",
@@ -144,7 +144,12 @@ def rome_char_poly(m: IntMatrix, r: RomeSpec) -> IntPolynomial:
     The path matrix A satisfies det(xI - m) = (-1)^|R| x^k det(A - I), where
     det(A - I) = d_0 + d_1 y + ... + d_k y^k in y = x^-1.  So the result is
     the d_j reversed, negated when |R| is odd, and matches `char_poly_exact`.
+    A small memo (`core._memo`) answers a repeated matrix and rome.
     """
+    return _memo(_rome_char_poly, m, r)
+
+
+def _rome_char_poly(m: IntMatrix, r: RomeSpec) -> IntPolynomial:
     grid = _path_sums(m, r)
     for i, row in enumerate(grid):
         row[i][0] -= 1

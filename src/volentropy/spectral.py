@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import operator
 
-from .core import IntMatrix, IntPolynomial, _Frozen, check_tolerance
+from .core import IntMatrix, IntPolynomial, _Frozen, _memo, check_tolerance
 from .markov import TransitionOperator
 
 __all__ = [
@@ -138,8 +138,13 @@ def char_poly_exact(m: IntMatrix) -> IntPolynomial:
     and Python integers keep the intermediate traces exact at any size.  Row i
     of m * acc sums rows of acc over the nonzero m[i][j]: O(nnz * k), not k^3.
     A unit weight adds its row of acc unscaled, and a row with one nonzero
-    copies (or scales) that row of acc with no column sum.
+    copies (or scales) that row of acc with no column sum.  A small memo
+    (`core._memo`) answers a repeated matrix.
     """
+    return _memo(_char_poly_exact, m)
+
+
+def _char_poly_exact(m: IntMatrix) -> IntPolynomial:
     k = m.size
     nonzero = m.nonzeros()
     coeffs = [0] * k + [1]

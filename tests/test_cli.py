@@ -21,7 +21,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import volentropy
-from volentropy import cli, entropy, markov, reductions
+from volentropy import cli, core, entropy, markov, reductions, rome, spectral
 from volentropy.cli import _first_difference, main
 from volentropy.core import IntMatrix, format_blocks
 from volentropy.entropy import ROUTE_NAMES, EntropyReport, volume_entropy
@@ -124,11 +124,15 @@ def test_build_matrix_past_the_size_cap_exits_1_before_building(
 
 def test_size_cap_message_points_at_routes_that_reach_the_refused_rank(capsys):
     # Rank 3200 is past the reduced builders' cap and far past the table's:
-    # the message offers lambda_n for any rank and the table only up to its cap.
+    # the message offers lambda_n (a float) and lambda_n_bracket (exact) for
+    # any rank, and the table only up to its cap.
     code = main(["build-matrix", "--n", "3200", "--which", "compacted"])
     err = capsys.readouterr().err
     assert code == 1
-    assert "`lambda_n` gives the growth rate exactly without a matrix at any rank" in err
+    assert (
+        "`lambda_n` gives the growth rate as a float without a matrix at any rank, "
+        "`lambda_n_bracket` an exact rational bracket of it" in err
+    )
     assert f"`volentropy table` up to rank {entropy._MAX_TABLE_RANK}" in err
 
 
@@ -810,6 +814,48 @@ def test_verify_builds_each_closed_form_once_per_rank(monkeypatch):
         for name in ("compacted_matrix", "super_compacted_matrix")
         for n in range(3, 11)
     }
+
+
+def test_verify_computes_each_characteristic_polynomial_once_per_rank(monkeypatch):
+    # route-consensus (inside volume_entropy) and rome-charpoly read the same
+    # supercompacted matrix, so the second asks the memo, not the algorithm.
+    monkeypatch.setattr(core, "_MEMO", {})
+    calls = Counter()
+    for mod, name in ((rome, "_rome_char_poly"), (spectral, "_char_poly_exact")):
+        real = getattr(mod, name)
+
+        def counting(m, *args, name=name, real=real):
+            calls[name, m.size] += 1
+            return real(m, *args)
+
+        monkeypatch.setattr(mod, name, counting)
+    results = cli._run_battery(10)
+    assert all(row["pass"] for row in results)
+    assert calls == {
+        (name, n): 1 for name in ("_rome_char_poly", "_char_poly_exact") for n in range(3, 11)
+    }
+
+
+def test_rome_charpoly_is_not_answered_from_the_memo_for_a_changed_matrix(monkeypatch):
+    # One weight of the heavy row raised: the support, so irreducibility and
+    # the rome, stay, but the polynomials change.  route-consensus has put
+    # the real matrix's polynomials in the memo by the time rome-charpoly asks.
+    real = cli.super_compacted_matrix
+
+    def heavier(n):
+        rows = [list(row) for row in real(n).rows]
+        rows[n - 2][0] += 1
+        return IntMatrix(rows)
+
+    monkeypatch.setattr(cli, "super_compacted_matrix", heavier)
+    results = {row["check"]: row for row in cli._run_battery(3)}
+    assert results["route-consensus"]["pass"] is True
+    row = results["rome-charpoly"]
+    assert row["pass"] is False
+    assert row["detail"] == (
+        "polynomials differ: rome=x^3 - 4*x^2 - 5*x exact=x^3 - 4*x^2 - 5*x "
+        "closed=x^3 - 4*x^2 - 4*x + 1"
+    )
 
 
 def test_verify_peak_memory_stays_below_half_a_transition_matrix():

@@ -10,6 +10,8 @@ from volentropy.markov import (
     BlockKind,
     PresentationSpec,
     TransitionOperator,
+    _block_masks,
+    _image_masks,
     build_block,
     build_markov_from_blocks,
     build_markov_from_images,
@@ -158,6 +160,24 @@ def test_images_match_reference_rank3_nonorientable():
 def test_image_and_block_routes_agree(n, orientable):
     sp = spec_any(n, orientable)
     assert build_markov_from_images(sp) == build_markov_from_blocks(sp)
+
+
+@pytest.mark.parametrize(
+    "kind, make",
+    [
+        ("formal orientable", lambda n: PresentationSpec(n, True, formal=True)),
+        ("orientable", lambda n: PresentationSpec(n, True) if n % 2 == 0 else None),
+        ("non-orientable", lambda n: PresentationSpec(n, False)),
+    ],
+)
+def test_image_and_block_masks_agree_up_to_the_rank_cap(kind, make):
+    # The images route's runs of bits against the operator on the bit basis,
+    # at every rank the transition matrix accepts (the orientable kind at
+    # even ranks only).
+    for n in range(3, 41):
+        spec = make(n)
+        if spec is not None:
+            assert _image_masks(spec) == _block_masks(spec), (kind, n)
 
 
 # sha256 of each transition matrix, rows concatenated as bytes of 0/1, pinned

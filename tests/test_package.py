@@ -119,9 +119,12 @@ def test_importing_the_cli_loads_only_modules_the_package_computes_with():
     # -S: without `site`, no .pth file can preload a module the package does not.
     # `fractions` (with `decimal` and `numbers`) loads only for the exact
     # fallback of the root search and for `lambda_n_bracket`, which returns
-    # Fractions; verify and the float-range table rows sign on ints.
+    # Fractions; verify and the float-range table rows sign on ints.  The
+    # reference rows are read by the module's own loader, so neither they nor
+    # verify load `importlib.resources` and the file machinery behind it.
     heavy = ("dataclasses", "inspect", "typing", "importlib.resources", "pathlib",
-             "fractions", "decimal", "numbers")
+             "zipfile", "tempfile", "fractions", "decimal", "numbers")
+    files = ("importlib.resources", "zipfile", "tempfile", "pathlib")
     code = (
         "import contextlib, io, sys, volentropy.cli\n"
         f"print(sorted(set({heavy!r}) & set(sys.modules)))\n"
@@ -129,6 +132,7 @@ def test_importing_the_cli_loads_only_modules_the_package_computes_with():
         "print(len(rows), len(rows[0]), sum(map(sum, rows)))\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = volentropy.cli.main(['verify', '--n-max', '10'])\n"
+        f"print(sorted(set({files!r}) & set(sys.modules)))\n"
         "print(code, len(volentropy.entropy_table(3, 128)), 'fractions' in sys.modules)\n"
         "print(*(type(end).__name__ for end in volentropy.lambda_n_bracket(5)))\n"
     )
@@ -141,4 +145,4 @@ def test_importing_the_cli_loads_only_modules_the_package_computes_with():
         check=True,
         timeout=60,
     ).stdout
-    assert out.splitlines() == ["[]", "21 56 141", "0 126 False", "Fraction Fraction"]
+    assert out.splitlines() == ["[]", "21 56 141", "[]", "0 126 False", "Fraction Fraction"]
