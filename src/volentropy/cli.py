@@ -125,7 +125,7 @@ def _bounds_payload(report: EntropyReport) -> dict:
 
 def _cmd_entropy(args) -> tuple[int, str]:
     spec = PresentationSpec(args.n, args.orientable)
-    report = volume_entropy(spec, tol=args.tol)
+    report = volume_entropy(spec)
     code = 0
     if not report.consistent:
         print(
@@ -375,7 +375,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_entropy = sub.add_parser("entropy", help="entropy report for one presentation")
     p_entropy.add_argument("--n", type=int, required=True, help="rank (>= 2)")
     p_entropy.add_argument("--orientable", action="store_true")
-    p_entropy.add_argument("--tol", type=float, default=1e-10)
     p_entropy.add_argument("--format", choices=_FORMATS, default="plain")
 
     p_verify = sub.add_parser("verify", help="run the cross-check battery")

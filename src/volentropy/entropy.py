@@ -36,9 +36,9 @@ __all__ = [
     "entropy_table",
 ]
 
-# Largest tolerance volume_entropy accepts: no power route proves a bracket
-# wider than 1e-6, and max(1000 * tol, 1e-12) lets routes spread by 1e-3.
-_MAX_TOL = 1e-6
+# Width of the exact fallback bracket of `_route_root`, and so the most the
+# two root routes of `volume_entropy` may differ.
+_FALLBACK_WIDTH = 1e-12
 
 # The five independent routes to the growth rate, in report order.
 ROUTE_NAMES = (
@@ -93,8 +93,8 @@ def _route_root(p: IntPolynomial, b: int) -> float:
     more at its exact midpoint (a1*d2 + a2*d1) / (2*d1*d2) picks the nearer
     float.  If the float search overflows or meets inf or nan (q_n does from
     n = 129), or its bracket fails the certificate, the root is bisected
-    exactly on [1, b] to 1e-12 (`_bisect_root`) and the midpoint of that
-    bracket is returned.
+    exactly on [1, b] to `_FALLBACK_WIDTH` (`_bisect_root`) and the midpoint
+    of that bracket is returned.
     """
     try:
         lo, hi = 1.0, float(b)
@@ -107,7 +107,7 @@ def _route_root(p: IntPolynomial, b: int) -> float:
         if not _scaled_eval(p, a1, d1) < 0 < _scaled_eval(p, a2, d2):
             raise ValueError(f"no certified sign change between {lo!r} and {hi!r}")
     except (OverflowError, ValueError):
-        lo, hi = _bisect_root(p, 1, b, 1e-12)
+        lo, hi = _bisect_root(p, 1, b, _FALLBACK_WIDTH)
         return float((lo + hi) / 2)
     # At a tie both floats are nearest, and lo is returned.
     return hi if _scaled_eval(p, a1 * d2 + a2 * d1, 2 * d1 * d2) < 0 else lo
@@ -183,10 +183,10 @@ class EntropyReport(_Frozen):
 
     routes     -- per-route growth-rate estimates (empty for rank 2)
     converged  -- per power route, whether its spectral radius is proven
-                  within tol/2 of lambda_ (empty for rank 2)
+                  between the floats either side of lambda_ (empty for rank 2)
     agreement  -- max pairwise discrepancy among the routes
     consistent -- all power routes certified, and the routes agree within
-                  the combined tolerance
+                  the 1e-12 width of the exact fallback root bracket
     bounds_hold-- every applicable exact bound certification passed
     lambda_    -- consensus growth rate (the certified bisection root)
     entropy    -- log(lambda_), natural log
@@ -202,14 +202,14 @@ class EntropyReport(_Frozen):
                    {} if converged is None else converged, agreement, consistent, bounds_hold)
 
 
-def _power_route(matrix: IntMatrix | TransitionOperator, n: int, lam: float,
-                 tol: float = 1e-10) -> tuple[float, str]:
-    """(lam, "") if two exact products prove rho(matrix) within tol/2 of lam,
-    and at least to the floats either side of it, so that the smallest tol
-    still certifies (`_collatz_wielandt_failure` on `_perron_profile`); else
-    the midpoint of the lower-end ratios (m v)_i / v_i, which still bracket
-    rho(matrix), and where the proof fails."""
-    ends = (min(lam - tol / 2, math.nextafter(lam, 0)), max(lam + tol / 2, math.nextafter(lam, math.inf)))
+def _power_route(matrix: IntMatrix | TransitionOperator, n: int, lam: float) -> tuple[float, str]:
+    """(lam, "") if two exact products prove rho(matrix) between the floats
+    either side of lam (`_collatz_wielandt_failure` on `_perron_profile`);
+    else the midpoint of the lower-end ratios (m v)_i / v_i, which still
+    bracket rho(matrix), and where the proof fails.  lam must be the nearer
+    float of a certified adjacent-float bracket, as `_route_root` gives below
+    n = 129, so that those two floats bracket the root."""
+    ends = (math.nextafter(lam, 0), math.nextafter(lam, math.inf))
     profiles = [_perron_profile(n, x, matrix.size) for x in ends]
     failure = _collatz_wielandt_failure(matrix, ends, profiles)
     if not failure:
@@ -218,7 +218,7 @@ def _power_route(matrix: IntMatrix | TransitionOperator, n: int, lam: float,
     return (min(ratios) + max(ratios)) / 2, failure
 
 
-def volume_entropy(spec: PresentationSpec, tol: float = 1e-10) -> EntropyReport:
+def volume_entropy(spec: PresentationSpec) -> EntropyReport:
     """Volume entropy of the presentation, cross-checked five ways.
 
     Routes: the roots of the characteristic polynomial of the supercompacted
@@ -226,14 +226,11 @@ def volume_entropy(spec: PresentationSpec, tol: float = 1e-10) -> EntropyReport:
     equal), each certified by exact signs at the two floats around it
     (`_route_root`); and the spectral radii of the transition matrix (a
     `TransitionOperator`, never stored), the compacted and the supercompacted
-    matrix, each proven within tol/2 of the rome-route root (`_power_route`),
-    which is the consensus value.  A route failing its certificate, or routes
-    disagreeing beyond the combined tolerance, set consistent=False; they are
-    never averaged.  The tolerance must lie in (0, 1e-6].
+    matrix, each proven between the floats either side of the rome-route
+    root (`_power_route`), the consensus value, which it then reports.  A
+    route failing its certificate, or root routes more than `_FALLBACK_WIDTH`
+    apart, set consistent=False; routes are never averaged.
     """
-    check_tolerance(tol)
-    if tol > _MAX_TOL:
-        raise ValueError(f"tolerance must lie in (0, {_MAX_TOL:g}], got {tol}")
     n = spec.n
     if n == 2:
         return EntropyReport(n=n, orientable=spec.orientable, lambda_=1.0, entropy=0.0)
@@ -245,15 +242,14 @@ def volume_entropy(spec: PresentationSpec, tol: float = 1e-10) -> EntropyReport:
     lam = roots[polys[0]]
     routes, converged = {}, {}
     for name, matrix in zip(ROUTE_NAMES[:3], matrices):
-        routes[name], failure = _power_route(matrix, n, lam, tol)
+        routes[name], failure = _power_route(matrix, n, lam)
         converged[name] = not failure
     routes.update((name, roots[poly]) for name, poly in zip(ROUTE_NAMES[3:], polys))
 
     values = list(routes.values())
     agreement = max(abs(a - b) for a in values for b in values)
-    # Certified power routes report lam, so this bounds the root routes'
-    # spread, with three orders of headroom over tol.
-    consistent = all(converged.values()) and agreement <= max(1000 * tol, 1e-12)
+    # Certified power routes report lam, so this bounds the root routes' spread.
+    consistent = all(converged.values()) and agreement <= _FALLBACK_WIDTH
 
     return EntropyReport(
         n=n,

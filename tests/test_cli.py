@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -208,7 +209,7 @@ def test_entropy_csv_payload(capsys):
 def test_entropy_inconsistent_routes_exit_silently_in_json(monkeypatch, capsys):
     from volentropy import cli as cli_module
 
-    def fake(spec, tol=1e-10):
+    def fake(spec):
         return EntropyReport(
             n=spec.n,
             orientable=spec.orientable,
@@ -231,7 +232,7 @@ def test_entropy_inconsistent_routes_exit_silently_in_json(monkeypatch, capsys):
 def test_entropy_inconsistent_routes_still_print_in_plain(monkeypatch, capsys):
     from volentropy import cli as cli_module
 
-    def fake(spec, tol=1e-10):
+    def fake(spec):
         return EntropyReport(
             n=spec.n,
             orientable=spec.orientable,
@@ -530,8 +531,8 @@ def test_spectral_collapse_reads_the_power_routes_of_the_entropy_report(route, m
     # itself consistent: route-consensus passes, spectral-collapse sees the gap.
     real = cli.volume_entropy
 
-    def shifted(spec, tol=1e-10):
-        report = real(spec, tol)
+    def shifted(spec):
+        report = real(spec)
         return _replaced(report, routes={**report.routes, route: report.routes[route] + 1e-5})
 
     monkeypatch.setattr(cli, "volume_entropy", shifted)
@@ -545,8 +546,8 @@ def test_spectral_collapse_reads_the_power_routes_of_the_entropy_report(route, m
 def test_spectral_collapse_names_the_power_route_that_did_not_converge(route, monkeypatch):
     real = cli.volume_entropy
 
-    def stuck(spec, tol=1e-10):
-        report = real(spec, tol)
+    def stuck(spec):
+        report = real(spec)
         return _replaced(
             report, converged={**report.converged, route: False}, consistent=False
         )
@@ -568,7 +569,7 @@ def test_spectral_collapse_certifies_the_formal_orientable_operator(monkeypatch,
     cli._check_rank(3, rows)
     failed = {row["check"]: row["detail"] for row in rows if not row["pass"]}
     assert list(failed) == ["spectral-collapse"]
-    hi = volume_entropy(PresentationSpec(3, False)).lambda_ + 1e-10 / 2
+    hi = math.nextafter(volume_entropy(PresentationSpec(3, False)).lambda_, math.inf)
     assert failed["spectral-collapse"] == (
         f"not certified for {plus}: markov-power (row 1 above the upper end {hi!r})"
     )
@@ -577,8 +578,8 @@ def test_spectral_collapse_certifies_the_formal_orientable_operator(monkeypatch,
 def test_spectral_collapse_tells_disagreeing_routes_from_unconverged_ones(monkeypatch):
     real = cli.volume_entropy
 
-    def disagreeing(spec, tol=1e-10):
-        return _replaced(real(spec, tol), agreement=0.5, consistent=False)
+    def disagreeing(spec):
+        return _replaced(real(spec), agreement=0.5, consistent=False)
 
     monkeypatch.setattr(cli, "volume_entropy", disagreeing)
     results = {row["check"]: row for row in cli._run_battery(3)}
@@ -588,7 +589,7 @@ def test_spectral_collapse_tells_disagreeing_routes_from_unconverged_ones(monkey
 def test_an_assertion_inside_volume_entropy_fails_the_rows_that_read_it(monkeypatch, capsys):
     # route-consensus and spectral-collapse both read the one report; with no
     # report both FAIL, and verify prints its table instead of a traceback.
-    def failing(spec, tol=1e-10):
+    def failing(spec):
         raise AssertionError("routes broke")
 
     monkeypatch.setattr(cli, "volume_entropy", failing)
@@ -714,8 +715,6 @@ def test_table_plain_has_header_and_rows(capsys):
         ["build-matrix", "--n", "2", "--which", "compacted"],
         ["entropy", "--n", "1"],
         ["entropy", "--n", "5", "--orientable"],
-        ["entropy", "--n", "3", "--tol", "0"],
-        ["entropy", "--n", "3", "--tol=-1e-9"],
         ["table", "--from", "2", "--to", "5"],
         ["table", "--from", "5", "--to", "3"],
         ["verify", "--n-max", "2"],
@@ -729,28 +728,17 @@ def test_precondition_violations_exit_1_with_message(argv, capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
-@pytest.mark.parametrize("tol", ["inf", "nan"])
-def test_non_finite_tol_exits_1_and_names_the_value(tol, fmt, capsys):
-    code = main(["entropy", "--n", "6", "--tol", tol, "--format", fmt])
+def test_entropy_takes_no_tolerance(capsys):
+    # Each power route is proven to the floats either side of the root, so
+    # there is no width to choose, on the command line or in the library.
+    with pytest.raises(SystemExit) as exc:
+        main(["entropy", "--n", "3", "--tol", "1e-10"])
     captured = capsys.readouterr()
-    assert code == 1
-    assert captured.err.startswith("error:")
-    assert f"got {tol}" in captured.err
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in captured.err
     assert captured.out == ""
-
-
-@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
-def test_oversized_tol_exits_1_and_names_the_range(fmt, capsys):
-    # A tol this large would inflate the consistency bound until any spread
-    # between the routes passed.
-    code = main(["entropy", "--n", "6", "--tol", "0.5", "--format", fmt])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.err.startswith("error:")
-    assert "(0, 1e-06]" in captured.err
-    assert "got 0.5" in captured.err
-    assert captured.out == ""
+    with pytest.raises(TypeError):
+        volume_entropy(PresentationSpec(3, False), tol=1e-10)
 
 
 def _count_blocks_builds(monkeypatch) -> list:

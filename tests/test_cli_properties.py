@@ -63,12 +63,10 @@ def test_build_matrix_exits_cleanly(case):
 @given(
     st.one_of(st.integers(-5, 40), st.integers(41, 10**5), HUGE),
     st.booleans(),
-    st.sampled_from([None, "1e-10", "1e-6", "0.5", "0", "-1e-9", "nan", "inf"]),
     FORMATS,
 )
-def test_entropy_exits_cleanly(n, orientable, tol, fmt):
-    argv = ["entropy", f"--n={n}"] + ["--orientable"] * orientable
-    run(argv + ([f"--tol={tol}"] if tol else []), fmt)
+def test_entropy_exits_cleanly(n, orientable, fmt):
+    run(["entropy", f"--n={n}"] + ["--orientable"] * orientable, fmt)
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,7 +4,6 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from volentropy import cli, entropy, spectral
 from volentropy.core import IntMatrix, IntPolynomial, poly_eval
@@ -272,33 +271,34 @@ def test_a_power_route_whose_matrix_is_raised_comes_out_uncertified(route, monke
 
 @pytest.mark.parametrize("n", [3, 6, 24])
 def test_a_bracket_shifted_off_lambda_fails_at_the_lower_end(n):
-    lam, tol = lambda_n(n), 1e-10
+    # The bracket is the two floats either side of the given root, so even a
+    # shift of 1e-11, thousands of floats but well inside 1e-10, is refused.
+    lam = lambda_n(n)
     matrices = (
         TransitionOperator(PresentationSpec(n, False)),
         compacted_matrix(n),
         super_compacted_matrix(n),
     )
     for m in matrices:
-        assert entropy._power_route(m, n, lam, tol) == (lam, "")
-        value, failure = entropy._power_route(m, n, lam + 1e-6, tol)
-        lo = lam + 1e-6 - tol / 2
-        assert failure == f"row {n - 1} below the lower end {lo!r}", m.size
-        assert abs(value - lam) < 1e-6
+        assert entropy._power_route(m, n, lam) == (lam, "")
+        for shift in (1e-6, 1e-11):
+            value, failure = entropy._power_route(m, n, lam + shift)
+            lo = math.nextafter(lam + shift, 0)
+            assert failure == f"row {n - 1} below the lower end {lo!r}", (m.size, shift)
+            assert abs(value - lam) < 1e-6
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    st.integers(3, 40).flatmap(lambda n: st.tuples(st.just(n), st.booleans() if n % 2 == 0 else st.just(False))),
-    st.floats(math.log(5e-324), math.log(1e-6)),
-)
-def test_every_power_route_is_certified_at_any_tolerance(case, log_tol):
-    # The bracket never narrows past the floats either side of lambda, so
-    # even tol = 5e-324 certifies.
-    (n, orientable), tol = case, min(max(math.exp(log_tol), 5e-324), 1e-6)
-    report = volume_entropy(PresentationSpec(n, orientable), tol=tol)
-    assert report.converged == dict.fromkeys(ROUTE_NAMES[:3], True)
-    assert report.consistent and report.bounds_hold
-    assert set(report.routes.values()) == {report.lambda_}
+def test_every_power_route_is_certified_at_every_rank():
+    # Every presentation volume_entropy accepts, n = 2..40 in both
+    # orientations: each power route is proven between the floats either
+    # side of the root and reports the root itself.
+    for n in range(2, 41):
+        for orientable in (False, True) if n % 2 == 0 else (False,):
+            report = volume_entropy(PresentationSpec(n, orientable))
+            power, roots = ({}, set()) if n == 2 else (dict.fromkeys(ROUTE_NAMES[:3], True), {report.lambda_})
+            assert report.converged == power, (n, orientable)
+            assert set(report.routes.values()) == roots, (n, orientable)
+            assert report.consistent and report.bounds_hold and report.agreement == 0.0, (n, orientable)
 
 
 def test_no_route_calls_power_iteration(monkeypatch):
@@ -312,11 +312,6 @@ def test_no_route_calls_power_iteration(monkeypatch):
     assert all(row["pass"] for row in cli._run_battery(6))
 
 
-def test_report_validation():
-    with pytest.raises(ValueError):
-        volume_entropy(PresentationSpec(4, True), tol=-1.0)
-
-
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
 def test_non_finite_tolerance_is_rejected_and_named(tol):
     # `tol <= 0` lets NaN and +inf through; every boundary that takes a
@@ -324,26 +319,10 @@ def test_non_finite_tolerance_is_rejected_and_named(tol):
     calls = [
         lambda: power_iteration(IntMatrix.identity(2), tol=tol),
         lambda: lambda_n_bracket(4, tol=tol),
-        lambda: volume_entropy(PresentationSpec(6, False), tol=tol),
-        lambda: volume_entropy(PresentationSpec(2, False), tol=tol),
     ]
     for call in calls:
         with pytest.raises(ValueError, match=f"got {tol}$"):
             call()
-
-
-def test_tolerance_above_1e_6_is_rejected_with_the_range():
-    for tol in (0.5, 1.0, 2e-6):
-        with pytest.raises(ValueError, match=rf"\(0, 1e-06\], got {tol}$"):
-            volume_entropy(PresentationSpec(6, False), tol=tol)
-
-
-@pytest.mark.parametrize("orientable", [False, True])
-def test_largest_tolerance_still_gives_a_consistent_report(orientable):
-    for n in range(4 if orientable else 3, 13, 2 if orientable else 1):
-        report = volume_entropy(PresentationSpec(n, orientable), tol=1e-6)
-        assert report.consistent and report.bounds_hold
-        assert report.agreement <= 1e-3
 
 
 # ---------------------------------------------------------------- table
