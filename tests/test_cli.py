@@ -715,6 +715,8 @@ def test_table_plain_has_header_and_rows(capsys):
         ["build-matrix", "--n", "2", "--which", "compacted"],
         ["entropy", "--n", "1"],
         ["entropy", "--n", "5", "--orientable"],
+        ["entropy", "--n", "0"],
+        ["build-matrix", "--n", "3", "--orientable"],
         ["table", "--from", "2", "--to", "5"],
         ["table", "--from", "5", "--to", "3"],
         ["verify", "--n-max", "2"],
