@@ -3,11 +3,11 @@
 The growth rate of the rank-n presentations is the unique root above 1 of
 the degree-n polynomial from `q_polynomial`; the volume entropy is its
 natural logarithm.  `_route_root` gives every float growth rate reported
-(`lambda_n`, the tables, the two root routes of `volume_entropy`): a float
-bisection to two adjacent floats, certified by one exact integer sign pair,
-and the float nearest the root.  `lambda_n_bracket` gives an exact rational
-bracket of any width; only it and the fallback of `_route_root` load
-`fractions`.  `volume_entropy` cross-checks the root against four independent
+(`lambda_n`, the tables, the two root routes of `volume_entropy`): a
+safeguarded Newton search to two adjacent floats, certified by one exact
+integer sign pair, and the float nearest the root.  `lambda_n_bracket` gives
+an exact rational bracket of any width; only it and the fallback of
+`_route_root` load `fractions`.  `volume_entropy` cross-checks the root against four independent
 computational routes through the matrix reductions, three of them proven by
 exact products (`_power_route`), and packages the result.
 
@@ -18,6 +18,7 @@ are built.
 from __future__ import annotations
 
 import math
+from itertools import count
 from operator import truediv
 
 from .core import _MAX_TABLE_RANK, IntMatrix, IntPolynomial, _Frozen, _scaled_eval, check_tolerance, poly_eval
@@ -84,31 +85,82 @@ def _bisect_root(p: IntPolynomial, lo: int, hi: int, tol: float) -> tuple[Fracti
     return lo, hi
 
 
+def _value_slope(p: IntPolynomial, x: float) -> tuple[float, float]:
+    """p(x) and p'(x) in floats, by one Horner pass."""
+    value = slope = 0.0
+    for c in reversed(p.coeffs):
+        slope = slope * x + value
+        value = value * x + c
+    return value, slope
+
+
+def _float_bracket(p: IntPolynomial, b: int) -> tuple[float, float]:
+    """Two adjacent floats lo < hi in [1, b] with float signs p(lo) < 0 <= p(hi).
+
+    A safeguarded Newton search (rtsafe): it starts at hi = b and steps from
+    the last point evaluated.  The Newton step is taken when it lands strictly
+    inside the bracket and is at most half the step before last; a step of
+    less than an ulp probes the adjacent float on the open side instead; any
+    other step is the midpoint.  After b.bit_length() + 53 evaluations, more
+    than a float bisection of [1, b] takes, only midpoints are taken, so the
+    search never costs more than about twice that bisection.  Raises
+    `OverflowError` at a value or slope out of the float range.
+    """
+    lo, hi = 1.0, float(b)
+    budget = b.bit_length() + 53
+    x, before, last = hi, hi - lo, hi - lo
+    for evals in count(1):
+        value, slope = _value_slope(p, x)
+        if not (math.isfinite(value) and math.isfinite(slope)):
+            raise OverflowError(f"p({x!r}) = {value}, p'({x!r}) = {slope}")
+        lo, hi = (x, hi) if value < 0 else (lo, x)
+        if math.nextafter(lo, math.inf) >= hi:
+            return lo, hi
+        step = x - value / slope if slope else math.nan
+        if step == x:
+            step = math.nextafter(x, lo if x == hi else hi)
+        if not (lo < step < hi and abs(step - x) <= before / 2 and evals < budget):
+            step = (lo + hi) / 2
+        before, last, x = last, abs(step - x), step
+
+
+def _exact_float_bracket(p: IntPolynomial, b: int) -> tuple[float, float]:
+    """Adjacent (or equal) floats around the root of p in (1, b), by exact signs.
+
+    `_bisect_root` brackets the root in `Fraction` arithmetic to
+    `_FALLBACK_WIDTH`; the floats just outside that bracket are then halved,
+    each midpoint signed by `_scaled_eval`, down to two adjacent floats (about
+    five signs for a root near 256).
+    """
+    x, y = _bisect_root(p, 1, b, _FALLBACK_WIDTH)
+    lo, hi = float(x), float(y)
+    lo = math.nextafter(lo, 0) if lo > x else lo
+    hi = math.nextafter(hi, math.inf) if hi < y else hi
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        lo, hi = (mid, hi) if _scaled_eval(p, *mid.as_integer_ratio()) < 0 else (lo, mid)
+    return lo, hi
+
+
 def _route_root(p: IntPolynomial, b: int) -> float:
     """The float nearest the root of p in (1, b), certified by exact signs.
 
-    A float bisection on [1, b] runs until lo and hi are adjacent floats
-    (about 57 steps).  With lo = a1/d1 and hi = a2/d2 exactly, the integer
-    signs p(lo) < 0 < p(hi) (`_scaled_eval`) certify that bracket, and one
-    more at its exact midpoint (a1*d2 + a2*d1) / (2*d1*d2) picks the nearer
-    float.  If the float search overflows or meets inf or nan (q_n does from
-    n = 129), or its bracket fails the certificate, the root is bisected
-    exactly on [1, b] to `_FALLBACK_WIDTH` (`_bisect_root`) and the midpoint
-    of that bracket is returned.
+    A safeguarded Newton search over floats (`_float_bracket`) ends on two
+    adjacent floats, in about two evaluations for q_n and at most six below
+    n = 129.  With lo = a1/d1 and hi = a2/d2 exactly, the integer signs
+    p(lo) < 0 < p(hi) (`_scaled_eval`) certify that bracket, and one more at
+    its exact midpoint (a1*d2 + a2*d1) / (2*d1*d2) picks the nearer float.  If
+    the float search overflows or meets inf or nan (q_n does from n = 129), or
+    its bracket fails the certificate, the root is bisected exactly on [1, b]
+    and the floats around that bracket are halved by exact signs
+    (`_exact_float_bracket`), so the nearest float is returned either way.
     """
     try:
-        lo, hi = 1.0, float(b)
-        while (mid := (lo + hi) / 2) not in (lo, hi):
-            value = poly_eval(p, mid)
-            if not math.isfinite(value):
-                raise OverflowError(f"p({mid}) = {value}")
-            lo, hi = (mid, hi) if value < 0 else (lo, mid)
-        (a1, d1), (a2, d2) = lo.as_integer_ratio(), hi.as_integer_ratio()
-        if not _scaled_eval(p, a1, d1) < 0 < _scaled_eval(p, a2, d2):
+        lo, hi = _float_bracket(p, b)
+        if not _scaled_eval(p, *lo.as_integer_ratio()) < 0 < _scaled_eval(p, *hi.as_integer_ratio()):
             raise ValueError(f"no certified sign change between {lo!r} and {hi!r}")
     except (OverflowError, ValueError):
-        lo, hi = _bisect_root(p, 1, b, _FALLBACK_WIDTH)
-        return float((lo + hi) / 2)
+        lo, hi = _exact_float_bracket(p, b)
+    (a1, d1), (a2, d2) = lo.as_integer_ratio(), hi.as_integer_ratio()
     # At a tie both floats are nearest, and lo is returned.
     return hi if _scaled_eval(p, a1 * d2 + a2 * d1, 2 * d1 * d2) < 0 else lo
 
@@ -137,9 +189,10 @@ def lambda_n_bracket(n: int, tol: float = 1e-12) -> tuple[Fraction, Fraction]:
 
 def lambda_n(n: int) -> float:
     """Growth rate of the rank-n presentations by `_route_root`: the nearest
-    float, certified by integer signs, up to n = 128 (2n-1 itself from
-    n = 13), and from n = 129, where the float search overflows, the midpoint
-    of a 1e-12 bracket bisected in `Fraction` arithmetic."""
+    float, certified by integer signs (2n-1 itself from n = 13).  Up to
+    n = 128 a float Newton search finds it; from n = 129, where that search
+    overflows, a 1e-12 bracket bisected in `Fraction` arithmetic and finished
+    over its floats by exact signs."""
     return _route_root(_q(n), 2 * n - 1)
 
 
@@ -188,7 +241,7 @@ class EntropyReport(_Frozen):
     consistent -- all power routes certified, and the routes agree within
                   the 1e-12 width of the exact fallback root bracket
     bounds_hold-- every applicable exact bound certification passed
-    lambda_    -- consensus growth rate (the certified bisection root)
+    lambda_    -- consensus growth rate (the certified rome-route root)
     entropy    -- log(lambda_), natural log
     """
 
@@ -206,9 +259,9 @@ def _power_route(matrix: IntMatrix | TransitionOperator, n: int, lam: float) -> 
     """(lam, "") if two exact products prove rho(matrix) between the floats
     either side of lam (`_collatz_wielandt_failure` on `_perron_profile`);
     else the midpoint of the lower-end ratios (m v)_i / v_i, which still
-    bracket rho(matrix), and where the proof fails.  lam must be the nearer
-    float of a certified adjacent-float bracket, as `_route_root` gives below
-    n = 129, so that those two floats bracket the root."""
+    bracket rho(matrix), and where the proof fails.  lam must be the float
+    nearest the root, as `_route_root` gives at every rank, so that the two
+    floats either side of it bracket the root."""
     ends = (math.nextafter(lam, 0), math.nextafter(lam, math.inf))
     profiles = [_perron_profile(n, x, matrix.size) for x in ends]
     failure = _collatz_wielandt_failure(matrix, ends, profiles)

@@ -207,32 +207,111 @@ def test_route_roots_are_the_nearest_float_to_the_root(monkeypatch):
     assert fallbacks == []
 
 
+def _newton_limit(b: int) -> int:
+    """Twice the evaluations `_float_bracket` may spend before it only halves."""
+    return 2 * (b.bit_length() + 53)
+
+
+def test_route_roots_take_a_few_float_evaluations_and_three_signs(monkeypatch):
+    # Newton from 2n-1 needs at most six float evaluations below n = 129 (two
+    # from n = 13: 2n-1, then the float below it); each root costs exactly
+    # three exact signs, the certificate pair and the midpoint.
+    evals = _spy(monkeypatch, "_value_slope")
+    signs = _spy(monkeypatch, "_scaled_eval")
+    counts = []
+    for n in range(3, 129):
+        entropy._route_root(q_polynomial(n), 2 * n - 1)
+        assert len(evals) <= 8 and len(signs) == 3, (n, len(evals), len(signs))
+        counts.append(len(evals))
+        evals.clear()
+        signs.clear()
+    assert sum(counts) / len(counts) < 2.5
+
+
+def _brackets(evals: list[tuple], b: int, evaluate):
+    """The bracket (lo, hi) after each float evaluation (p, x) of a search
+    that starts on [1, b]: x replaces lo where the float value is negative."""
+    lo, hi = 1.0, float(b)
+    for p, x in evals:
+        value, slope = evaluate(p, x)
+        lo, hi = (x, hi) if value < 0 else (lo, x)
+        yield x, value, slope, lo, hi
+
+
+def test_newton_steps_that_leave_the_bracket_are_replaced_by_midpoints(monkeypatch):
+    # p = -(x-7)^2 + 20 has the one root 7 - 2*sqrt(5) in (1, 9), but its
+    # slope is negative at 9, so the first Newton step lands above 9.
+    p, b = IntPolynomial([-29, 14, -1]), 9
+    real = entropy._value_slope
+    evals = _spy(monkeypatch, "_value_slope")
+    signs = _spy(monkeypatch, "_scaled_eval")
+    lam = entropy._route_root(p, b)
+    states = list(_brackets(evals, b, real))
+    left = [
+        (nxt[0], (lo + hi) / 2)
+        for (x, value, slope, lo, hi), nxt in zip(states, states[1:])
+        if not lo < x - value / slope < hi
+    ]
+    assert left and all(x == mid for x, mid in left)
+    assert len(evals) <= _newton_limit(b)
+    (_, a1, d1), (_, a2, d2), _midpoint = signs
+    assert a2 / d2 == math.nextafter(a1 / d1, math.inf)
+    assert _is_nearest_float(p, lam)
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_a_misleading_slope_still_ends_on_certified_floats_within_twice_bisection(n, monkeypatch):
+    # The k-th slope is inflated by 2^k, so every Newton step is short and
+    # halves the one before: Newton alone would creep towards the root.  The
+    # search still ends on certified adjacent floats, within twice the
+    # evaluations of a float bisection.
+    real = entropy._value_slope
+    evals = []
+
+    def inflated(p, x):
+        evals.append(x)
+        value, slope = real(p, x)
+        return value, slope * 2.0 ** len(evals)
+
+    monkeypatch.setattr(entropy, "_value_slope", inflated)
+    fallbacks = _spy(monkeypatch, "_bisect_root")
+    q, b = q_polynomial(n), 2 * n - 1
+    lam = entropy._route_root(q, b)
+    assert len(evals) > 60 and len(evals) <= _newton_limit(b)
+    assert fallbacks == []
+    assert lam == lambda_n(n)
+
+
 @pytest.mark.parametrize("shift", [1, -1], ids=["below", "above"])
 def test_a_float_search_led_off_the_root_fails_the_exact_signs(shift, monkeypatch):
     # Float values of q_5 + shift lead the search to a pair of floats below
     # (or above) the root; the exact sign of q_5 at hi (or lo) rejects it, and
-    # the exact bisection takes over.
-    q = q_polynomial(5)
-    monkeypatch.setattr(
-        entropy, "poly_eval", lambda p, x: poly_eval(p, x) + (shift if isinstance(x, float) else 0)
-    )
+    # the exact bisection takes over, finished to the same nearest float.
+    q, want = q_polynomial(5), lambda_n(5)
+    real = entropy._value_slope
+
+    def shifted(p, x):
+        value, slope = real(p, x)
+        return value + shift, slope
+
+    monkeypatch.setattr(entropy, "_value_slope", shifted)
     bisections = _spy(monkeypatch, "_bisect_root")
     lam = entropy._route_root(q, 9)
     assert bisections[0][1:3] == (1, 9)
-    lo, hi = lambda_n_bracket(5, 1e-15)
-    assert abs(lam - float((lo + hi) / 2)) <= 1e-12
+    assert lam == want and _is_nearest_float(q, lam)
 
 
 @pytest.mark.parametrize("scale", [10**306, 10**400], ids=["inf", "overflow"])
 def test_a_charpoly_past_the_float_range_falls_back_to_the_exact_bisection(scale, monkeypatch):
-    # scale * q_5 has the same root, but its float values run to -inf
-    # (10**306) or its coefficients do not convert to float (10**400).
+    # scale * q_5 has the same root, but its float slope overflows (10**306)
+    # or its coefficients do not convert to float (10**400).  The fallback
+    # ends on the same nearest float as the rome route.
     scaled = q_polynomial(5) * IntPolynomial([scale])
     monkeypatch.setattr(entropy, "char_poly_exact", lambda m: scaled)
     bisections = _spy(monkeypatch, "_bisect_root")
     report = volume_entropy(PresentationSpec(5, False))
     assert bisections[-1][1:3] == (1, 9)
-    assert report.routes["charpoly-root"] == pytest.approx(report.routes["rome-root"], abs=1e-12)
+    assert report.routes["charpoly-root"] == report.routes["rome-root"]
     assert report.consistent and report.bounds_hold
 
 
@@ -359,9 +438,12 @@ def test_table_gap_has_relative_accuracy(n):
 
 
 def test_table_rows_are_the_nearest_float_and_clear_the_lower_bound():
-    for row in entropy_table(3, 128):
+    # From n = 129 q_n overflows floats and the row takes the exact fallback,
+    # which ends on the nearest float too: 2n-1 itself, like every rank from 13.
+    for row in entropy_table(3, 150):
         assert _is_nearest_float(q_polynomial(row.n), row.lambda_), row.n
         assert row.lower_bound is None or row.lambda_ >= row.lower_bound, row.n
+        assert row.n < 13 or row.lambda_ == row.upper_bound, row.n
 
 
 def test_table_lower_bound_is_the_rounded_exact_bound(monkeypatch):
