@@ -85,8 +85,8 @@ def check_tolerance(tol: float) -> None:
 _MAX_SIDE = 6320
 
 # Largest top rank `entropy.entropy_table` accepts: `table --from 3 --to 400`
-# takes about 45 s of process CPU (2-core Xeon VM, Python 3.11.7), nearly all
-# in the rows from n = 129, which bisect exactly; 3..460 took 63 s.
+# takes 42-45 s of process CPU (2-core Xeon VM, Python 3.11.7), nearly all
+# in the rows from n = 129, which bisect exactly; 3..460 takes 68 s.
 _MAX_TABLE_RANK = 400
 
 

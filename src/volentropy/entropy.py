@@ -3,13 +3,14 @@
 The growth rate of the rank-n presentations is the unique root above 1 of
 the degree-n polynomial from `q_polynomial`; the volume entropy is its
 natural logarithm.  `_route_root` gives every float growth rate reported
-(`lambda_n`, the tables, the two root routes of `volume_entropy`): a
-safeguarded Newton search to two adjacent floats, certified by one exact
-integer sign pair, and the float nearest the root.  `lambda_n_bracket` gives
-an exact rational bracket of any width; only it and the fallback of
-`_route_root` load `fractions`.  `volume_entropy` cross-checks the root against four independent
-computational routes through the matrix reductions, three of them proven by
-exact products (`_power_route`), and packages the result.
+(`lambda_n`, the tables, the two root routes of `volume_entropy`): the float
+nearest the root, picked by exact integer signs (`_nearest_float`) from a
+safeguarded Newton search's two adjacent floats.  `lambda_n_bracket` gives an
+exact rational bracket of any width; only it and the fallback of
+`_route_root` load `fractions`.  `volume_entropy` cross-checks the root
+against four independent computational routes through the matrix reductions,
+three of them proven by exact products (`_power_route`), and packages the
+result; its routes are consistent only when all five report the same float.
 
 For n = 2 (torus and Klein bottle) the entropy is exactly 0 and no matrices
 are built.
@@ -37,8 +38,7 @@ __all__ = [
     "entropy_table",
 ]
 
-# Width of the exact fallback bracket of `_route_root`, and so the most the
-# two root routes of `volume_entropy` may differ.
+# Width of the `Fraction` bracket that `_route_root` falls back to.
 _FALLBACK_WIDTH = 1e-12
 
 # The five independent routes to the growth rate, in report order.
@@ -124,45 +124,41 @@ def _float_bracket(p: IntPolynomial, b: int) -> tuple[float, float]:
         before, last, x = last, abs(step - x), step
 
 
-def _exact_float_bracket(p: IntPolynomial, b: int) -> tuple[float, float]:
-    """Adjacent (or equal) floats around the root of p in (1, b), by exact signs.
+def _nearest_float(p: IntPolynomial, lo: float, hi: float) -> float:
+    """The float nearest the root of p between floats lo < hi, by exact signs.
 
-    `_bisect_root` brackets the root in `Fraction` arithmetic to
-    `_FALLBACK_WIDTH`; the floats just outside that bracket are then halved,
-    each midpoint signed by `_scaled_eval`, down to two adjacent floats (about
-    five signs for a root near 256).
+    The sign of p at x = a/d is that of the integer d^deg*p(a/d) (`_scaled_eval`).
+    Raises `ValueError` unless p(lo) < 0 < p(hi); halves by sign down to two
+    adjacent floats, and returns the nearer by the sign at their exact
+    midpoint (a1*d2 + a2*d1) / (2*d1*d2), lo at a tie.
     """
-    x, y = _bisect_root(p, 1, b, _FALLBACK_WIDTH)
-    lo, hi = float(x), float(y)
-    lo = math.nextafter(lo, 0) if lo > x else lo
-    hi = math.nextafter(hi, math.inf) if hi < y else hi
+    def sign(x: float) -> int:
+        return _scaled_eval(p, *x.as_integer_ratio())
+
+    if not sign(lo) < 0 < sign(hi):
+        raise ValueError(f"no certified sign change between {lo!r} and {hi!r}")
     while (mid := (lo + hi) / 2) not in (lo, hi):
-        lo, hi = (mid, hi) if _scaled_eval(p, *mid.as_integer_ratio()) < 0 else (lo, mid)
-    return lo, hi
+        lo, hi = (mid, hi) if sign(mid) < 0 else (lo, mid)
+    (a1, d1), (a2, d2) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    return hi if _scaled_eval(p, a1 * d2 + a2 * d1, 2 * d1 * d2) < 0 else lo
 
 
 def _route_root(p: IntPolynomial, b: int) -> float:
     """The float nearest the root of p in (1, b), certified by exact signs.
 
-    A safeguarded Newton search over floats (`_float_bracket`) ends on two
-    adjacent floats, in about two evaluations for q_n and at most six below
-    n = 129.  With lo = a1/d1 and hi = a2/d2 exactly, the integer signs
-    p(lo) < 0 < p(hi) (`_scaled_eval`) certify that bracket, and one more at
-    its exact midpoint (a1*d2 + a2*d1) / (2*d1*d2) picks the nearer float.  If
-    the float search overflows or meets inf or nan (q_n does from n = 129), or
-    its bracket fails the certificate, the root is bisected exactly on [1, b]
-    and the floats around that bracket are halved by exact signs
-    (`_exact_float_bracket`), so the nearest float is returned either way.
+    Two bracket sources end in `_nearest_float`.  The safeguarded Newton search
+    (`_float_bracket`) gives two adjacent floats, in about two evaluations for
+    q_n and at most six below n = 129, so the root costs three exact signs.
+    If it overflows or meets inf or nan (q_n does from n = 129), or its
+    bracket fails the exact signs, the floats just outside a `_FALLBACK_WIDTH`
+    bracket bisected in `Fraction` arithmetic on [1, b] are used instead.
     """
     try:
-        lo, hi = _float_bracket(p, b)
-        if not _scaled_eval(p, *lo.as_integer_ratio()) < 0 < _scaled_eval(p, *hi.as_integer_ratio()):
-            raise ValueError(f"no certified sign change between {lo!r} and {hi!r}")
+        return _nearest_float(p, *_float_bracket(p, b))
     except (OverflowError, ValueError):
-        lo, hi = _exact_float_bracket(p, b)
-    (a1, d1), (a2, d2) = lo.as_integer_ratio(), hi.as_integer_ratio()
-    # At a tie both floats are nearest, and lo is returned.
-    return hi if _scaled_eval(p, a1 * d2 + a2 * d1, 2 * d1 * d2) < 0 else lo
+        x, y = _bisect_root(p, 1, b, _FALLBACK_WIDTH)
+        # Strictly outside [x, y], so p has its signs there even at an exact hit x == y.
+        return _nearest_float(p, math.nextafter(float(x), 0), math.nextafter(float(y), math.inf))
 
 
 def _q(n: int) -> IntPolynomial:
@@ -190,9 +186,9 @@ def lambda_n_bracket(n: int, tol: float = 1e-12) -> tuple[Fraction, Fraction]:
 def lambda_n(n: int) -> float:
     """Growth rate of the rank-n presentations by `_route_root`: the nearest
     float, certified by integer signs (2n-1 itself from n = 13).  Up to
-    n = 128 a float Newton search finds it; from n = 129, where that search
-    overflows, a 1e-12 bracket bisected in `Fraction` arithmetic and finished
-    over its floats by exact signs."""
+    n = 128 it is picked from the bracket of a float Newton search; from
+    n = 129, where that search overflows, from a `_FALLBACK_WIDTH` bracket
+    bisected in `Fraction` arithmetic."""
     return _route_root(_q(n), 2 * n - 1)
 
 
@@ -238,8 +234,8 @@ class EntropyReport(_Frozen):
     converged  -- per power route, whether its spectral radius is proven
                   between the floats either side of lambda_ (empty for rank 2)
     agreement  -- max pairwise discrepancy among the routes
-    consistent -- all power routes certified, and the routes agree within
-                  the 1e-12 width of the exact fallback root bracket
+    consistent -- all power routes certified, and all five routes report
+                  the same float (agreement == 0.0)
     bounds_hold-- every applicable exact bound certification passed
     lambda_    -- consensus growth rate (the certified rome-route root)
     entropy    -- log(lambda_), natural log
@@ -281,8 +277,8 @@ def volume_entropy(spec: PresentationSpec) -> EntropyReport:
     `TransitionOperator`, never stored), the compacted and the supercompacted
     matrix, each proven between the floats either side of the rome-route
     root (`_power_route`), the consensus value, which it then reports.  A
-    route failing its certificate, or root routes more than `_FALLBACK_WIDTH`
-    apart, set consistent=False; routes are never averaged.
+    route failing its certificate, or root routes on different floats, set
+    consistent=False; routes are never averaged.
     """
     n = spec.n
     if n == 2:
@@ -301,8 +297,8 @@ def volume_entropy(spec: PresentationSpec) -> EntropyReport:
 
     values = list(routes.values())
     agreement = max(abs(a - b) for a in values for b in values)
-    # Certified power routes report lam, so this bounds the root routes' spread.
-    consistent = all(converged.values()) and agreement <= _FALLBACK_WIDTH
+    # Certified power routes report lam, so this asks the root routes for lam too.
+    consistent = all(converged.values()) and agreement == 0.0
 
     return EntropyReport(
         n=n,

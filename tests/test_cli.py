@@ -605,6 +605,20 @@ def test_an_assertion_inside_volume_entropy_fails_the_rows_that_read_it(monkeypa
     assert sum(line.startswith("FAIL") for line in lines) == 2
 
 
+def test_a_root_search_that_raises_fails_its_rows_instead_of_aborting_verify(monkeypatch, capsys):
+    # 1 + x has no root in (1, 5): the exact fallback's ValueError is a FAIL
+    # of route-consensus, and verify still prints every row and exits 1.
+    monkeypatch.setattr(entropy, "char_poly_exact", lambda m: core.IntPolynomial([1, 1]))
+    assert main(["verify", "--n-max", "3", "--format", "json"]) == 1
+    results = json.loads(capsys.readouterr().out)
+    assert {row["check"] for row in results} == EXPECTED_RANK3_CHECKS
+    failed = {row["check"]: row["detail"] for row in results if not row["pass"]}
+    assert failed == {
+        "route-consensus": "bisection needs a sign change: p(1) = 2, p(5) = 6",
+        "spectral-collapse": "no entropy report: route-consensus failed",
+    }
+
+
 def test_verify_with_a_failing_check_exits_1(monkeypatch, capsys):
     _tamper_compacted(monkeypatch)
     code = main(["verify", "--n-max", "3"])

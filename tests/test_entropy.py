@@ -189,6 +189,52 @@ def test_a_charpoly_that_differs_is_bisected_and_reads_inconsistent(monkeypatch)
     assert report.lambda_ == report.routes["rome-root"]
 
 
+def test_a_charpoly_off_by_one_reads_inconsistent_even_a_few_ulps_away(monkeypatch):
+    # At n = 11, q + 1 moves the root by only about 16 floats, far inside the
+    # 1e-12 fallback width: the verdict asks for the same float, not a spread.
+    shifted = q_polynomial(11) + IntPolynomial([1])
+    monkeypatch.setattr(entropy, "char_poly_exact", lambda m: shifted)
+    report = volume_entropy(PresentationSpec(11, False))
+    assert 0 < report.agreement < 1e-12
+    assert not report.consistent
+
+
+def test_the_fallback_bracket_ends_on_the_float_the_newton_bracket_does(monkeypatch):
+    want = {n: entropy._route_root(q_polynomial(n), 2 * n - 1) for n in range(3, 41)}
+
+    def overflow(p, b):
+        raise OverflowError("forced")
+
+    monkeypatch.setattr(entropy, "_float_bracket", overflow)
+    bisections = _spy(monkeypatch, "_bisect_root")
+    for n, lam in want.items():
+        assert entropy._route_root(q_polynomial(n), 2 * n - 1) == lam, n
+    assert len(bisections) == len(want)
+
+
+def test_a_root_on_a_float_is_returned_through_the_exact_bisection_hit(monkeypatch):
+    # x - 2 is 0 at the float 2.0: the Newton bracket ends there and fails the
+    # strict sign, and the bisection of [1, 3] hits the root exactly.
+    bisections = _spy(monkeypatch, "_bisect_root")
+    assert entropy._route_root(IntPolynomial([-2, 1]), 3) == 2.0
+    assert len(bisections) == 1
+
+
+@pytest.mark.parametrize("lo, hi", [(1.0, 1.5), (5.0, 4.0), (5.0, 9.0)], ids=["negative", "reversed", "positive"])
+def test_nearest_float_needs_a_sign_change_between_its_ends(lo, hi):
+    # q_3 is negative on [1, 4.79...) and positive above.
+    with pytest.raises(ValueError, match="no certified sign change"):
+        entropy._nearest_float(q_polynomial(3), lo, hi)
+
+
+def test_nearest_float_at_an_exact_tie_is_the_lower_float():
+    # 2^53 x - (2^53 + 1) has its root 1 + 2^-53 half-way between 1.0 and the
+    # next float, so both are nearest.
+    p = IntPolynomial([-(2**53 + 1), 2**53])
+    assert entropy._nearest_float(p, 1.0, math.nextafter(1.0, 2)) == 1.0
+    assert entropy._nearest_float(p, 0.5, 2.0) == 1.0
+
+
 def test_route_roots_are_the_nearest_float_to_the_root(monkeypatch):
     # The float search ends on two adjacent floats, whose exact integer signs
     # certify the bracket and one more, at its midpoint, picks the nearer:
@@ -444,6 +490,9 @@ def test_table_rows_are_the_nearest_float_and_clear_the_lower_bound():
         assert _is_nearest_float(q_polynomial(row.n), row.lambda_), row.n
         assert row.lower_bound is None or row.lambda_ >= row.lower_bound, row.n
         assert row.n < 13 or row.lambda_ == row.upper_bound, row.n
+    # The top row rounds the midpoint of an exact bracket far narrower than an ulp.
+    lo, hi = lambda_n_bracket(150, 1e-15)
+    assert row.lambda_ == float((lo + hi) / 2)
 
 
 def test_table_lower_bound_is_the_rounded_exact_bound(monkeypatch):
