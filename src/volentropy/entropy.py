@@ -1,16 +1,17 @@
 """Volume entropy of the minimal symmetric presentations.
 
 The growth rate of the rank-n presentations is the unique root above 1 of
-the degree-n polynomial from `q_polynomial`; the volume entropy is its
-natural logarithm.  `_route_root` gives every float growth rate reported
-(`lambda_n`, the tables, the two root routes of `volume_entropy`): the float
-nearest the root, picked by exact integer signs (`_nearest_float`) from a
-safeguarded Newton search's two adjacent floats.  `lambda_n_bracket` gives an
-exact rational bracket of any width; only it and the fallback of
-`_route_root` load `fractions`.  `volume_entropy` cross-checks the root
-against four independent computational routes through the matrix reductions,
-three of them proven by exact products (`_power_route`), and packages the
-result; its routes are consistent only when all five report the same float.
+the degree-n polynomial q_n from `q_polynomial`; the volume entropy is its
+natural logarithm.  Every float growth rate reported is the float nearest the
+root, picked by exact integer signs from a Newton search (`_certified_root`):
+`lambda_n` and the tables on the four-term form (x-1)*q_n, the two root routes
+of `volume_entropy` on their own coefficients (`_route_root`).
+`lambda_n_bracket` gives an exact rational bracket of any width; only it and
+the search's fallback load `fractions`.  `volume_entropy` cross-checks the
+root against four independent computational routes through the matrix
+reductions, three of them proven by exact products (`_power_route`), and
+packages the result; its routes are consistent only when all five report the
+same float.
 
 For n = 2 (torus and Klein bottle) the entropy is exactly 0 and no matrices
 are built.
@@ -19,6 +20,8 @@ are built.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
+from functools import partial
 from itertools import count
 from operator import truediv
 
@@ -66,22 +69,14 @@ def _bisect_root(p: IntPolynomial, lo: int, hi: int, tol: float) -> tuple[Fracti
     from fractions import Fraction
 
     lo, hi = Fraction(lo), Fraction(hi)
-    flo = poly_eval(p, lo)
-    fhi = poly_eval(p, hi)
+    flo, fhi = poly_eval(p, lo), poly_eval(p, hi)
     if not (flo < 0 < fhi):
-        raise ValueError(
-            f"bisection needs a sign change: p({lo}) = {flo}, p({hi}) = {fhi}"
-        )
+        raise ValueError(f"bisection needs a sign change: p({lo}) = {flo}, p({hi}) = {fhi}")
     while hi - lo > tol:
         mid = (lo + hi) / 2
-        fmid = poly_eval(p, mid)
-        if fmid == 0:
-            # Exact hit: collapse the bracket to the root.
-            return mid, mid
-        if fmid < 0:
-            lo = mid
-        else:
-            hi = mid
+        if (fmid := poly_eval(p, mid)) == 0:
+            return mid, mid  # an exact hit collapses the bracket to the root
+        lo, hi = (mid, hi) if fmid < 0 else (lo, mid)
     return lo, hi
 
 
@@ -94,8 +89,22 @@ def _value_slope(p: IntPolynomial, x: float) -> tuple[float, float]:
     return value, slope
 
 
-def _float_bracket(p: IntPolynomial, b: int) -> tuple[float, float]:
-    """Two adjacent floats lo < hi in [1, b] with float signs p(lo) < 0 <= p(hi).
+def _four_term_value_slope(n: int, x: float) -> tuple[float, float]:
+    """f(x) and f'(x) in floats for f = (x-1)*q_n = x^(n+1) - b*x^n + b*x - 1,
+    b = 2n-1, from t = x^(n-1), which raises `OverflowError` past the float range."""
+    b, t = 2 * n - 1, x ** (n - 1)
+    return t * x * (x - b) + (b * x - 1), t * ((n + 1) * x - n * b) + b
+
+
+def _four_term_sign(n: int, a: int, d: int) -> int:
+    """d^(n+1)*f(a/d) = a^n*(a - b*d) + (b*a - d)*d^n for f = (x-1)*q_n: an
+    integer with the sign of q_n(a/d) for a > d > 0, d a power of two."""
+    b = 2 * n - 1
+    return a**n * (a - b * d) + ((b * a - d) << (d.bit_length() - 1) * n)
+
+
+def _float_bracket(value_slope: Callable, b: int) -> tuple[float, float]:
+    """Adjacent floats lo < hi in [1, b], p(lo) < 0 <= p(hi) by value_slope(x) = (p(x), p'(x)).
 
     A safeguarded Newton search (rtsafe): it starts at hi = b and steps from
     the last point evaluated.  The Newton step is taken when it lands strictly
@@ -110,7 +119,7 @@ def _float_bracket(p: IntPolynomial, b: int) -> tuple[float, float]:
     budget = b.bit_length() + 53
     x, before, last = hi, hi - lo, hi - lo
     for evals in count(1):
-        value, slope = _value_slope(p, x)
+        value, slope = value_slope(x)
         if not (math.isfinite(value) and math.isfinite(slope)):
             raise OverflowError(f"p({x!r}) = {value}, p'({x!r}) = {slope}")
         lo, hi = (x, hi) if value < 0 else (lo, x)
@@ -124,51 +133,57 @@ def _float_bracket(p: IntPolynomial, b: int) -> tuple[float, float]:
         before, last, x = last, abs(step - x), step
 
 
-def _nearest_float(p: IntPolynomial, lo: float, hi: float) -> float:
+def _nearest_float(sign: Callable, lo: float, hi: float) -> float:
     """The float nearest the root of p between floats lo < hi, by exact signs.
 
-    The sign of p at x = a/d is that of the integer d^deg*p(a/d) (`_scaled_eval`).
+    sign(a, d) is an integer with the sign of p(a/d), d a power of two.
     Raises `ValueError` unless p(lo) < 0 < p(hi); halves by sign down to two
     adjacent floats, and returns the nearer by the sign at their exact
-    midpoint (a1*d2 + a2*d1) / (2*d1*d2), lo at a tie.
+    midpoint (a1*(D/d1) + a2*(D/d2)) / 2D, D = max(d1, d2), lo at a tie.
     """
-    def sign(x: float) -> int:
-        return _scaled_eval(p, *x.as_integer_ratio())
-
-    if not sign(lo) < 0 < sign(hi):
+    if not sign(*lo.as_integer_ratio()) < 0 < sign(*hi.as_integer_ratio()):
         raise ValueError(f"no certified sign change between {lo!r} and {hi!r}")
     while (mid := (lo + hi) / 2) not in (lo, hi):
-        lo, hi = (mid, hi) if sign(mid) < 0 else (lo, mid)
+        lo, hi = (mid, hi) if sign(*mid.as_integer_ratio()) < 0 else (lo, mid)
     (a1, d1), (a2, d2) = lo.as_integer_ratio(), hi.as_integer_ratio()
-    return hi if _scaled_eval(p, a1 * d2 + a2 * d1, 2 * d1 * d2) < 0 else lo
+    d = max(d1, d2)
+    return hi if sign(a1 * (d // d1) + a2 * (d // d2), 2 * d) < 0 else lo
+
+
+def _certified_root(value_slope: Callable, sign: Callable, poly: Callable, b: int) -> float:
+    """The float nearest the root in (1, b) of the polynomial p that poly() builds.
+
+    Two bracket sources end in `_nearest_float`, which signs p by sign.  The
+    safeguarded Newton search (`_float_bracket`) on value_slope gives two
+    adjacent floats, in about two evaluations for q_n and at most six below
+    n = 129, so the root costs three exact signs.  If it overflows or meets
+    inf or nan (q_n does from n = 129), or its bracket fails the exact signs,
+    the floats just outside a `_FALLBACK_WIDTH` bracket bisected in `Fraction`
+    arithmetic on [1, b] are used instead.
+    """
+    try:
+        return _nearest_float(sign, *_float_bracket(value_slope, b))
+    except (OverflowError, ValueError):
+        x, y = _bisect_root(poly(), 1, b, _FALLBACK_WIDTH)
+        # Strictly outside [x, y], so p has its signs there even at an exact hit x == y.
+        return _nearest_float(sign, math.nextafter(float(x), 0), math.nextafter(float(y), math.inf))
 
 
 def _route_root(p: IntPolynomial, b: int) -> float:
-    """The float nearest the root of p in (1, b), certified by exact signs.
-
-    Two bracket sources end in `_nearest_float`.  The safeguarded Newton search
-    (`_float_bracket`) gives two adjacent floats, in about two evaluations for
-    q_n and at most six below n = 129, so the root costs three exact signs.
-    If it overflows or meets inf or nan (q_n does from n = 129), or its
-    bracket fails the exact signs, the floats just outside a `_FALLBACK_WIDTH`
-    bracket bisected in `Fraction` arithmetic on [1, b] are used instead.
-    """
-    try:
-        return _nearest_float(p, *_float_bracket(p, b))
-    except (OverflowError, ValueError):
-        x, y = _bisect_root(p, 1, b, _FALLBACK_WIDTH)
-        # Strictly outside [x, y], so p has its signs there even at an exact hit x == y.
-        return _nearest_float(p, math.nextafter(float(x), 0), math.nextafter(float(y), math.inf))
+    """`_certified_root` on p's coefficients: Horner floats, `_scaled_eval` signs."""
+    return _certified_root(partial(_value_slope, p), partial(_scaled_eval, p), lambda: p, b)
 
 
-def _q(n: int) -> IntPolynomial:
-    """The closed-form polynomial of rank n, which needs n >= 3."""
+def _rank(n: int) -> int:
+    """n, checked to be a rank with a growth rate above 1: an int >= 3."""
+    if not isinstance(n, int):
+        raise ValueError(f"rank must be an int, got {n!r}")
     if n < 3:
         raise ValueError(
             f"rank must be >= 3 for a growth rate above 1, got {n}"
             " (rank 2 has entropy 0; see volume_entropy)"
         )
-    return q_polynomial(n)
+    return n
 
 
 def lambda_n_bracket(n: int, tol: float = 1e-12) -> tuple[Fraction, Fraction]:
@@ -178,18 +193,18 @@ def lambda_n_bracket(n: int, tol: float = 1e-12) -> tuple[Fraction, Fraction]:
     exactly one root above 1; both endpoint signs are certified in rational
     arithmetic, as is every bisection step.
     """
-    p = _q(n)
+    p = q_polynomial(_rank(n))
     check_tolerance(tol)
     return _bisect_root(p, 1, 2 * n - 1, tol)
 
 
 def lambda_n(n: int) -> float:
-    """Growth rate of the rank-n presentations by `_route_root`: the nearest
-    float, certified by integer signs (2n-1 itself from n = 13).  Up to
-    n = 128 it is picked from the bracket of a float Newton search; from
-    n = 129, where that search overflows, from a `_FALLBACK_WIDTH` bracket
-    bisected in `Fraction` arithmetic."""
-    return _route_root(_q(n), 2 * n - 1)
+    """Growth rate of the rank-n presentations, the nearest float (2n-1 from
+    n = 13), by `_certified_root` on the four-term form (x-1)*q_n: one float
+    and one integer power per evaluation, not n Horner steps.  From n = 129,
+    where x^(n-1) overflows, q_n is built for the `Fraction` fallback."""
+    return _certified_root(partial(_four_term_value_slope, n), partial(_four_term_sign, n),
+                           partial(q_polynomial, n), 2 * _rank(n) - 1)
 
 
 def bounds_check(n: int) -> bool:

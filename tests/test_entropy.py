@@ -2,11 +2,13 @@
 
 import math
 from fractions import Fraction
+from functools import partial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from volentropy import cli, entropy, spectral
-from volentropy.core import IntMatrix, IntPolynomial, poly_eval
+from volentropy.core import IntMatrix, IntPolynomial, _scaled_eval, poly_eval
 from volentropy.entropy import (
     ROUTE_NAMES,
     bounds_check,
@@ -74,6 +76,19 @@ def test_lambda_validation():
         lambda_n_bracket(3, tol=0.0)
 
 
+@pytest.mark.parametrize("n", [3.0, 4.5, "5"])
+def test_a_rank_that_is_not_an_int_is_rejected_and_named(n):
+    for call in (lambda_n, lambda_n_bracket):
+        with pytest.raises(ValueError, match=f"rank must be an int, got {n!r}$"):
+            call(n)
+
+
+def test_a_bool_rank_is_refused_as_below_3():
+    for call in (lambda_n, lambda_n_bracket):
+        with pytest.raises(ValueError, match="rank must be >= 3"):
+            call(True)
+
+
 def _is_nearest_float(q: IntPolynomial, lam: float) -> bool:
     """q changes sign, exactly, between the half-way points around lam."""
     below = (Fraction(math.nextafter(lam, 0)) + Fraction(lam)) / 2
@@ -85,6 +100,66 @@ def test_lambda_is_the_report_lambda_at_every_matrix_rank():
     for n in range(3, 41):
         for orientable in (False, True) if n % 2 == 0 else (False,):
             assert lambda_n(n) == volume_entropy(PresentationSpec(n, orientable)).lambda_, n
+
+
+def _four_term(n: int) -> IntPolynomial:
+    """x^(n+1) - b*x^n + b*x - 1 with b = 2n-1."""
+    b = 2 * n - 1
+    return IntPolynomial([-1, b] + [0] * (n - 2) + [-b, 1])
+
+
+def test_the_four_term_form_is_x_minus_1_times_q():
+    for n in range(2, 301):
+        assert IntPolynomial([-1, 1]) * q_polynomial(n) == _four_term(n), n
+
+
+def _sign(v: int) -> int:
+    return (v > 0) - (v < 0)
+
+
+@given(st.integers(3, 200), st.integers(0, 64), st.integers(1, 2**70))
+def test_the_four_term_sign_is_the_sign_of_q_above_1(n, k, excess):
+    d = 2**k
+    a = d + excess
+    assert _sign(entropy._four_term_sign(n, a, d)) == _sign(_scaled_eval(q_polynomial(n), a, d))
+
+
+@settings(deadline=None)
+@given(st.integers(3, 200), st.integers(-3, 3))
+def test_the_four_term_sign_is_the_sign_of_q_around_lambda(n, k):
+    # The floats k steps from lambda_n and the midpoint to the next float up:
+    # where the root search takes its signs.  From n = 13 lambda_n is 2n-1.
+    x = lambda_n(n) if n < 129 else float(2 * n - 1)
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.inf if k > 0 else 0)
+    mid = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
+    q = q_polynomial(n)
+    for a, d in (x.as_integer_ratio(), (mid.numerator, mid.denominator)):
+        assert _sign(entropy._four_term_sign(n, a, d)) == _sign(_scaled_eval(q, a, d)), (n, a, d)
+
+
+def test_lambda_is_the_route_root_of_q():
+    for n in range(3, 151):
+        assert lambda_n(n) == entropy._route_root(q_polynomial(n), 2 * n - 1), n
+
+
+def test_lambda_searches_and_signs_on_the_four_term_form(monkeypatch):
+    # Below n = 129 no Horner pass and no coefficient-wise sign: a few float
+    # evaluations of the four-term form and exactly three of its exact signs.
+    horner = _spy(monkeypatch, "_value_slope"), _spy(monkeypatch, "_scaled_eval")
+    evals = _spy(monkeypatch, "_four_term_value_slope")
+    signs = _spy(monkeypatch, "_four_term_sign")
+    bisections = _spy(monkeypatch, "_bisect_root")
+    for n in range(3, 129):
+        lambda_n(n)
+        assert len(evals) <= 8 and len(signs) == 3, (n, len(evals), len(signs))
+        evals.clear()
+        signs.clear()
+    assert horner == ([], []) and bisections == []
+    for n in range(129, 151):
+        lambda_n(n)
+        assert [p for p, lo, hi, tol in bisections] == [q_polynomial(n)], n
+        bisections.clear()
 
 
 # ---------------------------------------------------------------- bounds
@@ -111,8 +186,9 @@ def test_bounds_check_fails_when_either_sign_is_wrong(monkeypatch):
 
 
 def test_lambda_sits_inside_certified_bounds():
-    # Float shadow of the exact certification; stops at rank 9 because beyond
-    # that the root crowds the lower bound below float bisection resolution.
+    # Float shadow of the exact certification; stops at rank 9 because the
+    # root exceeds the lower bound by only about (2n-1)^-n, 46 ulps at n = 10
+    # and less than one from n = 11, where the two floats no longer order.
     for n in range(4, 10):
         lam = lambda_n(n)
         lower = 2 * n - 1 - (2 * n - 1) ** -(n - 2)
@@ -224,15 +300,15 @@ def test_a_root_on_a_float_is_returned_through_the_exact_bisection_hit(monkeypat
 def test_nearest_float_needs_a_sign_change_between_its_ends(lo, hi):
     # q_3 is negative on [1, 4.79...) and positive above.
     with pytest.raises(ValueError, match="no certified sign change"):
-        entropy._nearest_float(q_polynomial(3), lo, hi)
+        entropy._nearest_float(partial(_scaled_eval, q_polynomial(3)), lo, hi)
 
 
 def test_nearest_float_at_an_exact_tie_is_the_lower_float():
     # 2^53 x - (2^53 + 1) has its root 1 + 2^-53 half-way between 1.0 and the
     # next float, so both are nearest.
-    p = IntPolynomial([-(2**53 + 1), 2**53])
-    assert entropy._nearest_float(p, 1.0, math.nextafter(1.0, 2)) == 1.0
-    assert entropy._nearest_float(p, 0.5, 2.0) == 1.0
+    sign = partial(_scaled_eval, IntPolynomial([-(2**53 + 1), 2**53]))
+    assert entropy._nearest_float(sign, 1.0, math.nextafter(1.0, 2)) == 1.0
+    assert entropy._nearest_float(sign, 0.5, 2.0) == 1.0
 
 
 def test_route_roots_are_the_nearest_float_to_the_root(monkeypatch):
