@@ -85,8 +85,8 @@ def check_tolerance(tol: float) -> None:
 _MAX_SIDE = 6320
 
 # Largest top rank `entropy.entropy_table` accepts: `table --from 3 --to 400`
-# takes 37-42 s of process CPU (2-core Xeon VM, Python 3.11.7), nearly all in
-# the rows from n = 129, which bisect exactly; the rows to n = 128 take 4 ms.
+# takes 40-42 s of process CPU (2-core Xeon VM, Python 3.11.7), nearly all in
+# the rows from n = 129, which bisect exactly; the rows to n = 128 take 1 ms.
 _MAX_TABLE_RANK = 400
 
 

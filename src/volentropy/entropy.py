@@ -97,10 +97,30 @@ def _four_term_value_slope(n: int, x: float) -> tuple[float, float]:
 
 
 def _four_term_sign(n: int, a: int, d: int) -> int:
-    """d^(n+1)*f(a/d) = a^n*(a - b*d) + (b*a - d)*d^n for f = (x-1)*q_n: an
-    integer with the sign of q_n(a/d) for a > d > 0, d a power of two."""
+    """An integer with the sign of q_n(a/d) for a > d > 0, d = 2^k: the sign
+    of d^(n+1)*f(a/d) = a^n*e + c*2^(kn) for f = (x-1)*q_n, e = a - b*d and
+    c = b*a - d > 0.
+
+    Bit lengths decide most signs without the power, a filter in the spirit
+    of Shewchuk's adaptive predicates.  A positive integer of bit length B
+    lies in [2^(B-1), 2^B), so with A, L, H the bit lengths of a, -e and c,
+    |a^n*e| lies in [2^(n(A-1)+L-1), 2^(nA+L)) and c*2^(kn) in
+    [2^(H-1+kn), 2^(H+kn)).  e >= 0 gives 1; otherwise, when the two ranges
+    are disjoint, the larger term fixes the sign, -1 or 1, by a comparison of
+    integer exponents with nothing rounded.  Only overlapping ranges form
+    the full integer, as ranks 3..14 do at the table's floats.
+    """
     b = 2 * n - 1
-    return a**n * (a - b * d) + ((b * a - d) << (d.bit_length() - 1) * n)
+    e = a - b * d
+    if e >= 0:
+        return 1
+    c, kn = b * a - d, (d.bit_length() - 1) * n
+    big_a, big_l, big_h = a.bit_length(), (-e).bit_length(), c.bit_length()
+    if n * (big_a - 1) + big_l - 1 >= big_h + kn:
+        return -1
+    if n * big_a + big_l <= big_h - 1 + kn:
+        return 1
+    return a**n * e + (c << kn)
 
 
 def _float_bracket(value_slope: Callable, b: int) -> tuple[float, float]:
@@ -201,8 +221,9 @@ def lambda_n_bracket(n: int, tol: float = 1e-12) -> tuple[Fraction, Fraction]:
 def lambda_n(n: int) -> float:
     """Growth rate of the rank-n presentations, the nearest float (2n-1 from
     n = 13), by `_certified_root` on the four-term form (x-1)*q_n: one float
-    and one integer power per evaluation, not n Horner steps.  From n = 129,
-    where x^(n-1) overflows, q_n is built for the `Fraction` fallback."""
+    power per evaluation and bit lengths per exact sign (an integer power only
+    where they cannot decide), not n Horner steps.  From n = 129, where
+    x^(n-1) overflows, q_n is built for the `Fraction` fallback."""
     return _certified_root(partial(_four_term_value_slope, n), partial(_four_term_sign, n),
                            partial(q_polynomial, n), 2 * _rank(n) - 1)
 
@@ -226,7 +247,8 @@ def _lower_bound(n: int) -> tuple[int, int] | None:
     if n < 4:
         return None
     b = 2 * n - 1
-    return b ** (n - 1) - 1, b ** (n - 2)
+    p = b ** (n - 2)
+    return p * b - 1, p
 
 
 def _bounds_hold(n: int) -> bool:

@@ -138,6 +138,43 @@ def test_the_four_term_sign_is_the_sign_of_q_around_lambda(n, k):
         assert _sign(entropy._four_term_sign(n, a, d)) == _sign(_scaled_eval(q, a, d)), (n, a, d)
 
 
+def _four_term_product(n: int, a: int, d: int) -> int:
+    """The unfiltered d^(n+1)*f(a/d) for f = (x-1)*q_n, d a power of two."""
+    b = 2 * n - 1
+    return a**n * (a - b * d) + ((b * a - d) << (d.bit_length() - 1) * n)
+
+
+def test_the_four_term_sign_decides_by_bit_lengths_or_forms_the_product():
+    # Every a in (d, (b+1)*d] for n = 3..12, d = 2^k, k = 0..6.  With A, L, H
+    # the bit lengths of a, -e and c, below >= 0 certifies |a^n*e| > c*2^(kn)
+    # and above >= 0 the reverse; the sign returns -1 or 1 there and the
+    # unfiltered product everywhere else.
+    reached = set()
+    for n in range(3, 13):
+        b = 2 * n - 1
+        for k in range(7):
+            d = 2**k
+            for a in range(d + 1, (b + 1) * d + 1):
+                e, c, exact = a - b * d, b * a - d, _four_term_product(n, a, d)
+                got = entropy._four_term_sign(n, a, d)
+                assert _sign(got) == _sign(exact), (n, a, d)
+                if e >= 0:
+                    case, want = "e >= 0", 1
+                else:
+                    big_a, big_l, big_h = a.bit_length(), (-e).bit_length(), c.bit_length()
+                    below = n * (big_a - 1) + big_l - 1 - (big_h + k * n)
+                    above = big_h - 1 + k * n - (n * big_a + big_l)
+                    if below == 0:
+                        reached.add("below == 0")
+                    if above == 0:
+                        reached.add("above == 0")
+                    case, want = (("negative", -1) if below >= 0 else ("positive", 1) if above >= 0
+                                  else ("exact", exact))
+                assert got == want, (n, a, d, case)
+                reached.add(case)
+    assert reached == {"e >= 0", "negative", "positive", "exact", "below == 0", "above == 0"}
+
+
 def test_lambda_is_the_route_root_of_q():
     for n in range(3, 151):
         assert lambda_n(n) == entropy._route_root(q_polynomial(n), 2 * n - 1), n
@@ -146,6 +183,9 @@ def test_lambda_is_the_route_root_of_q():
 def test_lambda_searches_and_signs_on_the_four_term_form(monkeypatch):
     # Below n = 129 no Horner pass and no coefficient-wise sign: a few float
     # evaluations of the four-term form and exactly three of its exact signs.
+    # Bit lengths decide every sign from n = 15; below, at least one sign
+    # forms the full product.
+    sign = entropy._four_term_sign
     horner = _spy(monkeypatch, "_value_slope"), _spy(monkeypatch, "_scaled_eval")
     evals = _spy(monkeypatch, "_four_term_value_slope")
     signs = _spy(monkeypatch, "_four_term_sign")
@@ -153,6 +193,12 @@ def test_lambda_searches_and_signs_on_the_four_term_form(monkeypatch):
     for n in range(3, 129):
         lambda_n(n)
         assert len(evals) <= 8 and len(signs) == 3, (n, len(evals), len(signs))
+        values = [sign(*args) for args in signs]
+        if n >= 15:
+            assert all(v in (-1, 1) for v in values), (n, values)
+        else:
+            assert any(v not in (-1, 1) and v == _four_term_product(*args)
+                       for v, args in zip(values, signs)), n
         evals.clear()
         signs.clear()
     assert horner == ([], []) and bisections == []
@@ -577,6 +623,7 @@ def test_table_lower_bound_is_the_rounded_exact_bound(monkeypatch):
     for row in entropy_table(4, 400):
         b = 2 * row.n - 1
         assert row.lower_bound == float(b - Fraction(1, b ** (row.n - 2))), row.n
+        assert entropy._lower_bound(row.n) == (b ** (row.n - 1) - 1, b ** (row.n - 2)), row.n
 
 
 def test_table_rows_past_the_float_range_stay_within_1e_12():
