@@ -115,12 +115,12 @@ def _cmd_build_matrix(args) -> tuple[int, str]:
 # =====================================================================
 
 def _bounds_payload(report: EntropyReport) -> dict:
-    n = report.n
-    if n < 3:
-        return {"hold": report.bounds_hold, "lower": None, "upper": None}
-    lower = _lower_bound(n)
-    lower_text = None if lower is None else f"{lower[0]}/{lower[1]}"
-    return {"hold": report.bounds_hold, "lower": lower_text, "upper": str(2 * n - 1)}
+    n, lower = report.n, _lower_bound(report.n)
+    return {
+        "hold": report.bounds_hold,
+        "lower": None if lower is None else f"{lower[0]}/{lower[1]}",
+        "upper": None if n < 3 else str(2 * n - 1),
+    }
 
 
 def _cmd_entropy(args) -> tuple[int, str]:
@@ -205,6 +205,7 @@ def _check_rank(n: int, results: list[dict]) -> None:
     s = 2 * n - 1
     c, sc = compacted_matrix(n), super_compacted_matrix(n)
 
+    masks = circulant = None
     with check("blocks-vs-images"):
         # markov-power's operator on the bit basis against the independent images route.
         masks = {sp: _block_masks(sp) for sp in (plus, minus)}
@@ -213,17 +214,20 @@ def _check_rank(n: int, results: list[dict]) -> None:
             assert got == want, _first_mask_difference(got, want)
 
     with check("circulant-collapse"):
+        assert masks is not None, "no masks: blocks-vs-images failed"
         circulant = is_block_circulant_masks(masks[plus], s)
         assert circulant, "orientation-preserving form not circulant"
         got = sum_first_block_row_masks(masks[plus], s)
         assert got == c, _first_difference(got, c)
 
     with check("disoriented-collapse"):
+        assert masks is not None, "no masks: blocks-vs-images failed"
         assert is_disoriented_block_circulant_masks(masks[minus], s), (
             "reversing form not disoriented block circulant"
         )
         # The parallelization is circulant, so it equals the orientable
         # matrix iff that is circulant too and the first block rows agree.
+        assert circulant is not None, "no circulance verdict: circulant-collapse failed"
         assert circulant, "orientation-preserving form not circulant"
         got, want = masks[minus][:s], masks[plus][:s]
         assert got == want, _first_mask_difference(got, want)
@@ -367,22 +371,20 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("markov", "compacted", "divided", "supercompacted"),
         default="markov",
     )
-    p_build.add_argument("--format", choices=_FORMATS, default="plain")
 
     p_entropy = sub.add_parser("entropy", help="entropy report for one presentation")
     p_entropy.add_argument("--n", type=int, required=True, help="rank (>= 2)")
     p_entropy.add_argument("--orientable", action="store_true")
-    p_entropy.add_argument("--format", choices=_FORMATS, default="plain")
 
     p_verify = sub.add_parser("verify", help="run the cross-check battery")
     p_verify.add_argument("--n-max", type=int, default=8, dest="n_max")
-    p_verify.add_argument("--format", choices=_FORMATS, default="plain")
 
     p_table = sub.add_parser("table", help="entropy table over a range of ranks")
     p_table.add_argument("--from", type=int, required=True, dest="n_min")
     p_table.add_argument("--to", type=int, required=True, dest="n_max")
-    p_table.add_argument("--format", choices=_FORMATS, default="plain")
 
+    for p in (p_build, p_entropy, p_verify, p_table):
+        p.add_argument("--format", choices=_FORMATS, default="plain")
     return parser
 
 

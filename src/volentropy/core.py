@@ -20,7 +20,7 @@ found by scanning dense rows.
 
 Indexing convention: the combinatorial formulas that drive this package are
 stated with rows, columns, blocks and slots numbered from 1.  The public
-accessors here (`IntMatrix.entry`, `mod1`) speak 1-based; plain iteration
+accessor `IntMatrix.entry` speaks 1-based; plain iteration
 over `IntMatrix.rows` is ordinary 0-based Python.
 """
 
@@ -32,7 +32,6 @@ from collections.abc import Iterable, Sequence
 from itertools import compress, starmap, zip_longest
 
 __all__ = [
-    "mod1",
     "IntMatrix",
     "IntPolynomial",
     "LaurentPolynomial",
@@ -44,20 +43,8 @@ __all__ = [
 
 
 # =====================================================================
-# Helpers: cyclic index, input guards, the value-type base
+# Helpers: input guards, the value-type base
 # =====================================================================
-
-def mod1(k: int, l: int) -> int:
-    """Representative of k modulo l in {1, ..., l}.
-
-    This is the shifted residue used throughout the index formulas: multiples
-    of l map to l itself, so mod1(0, l) == mod1(l, l) == l and
-    mod1(l + 1, l) == 1.  Negative k wraps the same way.
-    """
-    if l < 1:
-        raise ValueError(f"modulus must be >= 1, got {l}")
-    return (k - 1) % l + 1
-
 
 def _ints(values: Iterable) -> tuple[int, ...]:
     """The values as ints; ValueError for one unequal to its int: 0.5 or '7', not 2.0 or True."""
@@ -102,22 +89,6 @@ def _check_matrix(n: int, side: int, name: str) -> None:
             "`lambda_n_bracket` an exact rational bracket of it, "
             f"`volentropy table` up to rank {_MAX_TABLE_RANK}"
         )
-
-
-# `_memo`'s results, emptied when eight are held so that few matrices stay
-# alive: verify asks for each rank's two polynomials in two of its checks.
-_MEMO: dict = {}
-
-
-def _memo(compute, *args):
-    """compute(*args), answered from `_MEMO` when an equal call is held there:
-    the arguments are frozen values, so an equal call has an equal result."""
-    value = _MEMO.get(key := (compute, *args))
-    if value is None:
-        if len(_MEMO) >= 8:
-            _MEMO.clear()
-        value = _MEMO[key] = compute(*args)
-    return value
 
 
 class _Frozen:
@@ -231,13 +202,6 @@ class IntMatrix(_Frozen):
                 tuple(map(operator.add, ra, rb))
                 for ra, rb in zip(self.rows, other.rows)
             )
-        )
-
-    def __rmul__(self, c: int) -> "IntMatrix":
-        if not isinstance(c, int):
-            return NotImplemented
-        return IntMatrix._from_rows(
-            tuple(tuple(map(c.__mul__, row)) for row in self.rows)
         )
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":

@@ -194,11 +194,16 @@ def _route_root(p: IntPolynomial, b: int) -> float:
     return _certified_root(partial(_value_slope, p), partial(_scaled_eval, p), lambda: p, b)
 
 
-def _rank(n: int) -> int:
-    """n, checked to be a rank with a growth rate above 1: an int >= 3."""
+def _int_rank(n: int) -> int:
+    """n, checked to be an int; bool passes, as True == 1."""
     if not isinstance(n, int):
         raise ValueError(f"rank must be an int, got {n!r}")
-    if n < 3:
+    return n
+
+
+def _rank(n: int) -> int:
+    """n, checked to be a rank with a growth rate above 1: an int >= 3."""
+    if _int_rank(n) < 3:
         raise ValueError(
             f"rank must be >= 3 for a growth rate above 1, got {n}"
             " (rank 2 has entropy 0; see volume_entropy)"
@@ -235,7 +240,7 @@ def bounds_check(n: int) -> bool:
     arithmetic: strictly negative at the lower bound, strictly positive at
     2n-1.  The lower bound needs n >= 4.
     """
-    if n < 4:
+    if _int_rank(n) < 4:
         raise ValueError(f"the lower bound requires n >= 4, got {n}")
     return _bounds_hold(n)
 
@@ -377,9 +382,9 @@ def entropy_table(n_min: int, n_max: int) -> list[EntropyTableRow]:
     (b*lambda - 1)/lambda^n, a root identity of (x-1)q(x) = x^(n+1) - b*x^n
     + b*x - 1 free of the cancellation in log(b) - log(lambda).
     """
-    if n_min < 3:
+    if _int_rank(n_min) < 3:
         raise ValueError(f"table starts at rank 3, got {n_min}")
-    if n_min > n_max:
+    if n_min > _int_rank(n_max):
         raise ValueError(f"empty range: n_min={n_min} > n_max={n_max}")
     if n_max > _MAX_TABLE_RANK:
         raise ValueError(

@@ -14,7 +14,9 @@ comes out in closed form.
 
 from __future__ import annotations
 
-from .core import IntMatrix, IntPolynomial, LaurentPolynomial, _Frozen, _ints, _memo
+from functools import lru_cache
+
+from .core import IntMatrix, IntPolynomial, LaurentPolynomial, _Frozen, _ints
 
 __all__ = [
     "RomeSpec",
@@ -38,9 +40,6 @@ class RomeSpec(_Frozen):
         self._init(tuple(sorted(set(_ints(nodes)))))
         if any(v < 1 for v in self.nodes):
             raise ValueError(f"rome nodes must be >= 1, got {self.nodes}")
-
-    def __len__(self) -> int:
-        return len(self.nodes)
 
 
 def rome_check(m: IntMatrix, r: RomeSpec) -> bool:
@@ -144,11 +143,13 @@ def rome_char_poly(m: IntMatrix, r: RomeSpec) -> IntPolynomial:
     The path matrix A satisfies det(xI - m) = (-1)^|R| x^k det(A - I), where
     det(A - I) = d_0 + d_1 y + ... + d_k y^k in y = x^-1.  So the result is
     the d_j reversed, negated when |R| is odd, and matches `char_poly_exact`.
-    A small memo (`core._memo`) answers a repeated matrix and rome.
+    An LRU cache of the last eight (matrix, rome) pairs answers a repeated
+    call: both are frozen values, so an equal call has an equal result.
     """
-    return _memo(_rome_char_poly, m, r)
+    return _rome_char_poly(m, r)
 
 
+@lru_cache(maxsize=8)
 def _rome_char_poly(m: IntMatrix, r: RomeSpec) -> IntPolynomial:
     grid = _path_sums(m, r)
     for i, row in enumerate(grid):

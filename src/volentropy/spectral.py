@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import math
 import operator
+from functools import lru_cache
 
-from .core import IntMatrix, IntPolynomial, _Frozen, _memo, check_tolerance
+from .core import IntMatrix, IntPolynomial, _Frozen, check_tolerance
 from .markov import TransitionOperator
 
 __all__ = [
@@ -138,12 +139,14 @@ def char_poly_exact(m: IntMatrix) -> IntPolynomial:
     and Python integers keep the intermediate traces exact at any size.  Row i
     of m * acc sums rows of acc over the nonzero m[i][j]: O(nnz * k), not k^3.
     A unit weight adds its row of acc unscaled, and a row with one nonzero
-    copies (or scales) that row of acc with no column sum.  A small memo
-    (`core._memo`) answers a repeated matrix.
+    copies (or scales) that row of acc with no column sum.  An LRU cache of
+    the last eight matrices answers a repeated one: a matrix is a frozen
+    value, so an equal matrix has an equal polynomial.
     """
-    return _memo(_char_poly_exact, m)
+    return _char_poly_exact(m)
 
 
+@lru_cache(maxsize=8)
 def _char_poly_exact(m: IntMatrix) -> IntPolynomial:
     k = m.size
     nonzero = m.nonzeros()

@@ -291,6 +291,22 @@ def test_verify_json_schema(capsys):
     assert all(row["seconds"] >= 0 for row in results)
 
 
+def test_verify_to_rank_10_runs_74_distinct_checks_all_passing(capsys):
+    # Every check at every rank, once each: reference-rows at ranks 3 and 4
+    # only.  A dropped or duplicated check changes the count.
+    assert main(["verify", "--n-max", "10", "--format", "json"]) == 0
+    results = json.loads(capsys.readouterr().out)
+    pairs = {(row["n"], row["check"]) for row in results}
+    assert len(results) == len(pairs) == 74
+    assert pairs == {
+        (n, check)
+        for n in range(3, 11)
+        for check in EXPECTED_RANK3_CHECKS
+        if check != "reference-rows" or n <= 4
+    }
+    assert all(row["pass"] is True for row in results)
+
+
 def test_verify_csv_schema(capsys):
     code = main(["verify", "--n-max", "3", "--format", "csv"])
     out = capsys.readouterr().out.rstrip("\n")
@@ -619,6 +635,36 @@ def test_a_root_search_that_raises_fails_its_rows_instead_of_aborting_verify(mon
     }
 
 
+def _raise_value_error(*args):
+    raise ValueError("stubbed to fail")
+
+
+@pytest.mark.parametrize(
+    "name, failed",
+    [
+        ("_block_masks", {
+            "blocks-vs-images": "stubbed to fail",
+            "circulant-collapse": "no masks: blocks-vs-images failed",
+            "disoriented-collapse": "no masks: blocks-vs-images failed",
+        }),
+        ("is_block_circulant_masks", {
+            "circulant-collapse": "stubbed to fail",
+            "disoriented-collapse": "no circulance verdict: circulant-collapse failed",
+        }),
+    ],
+)
+def test_a_mask_check_that_raises_fails_the_checks_that_need_it_instead_of_aborting_verify(
+    name, failed, monkeypatch, capsys
+):
+    # The later mask checks read what the earlier ones bound; with nothing
+    # bound they FAIL with a reason, and verify still prints every row and exits 1.
+    monkeypatch.setattr(cli, name, _raise_value_error)
+    assert main(["verify", "--n-max", "3", "--format", "json"]) == 1
+    results = json.loads(capsys.readouterr().out)
+    assert {row["check"] for row in results} == EXPECTED_RANK3_CHECKS
+    assert {row["check"]: row["detail"] for row in results if not row["pass"]} == failed
+
+
 def test_verify_with_a_failing_check_exits_1(monkeypatch, capsys):
     _tamper_compacted(monkeypatch)
     code = main(["verify", "--n-max", "3"])
@@ -820,30 +866,27 @@ def test_verify_builds_each_closed_form_once_per_rank(monkeypatch):
     }
 
 
-def test_verify_computes_each_characteristic_polynomial_once_per_rank(monkeypatch):
+def test_verify_computes_each_characteristic_polynomial_once_per_rank():
     # route-consensus (inside volume_entropy) and rome-charpoly read the same
-    # supercompacted matrix, so the second asks the memo, not the algorithm.
-    monkeypatch.setattr(core, "_MEMO", {})
-    calls = Counter()
-    for mod, name in ((rome, "_rome_char_poly"), (spectral, "_char_poly_exact")):
-        real = getattr(mod, name)
-
-        def counting(m, *args, name=name, real=real):
-            calls[name, m.size] += 1
-            return real(m, *args)
-
-        monkeypatch.setattr(mod, name, counting)
-    results = cli._run_battery(10)
-    assert all(row["pass"] for row in results)
-    assert calls == {
-        (name, n): 1 for name in ("_rome_char_poly", "_char_poly_exact") for n in range(3, 11)
-    }
+    # supercompacted matrix, so the second is answered by the cache: one miss
+    # and one hit per function and rank.
+    caches = (rome._rome_char_poly, spectral._char_poly_exact)
+    for cache in caches:
+        cache.cache_clear()
+    for n in range(3, 11):
+        before = [cache.cache_info() for cache in caches]
+        results: list[dict] = []
+        cli._check_rank(n, results)
+        assert all(row["pass"] for row in results)
+        for cache, old in zip(caches, before):
+            new = cache.cache_info()
+            assert (new.misses - old.misses, new.hits - old.hits) == (1, 1), (cache, n)
 
 
 def test_rome_charpoly_is_not_answered_from_the_memo_for_a_changed_matrix(monkeypatch):
     # One weight of the heavy row raised: the support, so irreducibility and
     # the rome, stay, but the polynomials change.  route-consensus has put
-    # the real matrix's polynomials in the memo by the time rome-charpoly asks.
+    # the real matrix's polynomials in the cache by the time rome-charpoly asks.
     real = cli.super_compacted_matrix
 
     def heavier(n):

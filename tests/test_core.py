@@ -1,4 +1,4 @@
-"""Exact arithmetic layer: index helper, matrices, polynomials, serialization."""
+"""Exact arithmetic layer: matrices, polynomials, serialization."""
 
 from fractions import Fraction
 
@@ -12,7 +12,6 @@ from volentropy.core import (
     _scaled_eval,
     format_blocks,
     matrix_to_csv,
-    mod1,
     poly_eval,
     poly_reciprocal_check,
 )
@@ -21,32 +20,6 @@ from volentropy.core import (
 def parse_csv(text: str) -> IntMatrix:
     """The matrix written by `matrix_to_csv`: one comma-separated row a line."""
     return IntMatrix([int(tok) for tok in line.split(",")] for line in text.splitlines() if line.strip())
-
-
-# ---------------------------------------------------------------- mod1
-
-def test_mod1_pinned_values():
-    assert mod1(0, 6) == 6
-    assert mod1(6, 6) == 6
-    assert mod1(7, 6) == 1
-    assert mod1(1, 6) == 1
-    assert mod1(-1, 6) == 5
-    assert mod1(13, 6) == 1
-
-
-def test_mod1_rejects_bad_modulus():
-    with pytest.raises(ValueError):
-        mod1(3, 0)
-    with pytest.raises(ValueError):
-        mod1(3, -2)
-
-
-@given(st.integers(-1000, 1000), st.integers(1, 60))
-def test_mod1_range_and_periodicity(k, l):
-    v = mod1(k, l)
-    assert 1 <= v <= l
-    assert mod1(k + l, l) == v
-    assert (v - k) % l == 0
 
 
 # ---------------------------------------------------------------- IntMatrix
@@ -76,7 +49,6 @@ def test_matrix_product_and_sum():
     b = IntMatrix([[0, 1], [1, 0]])
     assert a * b == IntMatrix([[2, 1], [4, 3]])
     assert a + b == IntMatrix([[1, 3], [4, 4]])
-    assert 3 * b == IntMatrix([[0, 3], [3, 0]])
     assert a * IntMatrix.identity(2) == a
     assert IntMatrix.zeros(2) + a == a
 

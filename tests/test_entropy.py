@@ -89,6 +89,14 @@ def test_a_bool_rank_is_refused_as_below_3():
             call(True)
 
 
+@pytest.mark.parametrize("n", [4.0, 4.5, "5"])
+def test_a_table_or_bounds_rank_that_is_not_an_int_is_rejected_before_its_range_checks(n):
+    # Either end of the table, and the bounds rank, named as lambda_n names it.
+    for call in (partial(entropy_table, n), partial(entropy_table, 3), bounds_check):
+        with pytest.raises(ValueError, match=f"rank must be an int, got {n!r}$"):
+            call(n)
+
+
 def _is_nearest_float(q: IntPolynomial, lam: float) -> bool:
     """q changes sign, exactly, between the half-way points around lam."""
     below = (Fraction(math.nextafter(lam, 0)) + Fraction(lam)) / 2

@@ -285,11 +285,10 @@ def test_compacted_rank_4_pinned():
 @pytest.mark.parametrize("n", range(3, 11))
 def test_compacted_equals_block_sum(n):
     s = 2 * n - 1
-    total = (
-        build_block(BlockKind.T(), s)
-        + build_block(BlockKind.JTJ(), s)
-        + build_block(BlockKind.U(n), s)
-        + (n - 2) * (build_block(BlockKind.U(n - 1), s) + build_block(BlockKind.U(n + 1), s))
+    side = build_block(BlockKind.U(n - 1), s) + build_block(BlockKind.U(n + 1), s)
+    total = sum(
+        [side] * (n - 2),
+        build_block(BlockKind.T(), s) + build_block(BlockKind.JTJ(), s) + build_block(BlockKind.U(n), s),
     )
     assert total == compacted_matrix(n)
 

@@ -69,15 +69,14 @@ def dense_char_poly(m: IntMatrix) -> IntPolynomial:
     k = m.size
     coeffs = [0] * (k + 1)
     coeffs[k] = 1
-    ident = IntMatrix.identity(k)
-    acc = ident
+    acc = IntMatrix.identity(k)
     for step in range(1, k + 1):
         prod = m * acc
         trace = sum(prod.rows[i][i] for i in range(k))
         q, r = divmod(trace, step)
         assert r == 0
         coeffs[k - step] = -q
-        acc = prod + (-q) * ident
+        acc = IntMatrix([[v - q * (i == j) for j, v in enumerate(row)] for i, row in enumerate(prod.rows)])
     return IntPolynomial(coeffs)
 
 

@@ -112,13 +112,6 @@ def test_structural_blocks_are_canonical(k):
         assert_canonical(build_block(kind, k))
 
 
-@given(st.integers(-99, 99), square_matrices)
-def test_scalar_multiple_is_canonical(c, m):
-    cm = c * m
-    assert_canonical(cm)
-    assert cm == IntMatrix([[c * v for v in row] for row in m.rows])
-
-
 @given(st.integers(1, 6))
 def test_zeros_and_identity_are_canonical(k):
     assert_canonical(IntMatrix.zeros(k))
