@@ -300,9 +300,11 @@ def _first_mask_difference(a: list[int], b: list[int]) -> str:
     """`_first_difference` of two 0/1 matrices given as row masks (bit j is column j+1)."""
     if len(a) != len(b):
         return f"sizes differ: {len(a)} vs {len(b)}"
-    i, x, y = next((i, x, y) for i, (x, y) in enumerate(zip(a, b), 1) if x != y)
-    j = ((x ^ y) & -(x ^ y)).bit_length()
-    return f"first difference at ({i},{j}): {x >> (j - 1) & 1} vs {y >> (j - 1) & 1}"
+    # The rows before row i are equal, so only row i is spelled out in bits.
+    i = next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
+    width = (a[i] | b[i]).bit_length()
+    x, y = ([mask >> j & 1 for j in range(width)] for mask in (a[i], b[i]))
+    return _first_row_difference(a[:i] + [x], b[:i] + [y])
 
 
 def _cmd_verify(args) -> tuple[int, str]:

@@ -4,8 +4,9 @@ Everything in this module is exact.  Matrices hold arbitrary-precision Python
 integers, polynomials hold integer coefficients, and the sign of a polynomial
 at a rational a/d is the sign of the integer d^deg * p(a/d) (`_scaled_eval`),
 so sign decisions are never at the mercy of floating point.  The public
-constructors reject entries that are not integers, and `_check_matrix`, the
-one matrix guard, refuses a rank below 3 or a side past 6320.
+constructors reject entries that are not integers; `_rank`, the one rank
+guard, decides what a rank is, and `_check_matrix`, the one matrix guard,
+refuses through it a rank below 3, and a side past 6320.
 Polynomial arithmetic is written once, in `IntPolynomial`; a
 `LaurentPolynomial` is a power of x times one, kept only to present the
 rome path matrix, whose determinant is taken in x^-1.  Products m v live in
@@ -77,10 +78,21 @@ _MAX_SIDE = 6320
 _MAX_TABLE_RANK = 400
 
 
+def _rank(n, least: int | None = None, what: str = "") -> int:
+    """The one rank guard: n as a plain int by `operator.index` (int, bool, numpy.int64;
+    not 4.0, '4' or None), refusing a rank below `least`, if given, as `what` needing it."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"rank must be an int, got {n!r}") from None
+    if least is not None and n < least:
+        raise ValueError(f"{what} needs rank >= {least}, got {n}")
+    return n
+
+
 def _check_matrix(n: int, side: int, name: str) -> None:
-    """Refuse, before anything is allocated, a rank below 3 or a side past the cap."""
-    if n < 3:
-        raise ValueError(f"{name} needs rank >= 3, got {n}")
+    """Refuse, before anything is allocated, a rank `_rank` refuses below 3 or a side past the cap."""
+    _rank(n, 3, name)
     if side > _MAX_SIDE:
         raise ValueError(
             f"the rank-{n} {name} is {side}x{side}, over the {_MAX_SIDE}x{_MAX_SIDE} cap: "

@@ -25,7 +25,7 @@ from functools import partial
 from itertools import count
 from operator import truediv
 
-from .core import _MAX_TABLE_RANK, IntMatrix, IntPolynomial, _Frozen, _scaled_eval, check_tolerance, poly_eval
+from .core import _MAX_TABLE_RANK, IntMatrix, IntPolynomial, _Frozen, _rank, _scaled_eval, check_tolerance, poly_eval
 from .markov import PresentationSpec, TransitionOperator
 from .reductions import _perron_profile, compacted_matrix, super_compacted_matrix
 from .rome import RomeSpec, q_polynomial, rome_char_poly
@@ -194,23 +194,6 @@ def _route_root(p: IntPolynomial, b: int) -> float:
     return _certified_root(partial(_value_slope, p), partial(_scaled_eval, p), lambda: p, b)
 
 
-def _int_rank(n: int) -> int:
-    """n, checked to be an int; bool passes, as True == 1."""
-    if not isinstance(n, int):
-        raise ValueError(f"rank must be an int, got {n!r}")
-    return n
-
-
-def _rank(n: int) -> int:
-    """n, checked to be a rank with a growth rate above 1: an int >= 3."""
-    if _int_rank(n) < 3:
-        raise ValueError(
-            f"rank must be >= 3 for a growth rate above 1, got {n}"
-            " (rank 2 has entropy 0; see volume_entropy)"
-        )
-    return n
-
-
 def lambda_n_bracket(n: int, tol: float = 1e-12) -> tuple[Fraction, Fraction]:
     """Exact rational bracket around the growth rate of rank n.
 
@@ -218,9 +201,9 @@ def lambda_n_bracket(n: int, tol: float = 1e-12) -> tuple[Fraction, Fraction]:
     exactly one root above 1; both endpoint signs are certified in rational
     arithmetic, as is every bisection step.
     """
-    p = q_polynomial(_rank(n))
+    n = _rank(n, 3, "a growth rate above 1")
     check_tolerance(tol)
-    return _bisect_root(p, 1, 2 * n - 1, tol)
+    return _bisect_root(q_polynomial(n), 1, 2 * n - 1, tol)
 
 
 def lambda_n(n: int) -> float:
@@ -229,8 +212,9 @@ def lambda_n(n: int) -> float:
     power per evaluation and bit lengths per exact sign (an integer power only
     where they cannot decide), not n Horner steps.  From n = 129, where
     x^(n-1) overflows, q_n is built for the `Fraction` fallback."""
+    n = _rank(n, 3, "a growth rate above 1")
     return _certified_root(partial(_four_term_value_slope, n), partial(_four_term_sign, n),
-                           partial(q_polynomial, n), 2 * _rank(n) - 1)
+                           partial(q_polynomial, n), 2 * n - 1)
 
 
 def bounds_check(n: int) -> bool:
@@ -240,9 +224,7 @@ def bounds_check(n: int) -> bool:
     arithmetic: strictly negative at the lower bound, strictly positive at
     2n-1.  The lower bound needs n >= 4.
     """
-    if _int_rank(n) < 4:
-        raise ValueError(f"the lower bound requires n >= 4, got {n}")
-    return _bounds_hold(n)
+    return _bounds_hold(_rank(n, 4, "the lower bound"))
 
 
 def _lower_bound(n: int) -> tuple[int, int] | None:
@@ -382,9 +364,8 @@ def entropy_table(n_min: int, n_max: int) -> list[EntropyTableRow]:
     (b*lambda - 1)/lambda^n, a root identity of (x-1)q(x) = x^(n+1) - b*x^n
     + b*x - 1 free of the cancellation in log(b) - log(lambda).
     """
-    if _int_rank(n_min) < 3:
-        raise ValueError(f"table starts at rank 3, got {n_min}")
-    if n_min > _int_rank(n_max):
+    n_min, n_max = _rank(n_min, 3, "the table"), _rank(n_max)
+    if n_min > n_max:
         raise ValueError(f"empty range: n_min={n_min} > n_max={n_max}")
     if n_max > _MAX_TABLE_RANK:
         raise ValueError(

@@ -18,7 +18,8 @@ Two independent constructions are provided and cross-checked in the tests:
 Both routes end in one bit mask per row (`_image_masks`, `_block_masks`),
 which `_from_masks` alone turns into the 0/1 `IntMatrix`, so the routes agree
 iff their masks do; `verify` compares and collapses the masks themselves.
-`core._check_matrix` refuses ranks below 3 and past 40 up front.
+`core._check_matrix` refuses ranks below 3 and past 40 up front, through
+`core._rank`, the one rank guard.
 
 For the orientation-reversing (non-orientable) presentation the block rows
 at positions n and 2n act with reversed orientation: every block in those
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 
-from .core import IntMatrix, _Frozen, _check_matrix, _ints
+from .core import IntMatrix, _Frozen, _check_matrix, _rank
 
 __all__ = [
     "PresentationSpec",
@@ -55,15 +56,14 @@ class PresentationSpec(_Frozen):
     (genus n/2).  The defining index formulas of the orientable transition
     matrix still make sense for odd n, and the reduction identities hold for
     them; pass ``formal=True`` to construct that formal variant.  Everything
-    user-facing (CLI, entropy reports) sticks to ``formal=False``.
+    user-facing (CLI, entropy reports) sticks to ``formal=False``.  The rank
+    passes `core._rank`: an int >= 2, stored as a plain int.
     """
 
     __slots__ = ("n", "orientable", "formal")
 
     def __init__(self, n: int, orientable: bool, *, formal: bool = False) -> None:
-        self._init(_ints((n,))[0], orientable, formal)
-        if self.n < 2:
-            raise ValueError(f"rank must be >= 2, got {self.n}")
+        self._init(_rank(n, 2, "a presentation"), orientable, formal)
         if self.orientable and self.n % 2 == 1 and not self.formal:
             raise ValueError(
                 f"orientable presentations require even rank, got n={self.n}"
@@ -299,7 +299,7 @@ def reference_rows(n: int, orientable: bool) -> list[list[int]]:
     verification battery and the test suite as ground truth for the
     constructions.
     """
-    fname = _REFERENCE_FILES.get((n, orientable))
+    fname = _REFERENCE_FILES.get((_rank(n), orientable))
     if fname is None:
         raise ValueError(f"no reference data for n={n}, orientable={orientable}")
     # This module's loader reads the file beside it, from a directory or a

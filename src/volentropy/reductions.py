@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from operator import add
 
-from .core import IntMatrix, _Frozen, _check_matrix
+from .core import IntMatrix, _Frozen, _check_matrix, _rank
 
 __all__ = [
     "BlockView",
@@ -179,6 +179,7 @@ def compacted_matrix(n: int) -> IntMatrix:
     leaving the middle; equal to the blockwise sum
     T + JTJ + U(n) + (n-2)(U(n-1) + U(n+1)).
     """
+    n = _rank(n, 3, "compacted matrix")
     s = 2 * n - 1
     _check_matrix(n, s, "compacted matrix")
     c = [[0] * s for _ in range(s)]
@@ -207,6 +208,7 @@ def divided_compacted_matrix(n: int) -> IntMatrix:
     n+1..2n.  Its spectrum is that of the compacted matrix plus a simple
     eigenvalue 1.
     """
+    n = _rank(n, 3, "divided compacted matrix")
     _check_matrix(n, 2 * n, "divided compacted matrix")
     doubled = tuple(row[:n] + row[n - 1 :] for row in compacted_matrix(n).rows)
     ones, zeros = (1,) * n, (0,) * n
@@ -238,6 +240,7 @@ def super_compacted_matrix(n: int) -> IntMatrix:
     an all-ones last row.  Equals D11 + D12*J for the n x n blocks D11, D12
     of the divided compacted matrix.
     """
+    n = _rank(n, 3, "supercompacted matrix")
     _check_matrix(n, n, "supercompacted matrix")
     m = [[0] * n for _ in range(n)]
     for i in range(1, n - 1):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .core import IntMatrix, IntPolynomial, LaurentPolynomial, _Frozen, _ints
+from .core import IntMatrix, IntPolynomial, LaurentPolynomial, _Frozen, _ints, _rank
 
 __all__ = [
     "RomeSpec",
@@ -172,7 +172,6 @@ def q_polynomial(n: int) -> IntPolynomial:
     entropy of the rank-n presentations; at n = 2 it degenerates to (x-1)^2,
     matching entropy zero for the torus and Klein bottle.
     """
-    if n < 2:
-        raise ValueError(f"q polynomial needs n >= 2, got {n}")
+    n = _rank(n, 2, "q_polynomial")
     coeffs = [1] + [-2 * (n - 1)] * (n - 1) + [1]
     return IntPolynomial(coeffs)

@@ -17,8 +17,8 @@ from volentropy.entropy import (
     lambda_n_bracket,
     volume_entropy,
 )
-from volentropy.markov import PresentationSpec, TransitionOperator
-from volentropy.reductions import compacted_matrix, super_compacted_matrix
+from volentropy.markov import PresentationSpec, TransitionOperator, reference_rows
+from volentropy.reductions import compacted_matrix, divided_compacted_matrix, super_compacted_matrix
 from volentropy.rome import q_polynomial
 from volentropy.spectral import power_iteration
 
@@ -76,25 +76,42 @@ def test_lambda_validation():
         lambda_n_bracket(3, tol=0.0)
 
 
-@pytest.mark.parametrize("n", [3.0, 4.5, "5"])
+# Every public entry point that takes a rank, as a function of that rank.
+RANK_ENTRY_POINTS = {
+    "PresentationSpec": partial(PresentationSpec, orientable=False),
+    "q_polynomial": q_polynomial,
+    "compacted_matrix": compacted_matrix,
+    "divided_compacted_matrix": divided_compacted_matrix,
+    "super_compacted_matrix": super_compacted_matrix,
+    "reference_rows": partial(reference_rows, orientable=True),
+    "lambda_n": lambda_n,
+    "lambda_n_bracket": lambda_n_bracket,
+    "bounds_check": bounds_check,
+    "entropy_table from": partial(entropy_table, n_max=5),
+    "entropy_table to": partial(entropy_table, 3),
+}
+
+
+@pytest.mark.parametrize("n", [3.0, 4.0, 4.5, "4", "5", None])
 def test_a_rank_that_is_not_an_int_is_rejected_and_named(n):
-    for call in (lambda_n, lambda_n_bracket):
+    # One guard refuses it before any range check or arithmetic on n: no
+    # TypeError from inside, and no 4.0 taken as rank 4.
+    for call in RANK_ENTRY_POINTS.values():
         with pytest.raises(ValueError, match=f"rank must be an int, got {n!r}$"):
             call(n)
+
+
+def test_a_numpy_int_rank_is_the_same_rank():
+    np = pytest.importorskip("numpy")
+    for name, call in RANK_ENTRY_POINTS.items():
+        assert call(np.int64(4)) == call(4), name
+    assert type(PresentationSpec(np.int64(4), False).n) is int
 
 
 def test_a_bool_rank_is_refused_as_below_3():
     for call in (lambda_n, lambda_n_bracket):
-        with pytest.raises(ValueError, match="rank must be >= 3"):
+        with pytest.raises(ValueError, match="a growth rate above 1 needs rank >= 3, got 1$"):
             call(True)
-
-
-@pytest.mark.parametrize("n", [4.0, 4.5, "5"])
-def test_a_table_or_bounds_rank_that_is_not_an_int_is_rejected_before_its_range_checks(n):
-    # Either end of the table, and the bounds rank, named as lambda_n names it.
-    for call in (partial(entropy_table, n), partial(entropy_table, 3), bounds_check):
-        with pytest.raises(ValueError, match=f"rank must be an int, got {n!r}$"):
-            call(n)
 
 
 def _is_nearest_float(q: IntPolynomial, lam: float) -> bool:

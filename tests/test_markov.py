@@ -41,10 +41,9 @@ def test_spec_validation():
 
 
 def test_spec_rank_must_be_an_integer():
-    assert PresentationSpec(4.0, False) == PresentationSpec(4, False)
-    assert type(PresentationSpec(4.0, False).n) is int
-    for bad in (4.5, "4"):
-        with pytest.raises(ValueError, match=repr(bad)):
+    # 4.0 is refused like 4.5, not coerced to rank 4.
+    for bad in (4.0, 4.5, "4"):
+        with pytest.raises(ValueError, match=f"rank must be an int, got {bad!r}$"):
             PresentationSpec(bad, False)
 
 
