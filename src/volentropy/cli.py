@@ -218,7 +218,7 @@ def _check_rank(n: int, results: list[dict]) -> None:
         circulant = is_block_circulant_masks(masks[plus], s)
         assert circulant, "orientation-preserving form not circulant"
         got = sum_first_block_row_masks(masks[plus], s)
-        assert got == c, _first_difference(got, c)
+        assert got == c, _first_row_difference(got.rows, c.rows)
 
     with check("disoriented-collapse"):
         assert masks is not None, "no masks: blocks-vs-images failed"
@@ -267,7 +267,7 @@ def _check_rank(n: int, results: list[dict]) -> None:
         assert not failure, failure
         view = BlockView(dc, 2, n)
         folded = view.block(1, 1) + view.block(1, 2).reverse_columns()
-        assert folded == sc, _first_difference(folded, sc)
+        assert folded == sc, _first_row_difference(folded.rows, sc.rows)
 
     with check("rome-charpoly"):
         # Perron-Frobenius: irreducible, so q_n's root is the spectral radius of S_n.
@@ -290,21 +290,17 @@ def _check_rank(n: int, results: list[dict]) -> None:
         assert _bounds_hold(n), "bracket signs wrong at the exact bounds"
 
 
-def _first_difference(a: IntMatrix, b: IntMatrix) -> str:
-    if a.size != b.size:
-        return f"sizes differ: {a.size} vs {b.size}"
-    return _first_row_difference(a.rows, b.rows)
-
-
 def _first_mask_difference(a: list[int], b: list[int]) -> str:
-    """`_first_difference` of two 0/1 matrices given as row masks (bit j is column j+1)."""
-    if len(a) != len(b):
-        return f"sizes differ: {len(a)} vs {len(b)}"
-    # The rows before row i are equal, so only row i is spelled out in bits.
-    i = next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
-    width = (a[i] | b[i]).bit_length()
-    x, y = ([mask >> j & 1 for j in range(width)] for mask in (a[i], b[i]))
-    return _first_row_difference(a[:i] + [x], b[:i] + [y])
+    """`_first_row_difference` of two 0/1 matrices given as row masks (bit j is column j+1)."""
+    # Only the first unequal row is spelled out in bits: the rows before it
+    # are equal, and `_first_row_difference` reads none after it.
+    a, b = list(a), list(b)
+    for i, (x, y) in enumerate(zip(a, b)):
+        if x != y:
+            width = (x | y).bit_length()
+            a[i], b[i] = ([mask >> j & 1 for j in range(width)] for mask in (x, y))
+            break
+    return _first_row_difference(a, b)
 
 
 def _cmd_verify(args) -> tuple[int, str]:

@@ -3,9 +3,11 @@
 Everything in this module is exact.  Matrices hold arbitrary-precision Python
 integers, polynomials hold integer coefficients, and the sign of a polynomial
 at a rational a/d is the sign of the integer d^deg * p(a/d) (`_scaled_eval`),
-so sign decisions are never at the mercy of floating point.  The public
-constructors reject entries that are not integers; `_rank`, the one rank
-guard, decides what a rank is, and `_check_matrix`, the one matrix guard,
+so sign decisions are never at the mercy of floating point.  One integer
+rule, `_int`, decides what an integer is: every entry, coefficient,
+exponent, size, row index, rome node, iteration budget and rank a public
+call stores or builds from passes it.  `_rank`, the rank guard built on it,
+names a rank that is too small, and `_check_matrix`, the one matrix guard,
 refuses through it a rank below 3, and a side past 6320.
 Polynomial arithmetic is written once, in `IntPolynomial`; a
 `LaurentPolynomial` is a power of x times one, kept only to present the
@@ -47,14 +49,21 @@ __all__ = [
 # Helpers: input guards, the value-type base
 # =====================================================================
 
-def _ints(values: Iterable) -> tuple[int, ...]:
-    """The values as ints; ValueError for one unequal to its int: 0.5 or '7', not 2.0 or True."""
-    raw = tuple(values)
-    out = tuple(map(int, raw))
-    if out != raw:
-        bad = next(c for c, i in zip(raw, out) if i != c)
-        raise ValueError(f"entries must be integers, got {bad!r}")
-    return out
+def _int(x, what: str, least: int | None = None) -> int:
+    """The one integer rule: x as a plain int by `operator.index` (int, bool, numpy.int64;
+    not 2.0, '2' or None), refusing one below `least`, if given; `what` names x."""
+    try:
+        i = operator.index(x)
+    except TypeError:
+        raise ValueError(f"{what} must be an int, got {x!r}") from None
+    if least is not None and i < least:
+        raise ValueError(f"{what} must be >= {least}, got {i}")
+    return i
+
+
+def _ints(values: Iterable, what: str) -> tuple[int, ...]:
+    """The values through `_int`, as a tuple of plain ints."""
+    return tuple(_int(v, what) for v in values)
 
 
 def check_tolerance(tol: float) -> None:
@@ -79,12 +88,9 @@ _MAX_TABLE_RANK = 400
 
 
 def _rank(n, least: int | None = None, what: str = "") -> int:
-    """The one rank guard: n as a plain int by `operator.index` (int, bool, numpy.int64;
-    not 4.0, '4' or None), refusing a rank below `least`, if given, as `what` needing it."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise ValueError(f"rank must be an int, got {n!r}") from None
+    """The one rank guard: n through `_int` as the rank (not 4.0, '4' or None),
+    refusing a rank below `least`, if given, as `what` needing it."""
+    n = _int(n, "rank")
     if least is not None and n < least:
         raise ValueError(f"{what} needs rank >= {least}, got {n}")
     return n
@@ -155,7 +161,7 @@ class IntMatrix(_Frozen):
     __slots__ = ("rows", "size")
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        mat = tuple(map(_ints, rows))
+        mat = tuple(_ints(row, "matrix entry") for row in rows)
         if not mat:
             raise ValueError("matrix must have at least one row")
         k = len(mat)
@@ -179,14 +185,12 @@ class IntMatrix(_Frozen):
 
     @classmethod
     def zeros(cls, k: int) -> "IntMatrix":
-        if k < 1:
-            raise ValueError("matrix must have at least one row")
+        k = _int(k, "matrix size", 1)
         return cls._from_rows(((0,) * k,) * k)
 
     @classmethod
     def identity(cls, k: int) -> "IntMatrix":
-        if k < 1:
-            raise ValueError("matrix must have at least one row")
+        k = _int(k, "matrix size", 1)
         return cls._from_rows(
             tuple((0,) * i + (1,) + (0,) * (k - 1 - i) for i in range(k))
         )
@@ -261,7 +265,7 @@ class IntPolynomial(_Frozen):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[int]):
-        cs = list(_ints(coeffs))
+        cs = list(_ints(coeffs, "coefficient"))
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
         if not cs:
@@ -372,10 +376,10 @@ class LaurentPolynomial(_Frozen):
     __slots__ = ("min_exponent", "_poly")
 
     def __init__(self, min_exponent: int, coeffs: Sequence[int]):
-        cs = _ints(coeffs)
+        e, cs = _int(min_exponent, "exponent"), _ints(coeffs, "coefficient")
         lead = next((k for k, c in enumerate(cs) if c), len(cs))
         poly = IntPolynomial(cs[lead:])
-        self._init(0 if poly.is_zero() else int(min_exponent) + lead, poly)
+        self._init(0 if poly.is_zero() else e + lead, poly)
 
     @classmethod
     def zero(cls) -> "LaurentPolynomial":
@@ -425,7 +429,8 @@ def format_blocks(m: IntMatrix, block_size: int) -> str:
     Used for transition matrices, whose natural block structure has
     2n blocks of size 2n-1 on each side.
     """
-    if block_size < 1 or m.size % block_size != 0:
+    block_size = _int(block_size, "block size", 1)
+    if m.size % block_size != 0:
         raise ValueError(
             f"block size {block_size} does not divide matrix size {m.size}"
         )

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 
-from .core import IntMatrix, _Frozen, _check_matrix, _rank
+from .core import IntMatrix, _Frozen, _check_matrix, _int, _rank
 
 __all__ = [
     "PresentationSpec",
@@ -96,14 +96,13 @@ class BlockKind(_Frozen):
     _NAMES = ("T", "JTJ", "U", "J", "zero", "identity")
 
     def __init__(self, name: str, row: int | None = None) -> None:
+        if name not in self._NAMES:
+            raise ValueError(f"unknown block kind {name!r}")
+        if name == "U":
+            row = _int(row, "U row", 1)
+        elif row is not None:
+            raise ValueError(f"block kind {name!r} takes no row index")
         self._init(name, row)
-        if self.name not in self._NAMES:
-            raise ValueError(f"unknown block kind {self.name!r}")
-        if self.name == "U":
-            if self.row is None or self.row < 1:
-                raise ValueError("U block needs a row index >= 1")
-        elif self.row is not None:
-            raise ValueError(f"block kind {self.name!r} takes no row index")
 
     @classmethod
     def T(cls) -> "BlockKind":
@@ -146,8 +145,7 @@ def build_block(kind: BlockKind, k: int) -> IntMatrix:
     generator interval, which always has an odd number of slots).  U(i) is the
     matrix whose row i is all ones, J the flip (anti-diagonal) involution.
     """
-    if k < 1:
-        raise ValueError(f"block size must be >= 1, got {k}")
+    k = _int(k, "block size", 1)
     if kind.name in ("T", "JTJ"):
         if k < 5 or k % 2 == 0:
             raise ValueError(f"{kind.name} blocks require odd size >= 5, got {k}")

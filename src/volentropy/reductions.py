@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from operator import add
 
-from .core import IntMatrix, _Frozen, _check_matrix, _rank
+from .core import IntMatrix, _Frozen, _check_matrix, _int, _rank
 
 __all__ = [
     "BlockView",
@@ -54,14 +54,10 @@ class BlockView(_Frozen):
     __slots__ = ("matrix", "block_count", "block_size")
 
     def __init__(self, matrix: IntMatrix, block_count: int, block_size: int) -> None:
-        self._init(matrix, block_count, block_size)
-        r, s = block_count, block_size
-        if r < 1 or s < 1:
-            raise ValueError("block count and size must be >= 1")
-        if r * s != self.matrix.size:
-            raise ValueError(
-                f"block grid {r}x{s} does not tile a matrix of size {self.matrix.size}"
-            )
+        r, s = _int(block_count, "block count", 1), _int(block_size, "block size", 1)
+        if r * s != matrix.size:
+            raise ValueError(f"block grid {r}x{s} does not tile a matrix of size {matrix.size}")
+        self._init(matrix, r, s)
 
     def block(self, i: int, j: int) -> IntMatrix:
         """The (i, j) block, 1-based block indices."""
@@ -113,9 +109,11 @@ def sum_first_block_row_masks(masks: list[int], s: int) -> IntMatrix:
     )
 
 
-def _first_row_difference(a: tuple, b: tuple) -> str:
-    """Where two tables of rows of one shape first differ, 1-based, as
-    `first difference at (i,j): x vs y`; "" if they are equal."""
+def _first_row_difference(a: tuple | list, b: tuple | list) -> str:
+    """Where two tables of rows first differ, 1-based, as `first difference at
+    (i,j): x vs y`, or `sizes differ: len(a) vs len(b)`; "" if they are equal."""
+    if len(a) != len(b):
+        return f"sizes differ: {len(a)} vs {len(b)}"
     for i, (ra, rb) in enumerate(zip(a, b), 1):
         if ra != rb:
             j = next(j for j, (x, y) in enumerate(zip(ra, rb)) if x != y)

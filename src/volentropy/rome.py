@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .core import IntMatrix, IntPolynomial, LaurentPolynomial, _Frozen, _ints, _rank
+from .core import IntMatrix, IntPolynomial, LaurentPolynomial, _Frozen, _int, _rank
 
 __all__ = [
     "RomeSpec",
@@ -37,9 +37,7 @@ class RomeSpec(_Frozen):
     __slots__ = ("nodes",)
 
     def __init__(self, nodes):
-        self._init(tuple(sorted(set(_ints(nodes)))))
-        if any(v < 1 for v in self.nodes):
-            raise ValueError(f"rome nodes must be >= 1, got {self.nodes}")
+        self._init(tuple(sorted({_int(v, "rome node", 1) for v in nodes})))
 
 
 def rome_check(m: IntMatrix, r: RomeSpec) -> bool:

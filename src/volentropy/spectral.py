@@ -17,7 +17,7 @@ import math
 import operator
 from functools import lru_cache
 
-from .core import IntMatrix, IntPolynomial, _Frozen, check_tolerance
+from .core import IntMatrix, IntPolynomial, _Frozen, _int, check_tolerance
 from .markov import TransitionOperator
 
 __all__ = [
@@ -98,10 +98,7 @@ def power_iteration(
     """
     check_tolerance(tol)
     product = _apply(m)
-    if max_iter is None:
-        max_iter = 100 * m.size + 1000
-    if max_iter < 1:
-        raise ValueError(f"iteration budget must be >= 1, got {max_iter}")
+    max_iter = 100 * m.size + 1000 if max_iter is None else _int(max_iter, "iteration budget", 1)
 
     v = [1.0] * m.size
     window: list[float] = []

@@ -23,7 +23,7 @@ from hypothesis import assume, given, strategies as st
 
 import volentropy
 from volentropy import cli, core, entropy, markov, reductions, rome, spectral
-from volentropy.cli import _first_difference, main
+from volentropy.cli import main
 from volentropy.core import IntMatrix, format_blocks
 from volentropy.entropy import ROUTE_NAMES, EntropyReport, volume_entropy
 from volentropy.markov import PresentationSpec, build_markov_from_blocks
@@ -705,8 +705,8 @@ def test_verify_past_the_matrix_rank_cap_exits_1_before_any_check(
 def test_first_difference_reports_1_based_position():
     a = IntMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     b = IntMatrix([[1, 2, 3], [4, 5, 0], [7, 0, 9]])
-    assert _first_difference(a, b) == "first difference at (2,3): 6 vs 0"
-    assert _first_difference(a, a) == ""
+    assert reductions._first_row_difference(a.rows, b.rows) == "first difference at (2,3): 6 vs 0"
+    assert reductions._first_row_difference(a.rows, a.rows) == ""
 
 
 @given(st.data())
@@ -717,13 +717,14 @@ def test_mask_difference_reads_like_the_matrix_difference(data):
     a, b = data.draw(masks), data.draw(masks)
     assume(a != b)
     got = cli._first_mask_difference(a, b)
-    assert got == _first_difference(markov._from_masks(a, size), markov._from_masks(b, size))
+    want = (markov._from_masks(m, size).rows for m in (a, b))
+    assert got == reductions._first_row_difference(*want)
 
 
 def test_first_difference_reports_size_mismatch():
-    assert _first_difference(IntMatrix.identity(2), IntMatrix.identity(3)) == (
-        "sizes differ: 2 vs 3"
-    )
+    assert reductions._first_row_difference(
+        IntMatrix.identity(2).rows, IntMatrix.identity(3).rows
+    ) == "sizes differ: 2 vs 3"
     assert cli._first_mask_difference([1, 2], [1, 2, 4]) == "sizes differ: 2 vs 3"
 
 

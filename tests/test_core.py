@@ -1,5 +1,7 @@
 """Exact arithmetic layer: matrices, polynomials, serialization."""
 
+import numbers
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,12 +11,17 @@ from volentropy.core import (
     IntMatrix,
     IntPolynomial,
     LaurentPolynomial,
+    _Frozen,
     _scaled_eval,
     format_blocks,
     matrix_to_csv,
     poly_eval,
     poly_reciprocal_check,
 )
+from volentropy.markov import BlockKind, build_block
+from volentropy.reductions import BlockView
+from volentropy.rome import RomeSpec
+from volentropy.spectral import power_iteration
 
 
 def parse_csv(text: str) -> IntMatrix:
@@ -141,18 +148,57 @@ def test_plain_str_is_right_justified_rows(rows):
     assert str(m) == "\n".join(" ".join(str(v).rjust(w) for v in row) for row in rows)
 
 
-@pytest.mark.parametrize("bad", [0.5, 1.9, "7"])
+M4 = IntMatrix([[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12], [13, 14, 15, 16]])
+
+
+def plain_ints(value) -> bool:
+    """Every integer a value holds, through its fields, tuples and lists, is a Python int."""
+    if isinstance(value, _Frozen):
+        value = value._values()
+    if isinstance(value, (tuple, list)):
+        return all(map(plain_ints, value))
+    return isinstance(value, int) or not isinstance(value, numbers.Integral)
+
+
+def iterate(budget):
+    return power_iteration(IntMatrix.identity(2), max_iter=budget)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.9, "7", 2.0, None])
 @pytest.mark.parametrize(
-    "build",
+    "build, least, good",
     [
-        pytest.param(lambda c: IntMatrix([[c, 1], [2, 3]]), id="IntMatrix"),
-        pytest.param(lambda c: IntPolynomial([1, c]), id="IntPolynomial"),
-        pytest.param(lambda c: LaurentPolynomial(-1, [c, 1]), id="LaurentPolynomial"),
+        pytest.param(lambda c: IntMatrix([[c, 1], [2, 3]]), None, 5, id="IntMatrix"),
+        pytest.param(lambda c: IntPolynomial([1, c]), None, -3, id="IntPolynomial"),
+        pytest.param(lambda c: LaurentPolynomial(-1, [c, 1]), None, 4, id="LaurentPolynomial"),
+        pytest.param(lambda c: LaurentPolynomial(c, [1, 2]), None, -1, id="LaurentPolynomial.exponent"),
+        pytest.param(LaurentPolynomial.x_power, None, -2, id="x_power"),
+        pytest.param(IntMatrix.zeros, 1, 2, id="IntMatrix.zeros"),
+        pytest.param(IntMatrix.identity, 1, 3, id="IntMatrix.identity"),
+        pytest.param(lambda c: build_block(BlockKind.T(), c), 1, 7, id="build_block"),
+        pytest.param(BlockKind.U, 1, 2, id="BlockKind.U"),
+        pytest.param(lambda c: BlockView(M4, c, 2), 1, 2, id="BlockView.count"),
+        pytest.param(lambda c: BlockView(M4, 2, c), 1, 2, id="BlockView.size"),
+        pytest.param(lambda c: format_blocks(M4, c), 1, 2, id="format_blocks"),
+        pytest.param(lambda c: RomeSpec((c, 1)), 1, 3, id="RomeSpec"),
+        pytest.param(iterate, 1, 5, id="power_iteration"),
     ],
 )
-def test_public_constructors_reject_non_integral_entries(build, bad):
-    with pytest.raises(ValueError, match=repr(bad).replace(".", r"\.")):
-        build(bad)
+def test_public_constructors_reject_non_integral_entries(build, least, good, bad):
+    # One integer rule: an int, bool or numpy integer is taken as its plain int;
+    # nothing else is truncated or coerced, and a floor is checked after it.
+    if build is iterate and bad is None:
+        assert build(None) == build(100 * 2 + 1000)  # the default budget
+    else:
+        with pytest.raises(ValueError, match=f"must be an int, got {re.escape(repr(bad))}$"):
+            build(bad)
+    if least is not None:
+        with pytest.raises(ValueError, match=f"must be >= {least}, got {least - 1}$"):
+            build(least - 1)
+    np = pytest.importorskip("numpy")
+    built = build(np.int64(good))
+    assert built == build(good)
+    assert plain_ints(built)
 
 
 # ---------------------------------------------------------------- IntPolynomial

@@ -151,9 +151,10 @@ def test_rome_spec_normalizes():
 
 
 def test_rome_spec_nodes_must_be_integers():
-    assert RomeSpec((2.0, 1)) == RomeSpec((1, 2))
-    with pytest.raises(ValueError, match="1.5"):
-        RomeSpec((1.5, 2))
+    assert RomeSpec((True, 2)) == RomeSpec((1, 2))
+    for bad in (1.5, 2.0):
+        with pytest.raises(ValueError, match=f"rome node must be an int, got {bad}$"):
+            RomeSpec((bad, 1))
 
 
 # ---------------------------------------------------------------- paths

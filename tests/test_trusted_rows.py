@@ -48,9 +48,12 @@ matrix_pairs = st.integers(1, 5).flatmap(
 
 
 def test_public_constructor_still_coerces_and_validates():
-    m = IntMatrix([[True, 2.0], [0, 1]])
+    # A bool is an int and is stored as one; a float is refused, even 2.0.
+    m = IntMatrix([[True, 2], [0, 1]])
     assert m.rows == ((1, 2), (0, 1))
     assert_canonical(m)
+    with pytest.raises(ValueError, match=r"matrix entry must be an int, got 2\.0$"):
+        IntMatrix([[1, 2.0], [0, 1]])
     with pytest.raises(ValueError):
         IntMatrix([[1, 2], [3]])
     with pytest.raises(ValueError):
