@@ -12,7 +12,8 @@ means success; precondition violations and failed consistency checks exit
 nonzero with a message on stderr, and in csv/json mode nothing is written to
 stdout on error.  A reader that closes stdout early (`| head`) ends the
 command with exit code 1 and no traceback.  `verify` refuses to run under
-`python -O`, which strips its checks.
+`python -O`, which strips its checks.  A command's code is imported when that
+command runs: `verify` lives here, the other three in `_commands`.
 """
 
 from __future__ import annotations
@@ -25,21 +26,14 @@ import time
 from contextlib import contextmanager
 from functools import partial
 
-from .core import (
-    IntMatrix,
-    format_blocks,
-    matrix_to_csv,
-    poly_eval,
-    poly_reciprocal_check,
-)
-from .entropy import EntropyReport, _bounds_hold, _lower_bound, _power_route, volume_entropy, entropy_table
+from .core import poly_eval, poly_reciprocal_check
+from .entropy import _bounds_hold, _power_route, volume_entropy
 from .markov import (
     PresentationSpec,
     TransitionOperator,
     _block_masks,
     _check_matrix_rank,
     _image_masks,
-    build_markov_from_blocks,
     build_markov_from_images,
     reference_rows,
 )
@@ -74,102 +68,6 @@ def _csv(records: list[dict]) -> str:
 
     header = list(records[0])
     return "\n".join([",".join(header)] + [",".join(cell(r[k]) for k in header) for r in records])
-
-
-# =====================================================================
-# build-matrix
-# =====================================================================
-
-def _build_requested_matrix(args) -> tuple[IntMatrix, int]:
-    """Returns (matrix, block size for pretty printing; 0 = no blocks)."""
-    n = args.n
-    if args.which == "markov":
-        spec = PresentationSpec(n, args.orientable)
-        return build_markov_from_blocks(spec), spec.block_size
-    build = {
-        "compacted": compacted_matrix,
-        "divided": divided_compacted_matrix,
-        "supercompacted": super_compacted_matrix,
-    }[args.which]
-    return build(n), 0
-
-
-def _cmd_build_matrix(args) -> tuple[int, str]:
-    matrix, block = _build_requested_matrix(args)
-    if args.format == "csv":
-        return 0, matrix_to_csv(matrix).rstrip("\n")
-    if args.format == "json":
-        payload = {
-            "n": args.n,
-            "orientable": args.orientable,
-            "which": args.which,
-            "size": matrix.size,
-            "rows": [[str(v) for v in row] for row in matrix.rows],
-        }
-        return 0, json.dumps(payload, indent=2)
-    return 0, format_blocks(matrix, block) if block else str(matrix)
-
-
-# =====================================================================
-# entropy
-# =====================================================================
-
-def _bounds_payload(report: EntropyReport) -> dict:
-    n, lower = report.n, _lower_bound(report.n)
-    return {
-        "hold": report.bounds_hold,
-        "lower": None if lower is None else f"{lower[0]}/{lower[1]}",
-        "upper": None if n < 3 else str(2 * n - 1),
-    }
-
-
-def _cmd_entropy(args) -> tuple[int, str]:
-    spec = PresentationSpec(args.n, args.orientable)
-    report = volume_entropy(spec)
-    code = 0
-    if not report.consistent:
-        print(f"error: routes disagree (spread {report.agreement:.3e})", file=sys.stderr)
-        code = 1
-    if not report.bounds_hold:
-        print("error: exact bound certification failed", file=sys.stderr)
-        code = 1
-    if code != 0 and args.format in ("csv", "json"):
-        return code, ""
-
-    if args.format == "json":
-        payload = {
-            "n": report.n,
-            "orientable": report.orientable,
-            "lambda": report.lambda_,
-            "entropy": report.entropy,
-            "routes": report.routes,
-            "bounds": _bounds_payload(report),
-        }
-        return code, json.dumps(payload, indent=2)
-    if args.format == "csv":
-        record = {
-            "n": report.n,
-            "orientable": report.orientable,
-            "lambda": report.lambda_,
-            "entropy": report.entropy,
-            "agreement": report.agreement,
-            "bounds_hold": report.bounds_hold,
-        }
-        record.update((f"route:{name}", value) for name, value in report.routes.items())
-        return code, _csv([record])
-    lines = [
-        f"rank:        {report.n}",
-        f"orientable:  {report.orientable}",
-        f"lambda:      {report.lambda_:.12f}",
-        f"entropy:     {report.entropy:.12f}",
-    ]
-    if report.routes:
-        lines.append("routes:")
-        for name, value in report.routes.items():
-            lines.append(f"  {name:<22} {value:.12f}")
-        lines.append(f"agreement:   {report.agreement:.3e}")
-    lines.append(f"bounds hold: {report.bounds_hold}")
-    return code, "\n".join(lines)
 
 
 # =====================================================================
@@ -327,28 +225,6 @@ def _cmd_verify(args) -> tuple[int, str]:
 
 
 # =====================================================================
-# table
-# =====================================================================
-
-def _cmd_table(args) -> tuple[int, str]:
-    rows = entropy_table(args.n_min, args.n_max)
-    # The rows' fields, `lambda_` spelled `lambda`.
-    records = [{k.rstrip("_"): getattr(row, k) for k in row.__slots__} for row in rows]
-    if args.format == "json":
-        return 0, json.dumps(records, indent=2)
-    if args.format == "csv":
-        return 0, _csv(records)
-    header = f"{'n':>3}  {'lambda':>16}  {'entropy':>12}  {'lower bound':>16}  {'upper':>6}  {'gap':>12}"
-    lines = [header, "-" * len(header)]
-    for row in rows:
-        lb = "" if row.lower_bound is None else f"{row.lower_bound:.10f}"
-        lines.append(
-            f"{row.n:>3}  {row.lambda_:>16.10f}  {row.entropy:>12.8f}  {lb:>16}  {row.upper_bound:>6.0f}  {row.gap:>12.3e}"
-        )
-    return 0, "\n".join(lines)
-
-
-# =====================================================================
 # entry point
 # =====================================================================
 
@@ -389,14 +265,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "build-matrix": _cmd_build_matrix,
-        "entropy": _cmd_entropy,
-        "verify": _cmd_verify,
-        "table": _cmd_table,
-    }
+    if args.command == "verify":
+        handler = _cmd_verify
+    else:
+        from ._commands import HANDLERS
+
+        handler = HANDLERS[args.command]
     try:
-        code, text = handlers[args.command](args)
+        code, text = handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

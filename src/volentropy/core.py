@@ -61,6 +61,14 @@ def _int(x, what: str, least: int | None = None) -> int:
     return i
 
 
+def _block_size(s, size: int) -> int:
+    """s through `_int` as a block size (>= 1), refused unless it divides a matrix side of `size`."""
+    s = _int(s, "block size", 1)
+    if size % s:
+        raise ValueError(f"block size {s} does not divide matrix size {size}")
+    return s
+
+
 def _ints(values: Iterable, what: str) -> tuple[int, ...]:
     """The values through `_int`, as a tuple of plain ints."""
     return tuple(_int(v, what) for v in values)
@@ -82,8 +90,8 @@ def check_tolerance(tol: float) -> None:
 _MAX_SIDE = 6320
 
 # Largest top rank `entropy.entropy_table` accepts: `table --from 3 --to 400`
-# takes 40-42 s of process CPU (2-core Xeon VM, Python 3.11.7), nearly all in
-# the rows from n = 129, which bisect exactly; the rows to n = 128 take 1 ms.
+# takes 42.6 s of process CPU (one run, 2-core Xeon VM, Python 3.11.7), nearly
+# all in the rows from n = 129, which bisect exactly; the rows to n = 128 take 1 ms.
 _MAX_TABLE_RANK = 400
 
 
@@ -429,11 +437,7 @@ def format_blocks(m: IntMatrix, block_size: int) -> str:
     Used for transition matrices, whose natural block structure has
     2n blocks of size 2n-1 on each side.
     """
-    block_size = _int(block_size, "block size", 1)
-    if m.size % block_size != 0:
-        raise ValueError(
-            f"block size {block_size} does not divide matrix size {m.size}"
-        )
+    block_size = _block_size(block_size, m.size)
     w = max(len(str(v)) for row in m.rows for v in row)
     ncols = m.size
     out_lines = []

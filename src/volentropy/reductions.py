@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from operator import add
 
-from .core import IntMatrix, _Frozen, _check_matrix, _int, _rank
+from .core import IntMatrix, _Frozen, _block_size, _check_matrix, _int, _rank
 
 __all__ = [
     "BlockView",
@@ -83,6 +83,7 @@ def _rotated_block_rows(masks: list[int], s: int):
     of the plain circulant matrix that the first block row generates has each
     first-block mask rotated left by b bits in N = len(masks) bits."""
     size, full = len(masks), (1 << len(masks)) - 1
+    s = _block_size(s, size)
     for b in range(0, size, s):
         yield masks[b : b + s], [(f << b | f >> (size - b)) & full for f in masks[:s]]
 
@@ -103,6 +104,7 @@ def is_disoriented_block_circulant_masks(masks: list[int], s: int) -> bool:
 def sum_first_block_row_masks(masks: list[int], s: int) -> IntMatrix:
     """`sum_first_block_row` from masks: entry (i, j) counts the bits of mask i
     at columns j, j+s, j+2s, ...."""
+    s = _block_size(s, len(masks))
     stride = sum(1 << k for k in range(0, len(masks), s))
     return IntMatrix._from_rows(
         tuple(tuple((f & stride << j).bit_count() for j in range(s)) for f in masks[:s])

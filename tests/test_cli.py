@@ -22,7 +22,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import volentropy
-from volentropy import cli, core, entropy, markov, reductions, rome, spectral
+from volentropy import _commands, cli, core, entropy, markov, reductions, rome, spectral
 from volentropy.cli import main
 from volentropy.core import IntMatrix, format_blocks
 from volentropy.entropy import ROUTE_NAMES, EntropyReport, volume_entropy
@@ -207,8 +207,6 @@ def test_entropy_csv_payload(capsys):
 
 
 def test_entropy_inconsistent_routes_exit_silently_in_json(monkeypatch, capsys):
-    from volentropy import cli as cli_module
-
     def fake(spec):
         return EntropyReport(
             n=spec.n,
@@ -221,7 +219,7 @@ def test_entropy_inconsistent_routes_exit_silently_in_json(monkeypatch, capsys):
             bounds_hold=True,
         )
 
-    monkeypatch.setattr(cli_module, "volume_entropy", fake)
+    monkeypatch.setattr(_commands, "volume_entropy", fake)
     code = main(["entropy", "--n", "3", "--format", "json"])
     captured = capsys.readouterr()
     assert code == 1
@@ -230,8 +228,6 @@ def test_entropy_inconsistent_routes_exit_silently_in_json(monkeypatch, capsys):
 
 
 def test_entropy_inconsistent_routes_still_print_in_plain(monkeypatch, capsys):
-    from volentropy import cli as cli_module
-
     def fake(spec):
         return EntropyReport(
             n=spec.n,
@@ -244,7 +240,7 @@ def test_entropy_inconsistent_routes_still_print_in_plain(monkeypatch, capsys):
             bounds_hold=False,
         )
 
-    monkeypatch.setattr(cli_module, "volume_entropy", fake)
+    monkeypatch.setattr(_commands, "volume_entropy", fake)
     code = main(["entropy", "--n", "3"])
     captured = capsys.readouterr()
     assert code == 1
@@ -813,7 +809,7 @@ def _count_blocks_builds(monkeypatch) -> list:
         calls.append(spec)
         return real(spec)
 
-    for mod in (volentropy, markov, cli, entropy):
+    for mod in (volentropy, markov, cli, _commands, entropy):
         if hasattr(mod, "build_markov_from_blocks"):
             monkeypatch.setattr(mod, "build_markov_from_blocks", counting)
     return calls

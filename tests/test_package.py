@@ -146,3 +146,23 @@ def test_importing_the_cli_loads_only_modules_the_package_computes_with():
         timeout=60,
     ).stdout
     assert out.splitlines() == ["[]", "21 56 141", "[]", "0 126 False", "Fraction Fraction"]
+
+
+@pytest.mark.parametrize(
+    "argv, loads_commands",
+    [(["verify", "--n-max", "3"], False), (["table", "--from", "3", "--to", "4"], True)],
+)
+def test_only_the_report_commands_import_their_module(argv, loads_commands):
+    # `-X importtime` names on stderr every module the command imports.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "volentropy", *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    imported = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()}
+    assert "volentropy.cli" in imported
+    assert ("volentropy._commands" in imported) is loads_commands

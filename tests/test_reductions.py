@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from volentropy.core import IntMatrix, IntPolynomial, _check_matrix, poly_eval
+from volentropy.core import IntMatrix, IntPolynomial, _check_matrix, format_blocks, poly_eval
 from volentropy.entropy import lambda_n
 from volentropy.markov import (
     BlockKind,
@@ -136,6 +136,37 @@ def test_minus_first_block_row_sums_to_compacted(n):
 def test_first_block_row_masks_sum_to_compacted(n, orientable):
     masks = _block_masks(PresentationSpec(n, orientable, formal=True))
     assert sum_first_block_row_masks(masks, 2 * n - 1) == compacted_matrix(n)
+
+
+MASK_HELPERS = [is_block_circulant_masks, is_disoriented_block_circulant_masks, sum_first_block_row_masks]
+
+
+@pytest.mark.parametrize("helper", MASK_HELPERS)
+@pytest.mark.parametrize(
+    "s, message",
+    [
+        (3.0, "block size must be an int, got 3.0"),
+        (None, "block size must be an int, got None"),
+        (0, "block size must be >= 1, got 0"),
+        (4, "block size 4 does not divide matrix size 30"),
+    ],
+)
+def test_mask_helpers_refuse_a_block_size_like_format_blocks(helper, s, message):
+    masks = _block_masks(PresentationSpec(3, False))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        helper(masks, s)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        format_blocks(build_markov_from_blocks(PresentationSpec(3, False)), s)
+
+
+@pytest.mark.parametrize("helper", MASK_HELPERS)
+def test_mask_helpers_take_a_numpy_block_size_as_its_plain_int(helper):
+    np = pytest.importorskip("numpy")
+    masks = _block_masks(PresentationSpec(3, False))
+    got, want = helper(masks, np.int64(5)), helper(masks, 5)
+    assert got == want and type(got) is type(want)
+    if isinstance(got, IntMatrix):
+        assert all(type(v) is int for row in got.rows for v in row)
 
 
 # ---------------------------------------------------------------- disoriented
