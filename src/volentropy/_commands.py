@@ -10,8 +10,8 @@ import json
 import sys
 
 from .cli import _csv
-from .core import IntMatrix, format_blocks, matrix_to_csv
-from .entropy import EntropyReport, _lower_bound, entropy_table, volume_entropy
+from .core import format_blocks, matrix_to_csv
+from .entropy import _lower_bound, entropy_table, volume_entropy
 from .markov import PresentationSpec, build_markov_from_blocks
 from .reductions import compacted_matrix, divided_compacted_matrix, super_compacted_matrix
 
@@ -20,22 +20,15 @@ from .reductions import compacted_matrix, divided_compacted_matrix, super_compac
 # build-matrix
 # =====================================================================
 
-def _build_requested_matrix(args) -> tuple[IntMatrix, int]:
-    """Returns (matrix, block size for pretty printing; 0 = no blocks)."""
-    n = args.n
-    if args.which == "markov":
-        spec = PresentationSpec(n, args.orientable)
-        return build_markov_from_blocks(spec), spec.block_size
-    build = {
-        "compacted": compacted_matrix,
-        "divided": divided_compacted_matrix,
-        "supercompacted": super_compacted_matrix,
-    }[args.which]
-    return build(n), 0
-
-
 def _cmd_build_matrix(args) -> tuple[int, str]:
-    matrix, block = _build_requested_matrix(args)
+    if args.which == "markov":
+        spec = PresentationSpec(args.n, args.orientable)
+        matrix, block = build_markov_from_blocks(spec), spec.block_size
+    else:  # a reduced matrix prints as one block
+        build = {"compacted": compacted_matrix, "divided": divided_compacted_matrix,
+                 "supercompacted": super_compacted_matrix}[args.which]
+        matrix = build(args.n)
+        block = matrix.size
     if args.format == "csv":
         return 0, matrix_to_csv(matrix).rstrip("\n")
     if args.format == "json":
@@ -47,21 +40,12 @@ def _cmd_build_matrix(args) -> tuple[int, str]:
             "rows": [[str(v) for v in row] for row in matrix.rows],
         }
         return 0, json.dumps(payload, indent=2)
-    return 0, format_blocks(matrix, block) if block else str(matrix)
+    return 0, format_blocks(matrix, block)
 
 
 # =====================================================================
 # entropy
 # =====================================================================
-
-def _bounds_payload(report: EntropyReport) -> dict:
-    n, lower = report.n, _lower_bound(report.n)
-    return {
-        "hold": report.bounds_hold,
-        "lower": None if lower is None else f"{lower[0]}/{lower[1]}",
-        "upper": None if n < 3 else str(2 * n - 1),
-    }
-
 
 def _cmd_entropy(args) -> tuple[int, str]:
     spec = PresentationSpec(args.n, args.orientable)
@@ -76,25 +60,19 @@ def _cmd_entropy(args) -> tuple[int, str]:
     if code != 0 and args.format in ("csv", "json"):
         return code, ""
 
+    n = report.n
+    record = {"n": n, "orientable": report.orientable, "lambda": report.lambda_, "entropy": report.entropy}
     if args.format == "json":
-        payload = {
-            "n": report.n,
-            "orientable": report.orientable,
-            "lambda": report.lambda_,
-            "entropy": report.entropy,
-            "routes": report.routes,
-            "bounds": _bounds_payload(report),
+        lower = _lower_bound(n)
+        record["routes"] = report.routes
+        record["bounds"] = {
+            "hold": report.bounds_hold,
+            "lower": None if lower is None else f"{lower[0]}/{lower[1]}",
+            "upper": None if n < 3 else str(2 * n - 1),
         }
-        return code, json.dumps(payload, indent=2)
+        return code, json.dumps(record, indent=2)
     if args.format == "csv":
-        record = {
-            "n": report.n,
-            "orientable": report.orientable,
-            "lambda": report.lambda_,
-            "entropy": report.entropy,
-            "agreement": report.agreement,
-            "bounds_hold": report.bounds_hold,
-        }
+        record.update(agreement=report.agreement, bounds_hold=report.bounds_hold)
         record.update((f"route:{name}", value) for name, value in report.routes.items())
         return code, _csv([record])
     lines = [

