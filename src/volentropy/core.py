@@ -98,10 +98,6 @@ def check_tolerance(tol: float) -> None:
 # needs gigabytes (159,600² cells at rank 200); the exact routes need none.
 _MAX_SIDE = 6320
 
-# Largest top rank `entropy.entropy_table` accepts: the rows from n = 129 bisect
-# in `Fraction` arithmetic, so they take nearly all of a table's time.
-_MAX_TABLE_RANK = 400
-
 
 def _rank(n, least: int | None = None, what: str = "") -> int:
     """The one rank guard: n through `_int` as the rank (not 4.0, '4' or None),
@@ -119,9 +115,9 @@ def _check_matrix(n: int, side: int, name: str) -> None:
         raise ValueError(
             f"the rank-{n} {name} is {side}x{side}, over the {_MAX_SIDE}x{_MAX_SIDE} cap: "
             "transition matrices go up to rank 40, reduced ones up to that size; "
-            "`lambda_n` gives the growth rate as a float without a matrix at any rank, "
+            "`lambda_n` gives the growth rate as a float without a matrix, "
             "`lambda_n_bracket` an exact rational bracket of it, "
-            f"`volentropy table` up to rank {_MAX_TABLE_RANK}"
+            "`volentropy table` a range of ranks up to its own cap"
         )
 
 

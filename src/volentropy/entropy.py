@@ -25,7 +25,7 @@ from functools import partial
 from itertools import count
 from operator import truediv
 
-from .core import _MAX_TABLE_RANK, IntMatrix, IntPolynomial, _Frozen, _rank, _scaled_eval, check_tolerance, poly_eval
+from .core import IntMatrix, IntPolynomial, _Frozen, _rank, _scaled_eval, check_tolerance, poly_eval
 from .markov import PresentationSpec, TransitionOperator
 from .reductions import _perron_profile, compacted_matrix, super_compacted_matrix
 from .rome import RomeSpec, q_polynomial, rome_char_poly
@@ -43,6 +43,10 @@ __all__ = [
 
 # Width of the `Fraction` bracket that `_route_root` falls back to.
 _FALLBACK_WIDTH = 1e-12
+
+# Largest top rank `entropy_table` accepts: the rows from n = 129 bisect in
+# `Fraction` arithmetic, so they take nearly all of a table's time.
+_MAX_TABLE_RANK = 400
 
 # The five independent routes to the growth rate, in report order.
 ROUTE_NAMES = (

@@ -165,10 +165,10 @@ def build_block(kind: BlockKind, k: int) -> IntMatrix:
 # =====================================================================
 
 def _reversed_rows(spec: PresentationSpec) -> frozenset[int]:
-    """Block rows acting with reversed orientation: n and 2n when non-orientable."""
+    """0-based block rows acting with reversed orientation: n-1 and 2n-1 when non-orientable."""
     if spec.orientable:
         return frozenset()
-    return frozenset((spec.n, 2 * spec.n))
+    return frozenset((spec.n - 1, 2 * spec.n - 1))
 
 
 def _check_matrix_rank(n: int) -> None:
@@ -217,7 +217,7 @@ def _image_masks(spec: PresentationSpec) -> list[int]:
                 blocks((l + 1) % r) | tail << behind,  # n+1: blocks l+1..l+n-2, behind's 1..n-1
                 3 << behind + n - 1]  # slot n+2: behind's slots n, n+1
         row += [1 << behind + n + i for i in range(1, n - 2)]  # slot n+2+i: behind's n+1+i
-        out += row[::-1] if l + 1 in reversed_rows else row
+        out += row[::-1] if l in reversed_rows else row
     return out
 
 
@@ -257,7 +257,7 @@ class TransitionOperator:
     def __init__(self, spec: PresentationSpec):
         _check_matrix_rank(spec.n)
         self.spec, self.size = spec, spec.matrix_size
-        self._reversed = {l - 1 for l in _reversed_rows(spec)}
+        self._reversed = _reversed_rows(spec)
 
     def apply(self, v: list) -> list:
         """M v, for a list v of `size` ints or floats."""

@@ -139,8 +139,8 @@ def _spectrum_split_failure(d: IntMatrix, c: IntMatrix) -> str:
     Row i of S d is row i of d with rows n and n+1 replaced by their sum;
     row i of c S is row i of c with its middle column doubled,
     `row[:n] + row[n-1:]`; and d k is column n minus column n+1 of d.
-    S d and c S are compared before d k, and their first difference is
-    reported in the wording of `_first_row_difference`.
+    S d and c S are compared before d k, each first difference in the
+    wording of `_first_row_difference`, d k and k as one-column tables.
     """
     n, odd = divmod(d.size, 2)
     if odd or c.size != 2 * n - 1:
@@ -153,11 +153,8 @@ def _spectrum_split_failure(d: IntMatrix, c: IntMatrix) -> str:
     image = tuple(row[n - 1] - row[n] for row in rows)
     k = (0,) * (n - 1) + (1, -1) + (0,) * (n - 1)
     if image != k:
-        i = next(i for i, (x, y) in enumerate(zip(image, k), 1) if x != y)
-        return (
-            f"e_{n} - e_{n + 1} is not an eigenvector for 1: column {n} minus "
-            f"column {n + 1} first differs at row {i}: {image[i - 1]} vs {k[i - 1]}"
-        )
+        return (f"e_{n} - e_{n + 1} is not an eigenvector for 1: column {n} minus column {n + 1}, "
+                + _first_row_difference(list(zip(image)), list(zip(k))))
     return ""
 
 
@@ -179,7 +176,7 @@ def compacted_matrix(n: int) -> IntMatrix:
     leaving the middle; equal to the blockwise sum
     T + JTJ + U(n) + (n-2)(U(n-1) + U(n+1)).
     """
-    n = _rank(n, 3, "compacted matrix")
+    n = _rank(n)
     s = 2 * n - 1
     _check_matrix(n, s, "compacted matrix")
     c = [[0] * s for _ in range(s)]
@@ -208,7 +205,7 @@ def divided_compacted_matrix(n: int) -> IntMatrix:
     n+1..2n.  Its spectrum is that of the compacted matrix plus a simple
     eigenvalue 1.
     """
-    n = _rank(n, 3, "divided compacted matrix")
+    n = _rank(n)
     _check_matrix(n, 2 * n, "divided compacted matrix")
     doubled = tuple(row[:n] + row[n - 1 :] for row in compacted_matrix(n).rows)
     ones, zeros = (1,) * n, (0,) * n
@@ -240,7 +237,7 @@ def super_compacted_matrix(n: int) -> IntMatrix:
     an all-ones last row.  Equals D11 + D12*J for the n x n blocks D11, D12
     of the divided compacted matrix.
     """
-    n = _rank(n, 3, "supercompacted matrix")
+    n = _rank(n)
     _check_matrix(n, n, "supercompacted matrix")
     m = [[0] * n for _ in range(n)]
     for i in range(1, n - 1):

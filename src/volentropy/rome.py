@@ -135,6 +135,7 @@ def _det(grid: list[list[IntPolynomial]]) -> IntPolynomial:
     return expand(tuple(range(size)))
 
 
+@lru_cache(maxsize=8)
 def rome_char_poly(m: IntMatrix, r: RomeSpec) -> IntPolynomial:
     """Characteristic polynomial det(xI - m) computed through the rome.
 
@@ -144,11 +145,6 @@ def rome_char_poly(m: IntMatrix, r: RomeSpec) -> IntPolynomial:
     An LRU cache of the last eight (matrix, rome) pairs answers a repeated
     call: both are frozen values, so an equal call has an equal result.
     """
-    return _rome_char_poly(m, r)
-
-
-@lru_cache(maxsize=8)
-def _rome_char_poly(m: IntMatrix, r: RomeSpec) -> IntPolynomial:
     grid = _path_sums(m, r)
     for i, row in enumerate(grid):
         row[i][0] -= 1

@@ -129,6 +129,7 @@ def power_iteration(
     return SpectralEstimate(smoothed, max_iter, residual, False)
 
 
+@lru_cache(maxsize=8)
 def char_poly_exact(m: IntMatrix) -> IntPolynomial:
     """Characteristic polynomial det(xI - m), monic, exact over the integers.
 
@@ -140,11 +141,6 @@ def char_poly_exact(m: IntMatrix) -> IntPolynomial:
     the last eight matrices answers a repeated one: a matrix is a frozen
     value, so an equal matrix has an equal polynomial.
     """
-    return _char_poly_exact(m)
-
-
-@lru_cache(maxsize=8)
-def _char_poly_exact(m: IntMatrix) -> IntPolynomial:
     k = m.size
     nonzero = m.nonzeros()
     coeffs = [0] * k + [1]

@@ -125,16 +125,18 @@ def test_build_matrix_past_the_size_cap_exits_1_before_building(
 
 def test_size_cap_message_points_at_routes_that_reach_the_refused_rank(capsys):
     # Rank 3200 is past the reduced builders' cap and far past the table's:
-    # the message offers lambda_n (a float) and lambda_n_bracket (exact) for
-    # any rank, and the table only up to its cap.
+    # the message offers lambda_n (a float) and lambda_n_bracket (exact).  It
+    # promises neither at any rank (lambda_n(1000) takes seconds) and leaves
+    # the table's cap to the table's own refusal, which states it.
     code = main(["build-matrix", "--n", "3200", "--which", "compacted"])
     err = capsys.readouterr().err
     assert code == 1
     assert (
-        "`lambda_n` gives the growth rate as a float without a matrix at any rank, "
+        "`lambda_n` gives the growth rate as a float without a matrix, "
         "`lambda_n_bracket` an exact rational bracket of it" in err
     )
-    assert f"`volentropy table` up to rank {entropy._MAX_TABLE_RANK}" in err
+    assert "at any rank" not in err
+    assert f"rank {entropy._MAX_TABLE_RANK}" not in err
 
 
 # =====================================================================
@@ -370,8 +372,8 @@ def test_spectrum_split_catches_a_unit_moved_between_the_middle_rows(monkeypatch
         if after["check"] == "spectrum-split":
             assert after["pass"] is False
             assert after["detail"] == (
-                "e_3 - e_4 is not an eigenvector for 1: column 3 minus column 4 "
-                "first differs at row 3: 0 vs 1"
+                "e_3 - e_4 is not an eigenvector for 1: column 3 minus column 4, "
+                "first difference at (3,1): 0 vs 1"
             )
         else:
             assert (after["pass"], after["detail"]) == (before["pass"], before["detail"])
@@ -867,7 +869,7 @@ def test_verify_computes_each_characteristic_polynomial_once_per_rank():
     # route-consensus (inside volume_entropy) and rome-charpoly read the same
     # supercompacted matrix, so the second is answered by the cache: one miss
     # and one hit per function and rank.
-    caches = (rome._rome_char_poly, spectral._char_poly_exact)
+    caches = (rome.rome_char_poly, spectral.char_poly_exact)
     for cache in caches:
         cache.cache_clear()
     for n in range(3, 11):

@@ -95,6 +95,43 @@ def test_the_delta_bracket_derives_lambda_equal_to_the_ceiling_from_rank_13():
             assert lambda_n(n) < b, n
 
 
+def test_the_float_nearest_lambda_is_the_ceiling_from_rank_13_to_the_table_cap():
+    """With b = 2n-1 and lambda = b - delta, (x-1)*q_n(x) = x^(n+1) - b*x^n + b*x - 1
+    vanishes at lambda iff g(delta) = delta*(b-delta)^n - b*(b-delta) + 1 does.  Let
+
+        delta_lo = (b^2-1)/(b^n+b),  delta_hi = delta_lo*(1 + e),  e = 4n*delta_lo/b.
+
+    g(delta_lo) < 0: (b-delta_lo)^n < b^n, so g(delta_lo) + b^2 - 1 < delta_lo*(b^n+b) = b^2 - 1.
+    g(delta_hi) > 0: by Bernoulli, (b-delta)^n = b^n*(1-delta/b)^n >= b^n*(1 - n*delta/b), so
+    g(delta_hi) + b^2 - 1 >= b^n*delta_hi*(1 - n*delta_hi/b) + b*delta_hi.  Here
+    delta_hi*(1 - n*delta_hi/b) = delta_lo*(1+e)*(1 - e*(1+e)/4) >= delta_lo, since
+    (1+e)^2 <= 4 for e = 4n*delta_lo/b < 4n/b^(n-1) <= 1, and b*delta_hi > b*delta_lo, so
+    the right side exceeds delta_lo*(b^n+b) = b^2 - 1.  So (x-1)*q_n has a root in
+    (b - delta_hi, b - delta_lo), above 1: lambda, q_n's only root above 1.  b is odd, not
+    a power of 2, so the floats next to b are b -/+ ulp(b), and the float nearest lambda
+    is b itself when delta_hi < ulp(b)/2.  The signs of g are checked in integers, at
+    delta = p/q as q^(n+1)*g(p/q), at a few ranks either side of n = 128, where lambda_n
+    leaves its float search; delta_hi < ulp(b)/2 at every rank from 13 to the table
+    cap.  Neither goes through `lambda_n`, which is below b at n = 3..12.
+    """
+    def g_cleared(p, q, n, b):
+        return p * (b * q - p) ** n - (b * (b * q - p) - q) * q**n
+
+    def delta_bracket(n, b):
+        lo_p, lo_q = b * b - 1, b**n + b
+        return (lo_p, lo_q), (lo_p * (b * lo_q + 4 * n * lo_p), b * lo_q * lo_q)
+
+    for n in (13, 14, 64, 128, 129, 150):
+        b = 2 * n - 1
+        lo, hi = delta_bracket(n, b)
+        assert g_cleared(*lo, n, b) < 0 < g_cleared(*hi, n, b), n
+    for n in range(13, entropy._MAX_TABLE_RANK + 1):
+        b = 2 * n - 1
+        assert Fraction(*delta_bracket(n, b)[1]) < Fraction(math.ulp(b)) / 2, n
+    for n in range(3, 13):
+        assert lambda_n(n) < 2 * n - 1, n
+
+
 def test_lambda_validation():
     with pytest.raises(ValueError):
         lambda_n(2)

@@ -433,8 +433,8 @@ def test_spectrum_split_certificate_rejects_a_unit_moved_between_the_middle_rows
     rows[n - 1][n - 1] -= 1
     rows[n][n - 1] += 1
     assert _spectrum_split_failure(IntMatrix(rows), compacted_matrix(n)) == (
-        f"e_{n} - e_{n + 1} is not an eigenvector for 1: column {n} minus "
-        f"column {n + 1} first differs at row {n}: 0 vs 1"
+        f"e_{n} - e_{n + 1} is not an eigenvector for 1: column {n} minus column {n + 1}, "
+        f"first difference at ({n},1): 0 vs 1"
     )
 
 
