@@ -39,14 +39,14 @@ from .markov import (
 )
 from .reductions import (
     BlockView,
+    _block_row_pass,
+    _first_mask_difference,
     _first_row_difference,
     _spectrum_split_failure,
+    _sum_block_row,
     compacted_matrix,
     divided_compacted_matrix,
-    is_block_circulant_masks,
-    is_disoriented_block_circulant_masks,
     check_J_commutation,
-    sum_first_block_row_masks,
     super_compacted_matrix,
 )
 from .rome import RomeSpec, q_polynomial, rome_char_poly, rome_check
@@ -100,34 +100,33 @@ def _check_rank(n: int, results: list[dict]) -> None:
     """Every check of rank n, in run order, sharing the rank's matrices, masks and report."""
     check = partial(_check, results, n)
     plus, minus = PresentationSpec(n, True, formal=True), PresentationSpec(n, False)
-    s = 2 * n - 1
     c, sc = compacted_matrix(n), super_compacted_matrix(n)
 
-    masks = circulant = None
+    passes = None
     with check("blocks-vs-images"):
-        # markov-power's operator on the bit basis against the independent images route.
-        masks = {sp: _block_masks(sp) for sp in (plus, minus)}
-        for sp, want in masks.items():
-            got = _image_masks(sp)
-            assert got == want, _first_mask_difference(got, want)
+        # markov-power's operator on the bit basis against the independent images
+        # route, in one pass that also reads circulance for the collapse checks.
+        passes = {
+            sp: _block_row_pass(_block_masks(sp), _image_masks(sp), sp.matrix_size) for sp in (plus, minus)
+        }
+        for difference, *_ in passes.values():
+            assert not difference, difference
 
     with check("circulant-collapse"):
-        assert masks is not None, "no masks: blocks-vs-images failed"
-        circulant = is_block_circulant_masks(masks[plus], s)
+        assert passes is not None, "no masks: blocks-vs-images failed"
+        _, first, circulant, _ = passes[plus]
         assert circulant, "orientation-preserving form not circulant"
-        got = sum_first_block_row_masks(masks[plus], s)
+        got = _sum_block_row(first, plus.matrix_size)
         assert got == c, _first_row_difference(got.rows, c.rows)
 
     with check("disoriented-collapse"):
-        assert masks is not None, "no masks: blocks-vs-images failed"
-        assert is_disoriented_block_circulant_masks(masks[minus], s), (
-            "reversing form not disoriented block circulant"
-        )
+        assert passes is not None, "no masks: blocks-vs-images failed"
+        _, got, _, disoriented = passes[minus]
+        assert disoriented, "reversing form not disoriented block circulant"
         # The parallelization is circulant, so it equals the orientable
         # matrix iff that is circulant too and the first block rows agree.
-        assert circulant is not None, "no circulance verdict: circulant-collapse failed"
+        _, want, circulant, _ = passes[plus]
         assert circulant, "orientation-preserving form not circulant"
-        got, want = masks[minus][:s], masks[plus][:s]
         assert got == want, _first_mask_difference(got, want)
         assert check_J_commutation(c), "compacted matrix not centrally symmetric"
 
@@ -186,19 +185,6 @@ def _check_rank(n: int, results: list[dict]) -> None:
 
     with check("root-bounds"):
         assert _bounds_hold(n), "bracket signs wrong at the exact bounds"
-
-
-def _first_mask_difference(a: list[int], b: list[int]) -> str:
-    """`_first_row_difference` of two 0/1 matrices given as row masks (bit j is column j+1)."""
-    # Only the first unequal row is spelled out in bits: the rows before it
-    # are equal, and `_first_row_difference` reads none after it.
-    a, b = list(a), list(b)
-    for i, (x, y) in enumerate(zip(a, b)):
-        if x != y:
-            width = (x | y).bit_length()
-            a[i], b[i] = ([mask >> j & 1 for j in range(width)] for mask in (x, y))
-            break
-    return _first_row_difference(a, b)
 
 
 def _cmd_verify(args) -> tuple[int, str]:

@@ -69,15 +69,6 @@ def _flag(x, what: str) -> bool:
     return x
 
 
-def _block_size(s, size: int) -> int:
-    """s through `_int` as a block size (>= 1), refused unless it divides a matrix side of `size` (>= 1)."""
-    s = _int(s, "block size", 1)
-    _int(size, "matrix size", 1)
-    if size % s:
-        raise ValueError(f"block size {s} does not divide matrix size {size}")
-    return s
-
-
 def _ints(values: Iterable, what: str) -> tuple[int, ...]:
     """The values through `_int`, as a tuple of plain ints."""
     return tuple(_int(v, what) for v in values)
@@ -434,7 +425,9 @@ def format_blocks(m: IntMatrix, block_size: int) -> str:
     Used for transition matrices, whose natural block structure has
     2n blocks of size 2n-1 on each side.
     """
-    block_size = _block_size(block_size, m.size)
+    block_size = _int(block_size, "block size", 1)
+    if _int(m.size, "matrix size", 1) % block_size:
+        raise ValueError(f"block size {block_size} does not divide matrix size {m.size}")
     w = max(len(str(v)) for row in m.rows for v in row)
     ncols = m.size
     out_lines = []

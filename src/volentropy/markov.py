@@ -15,9 +15,10 @@ Two independent constructions are provided and cross-checked in the tests:
   matrix; `build_markov_from_blocks` reads the dense matrix off that
   operator, so the template is written once.
 
-Both routes end in one bit mask per row (`_image_masks`, `_block_masks`),
-which `_from_masks` alone turns into the 0/1 `IntMatrix`, so the routes agree
-iff their masks do; `verify` compares and collapses the masks themselves.
+Both routes yield one bit mask per row, a block row of 2n-1 at a time
+(`_image_masks`, `_block_masks`); `_from_masks` alone turns them into the 0/1
+`IntMatrix`, so the routes agree iff their masks do.  `verify` compares and
+collapses the block rows themselves, one at a time.
 `core._check_matrix` refuses ranks below 3 and past 40 up front, through
 `core._rank`, the one rank guard.
 
@@ -30,7 +31,8 @@ route reads the straight row's list of slot masks backwards.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from collections.abc import Callable, Iterable, Iterator
+from itertools import accumulate, chain
 
 from .core import IntMatrix, _Frozen, _check_matrix, _flag, _int, _rank
 
@@ -179,7 +181,7 @@ def _check_matrix_rank(n: int) -> None:
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _from_masks(masks: list[int], size: int) -> IntMatrix:
+def _from_masks(masks: Iterable[int], size: int) -> IntMatrix:
     """The 0/1 matrix whose row i has a 1 in column j iff bit j of masks[i] is set."""
     fmt = f"0{size}b"
     return IntMatrix._from_rows(
@@ -191,12 +193,12 @@ def _from_masks(masks: list[int], size: int) -> IntMatrix:
 # Route 1: direct slot images
 # =====================================================================
 
-def _image_masks(spec: PresentationSpec) -> list[int]:
-    """One bit mask per row from the image description.  Block b holds bits
-    from (b-1)(2n-1), so each slot's image is a few runs of bits shifted into
-    place, a run of full blocks past block 2n folded back to block 1.  J on a
-    reversed row's blocks only reverses its slots: the straight row's list
-    backwards."""
+def _image_masks(spec: PresentationSpec) -> Iterator[list[int]]:
+    """The bit masks of the rows from the image description, one block row
+    (2n-1 masks) at a time.  Block b holds bits from (b-1)(2n-1), so each
+    slot's image is a few runs of bits shifted into place, a run of full
+    blocks past block 2n folded back to block 1.  J on a reversed row's blocks
+    only reverses its slots: the straight row's list backwards."""
     n = spec.n
     _check_matrix_rank(n)
     s, r = spec.block_size, spec.block_count
@@ -207,7 +209,6 @@ def _image_masks(spec: PresentationSpec) -> list[int]:
         run = ((1 << (n - 2) * s) - 1) << first * s
         return (run & (1 << size) - 1) | run >> size
 
-    out: list[int] = []
     for l in range(r):  # 0-based: block row l+1
         ahead, behind = (l + n + 1) % r * s, (l + n - 1) % r * s
         row = [1 << ahead + i for i in range(1, n - 2)]  # slot i <= n-3: ahead's slot i+1
@@ -217,31 +218,32 @@ def _image_masks(spec: PresentationSpec) -> list[int]:
                 blocks((l + 1) % r) | tail << behind,  # n+1: blocks l+1..l+n-2, behind's 1..n-1
                 3 << behind + n - 1]  # slot n+2: behind's slots n, n+1
         row += [1 << behind + n + i for i in range(1, n - 2)]  # slot n+2+i: behind's n+1+i
-        out += row[::-1] if l in reversed_rows else row
-    return out
+        yield row[::-1] if l in reversed_rows else row
 
 
 def build_markov_from_images(spec: PresentationSpec) -> IntMatrix:
     """Transition matrix assembled slot by slot from the image description."""
-    return _from_masks(_image_masks(spec), spec.matrix_size)
+    return _from_masks(chain.from_iterable(_image_masks(spec)), spec.matrix_size)
 
 
 # =====================================================================
 # Route 2: circulant block template
 # =====================================================================
 
-def _block_masks(spec: PresentationSpec) -> list[int]:
-    """One bit mask per row: `TransitionOperator` applied to the basis.
-
-    Column j goes in as the bit 1 << j.  M is 0/1 and each row sums distinct
-    columns, so no sum carries: output i is the bit mask of row i's support.
-    """
-    return TransitionOperator(spec).apply([1 << j for j in range(spec.matrix_size)])
+def _block_masks(spec: PresentationSpec) -> Iterator[list[int]]:
+    """One bit mask per row, a block row at a time: `TransitionOperator` on the
+    bit basis, built a block at a time.  Column j goes in as the bit 1 << j, so
+    block k is the s bits from k s and its sum a run of s bits.  M is 0/1 and
+    each row sums distinct columns, so no sum carries: output i is the bit
+    mask of row i's support."""
+    op, s = TransitionOperator(spec), spec.block_size  # the operator refuses the rank first
+    sums = [((1 << s) - 1) << k * s for k in range(spec.block_count)]
+    return op._block_rows(lambda k: [1 << k * s + i for i in range(s)], sums)
 
 
 def build_markov_from_blocks(spec: PresentationSpec) -> IntMatrix:
     """Transition matrix read off `TransitionOperator` applied to the basis."""
-    return _from_masks(_block_masks(spec), spec.matrix_size)
+    return _from_masks(chain.from_iterable(_block_masks(spec)), spec.matrix_size)
 
 
 class TransitionOperator:
@@ -251,7 +253,8 @@ class TransitionOperator:
     l+n+2..l-1, U(n+1) on l+1..l+n-2 and zero at l+n; the reversing rows are
     flipped by J.  T and JTJ act on their blocks of v by slicing.  Each U(k)
     block adds its block's sum to slot k, so the U runs are differences of
-    cyclic prefix sums of the 2n block sums: O(n^2) a product.
+    cyclic prefix sums of the 2n block sums: O(n^2) a product.  `apply` and
+    `_block_masks` share the block-row loop, `_block_rows`.
     """
 
     def __init__(self, spec: PresentationSpec):
@@ -261,19 +264,22 @@ class TransitionOperator:
 
     def apply(self, v: list) -> list:
         """M v, for a list v of `size` ints or floats."""
-        n, s, r = self.spec.n, self.spec.block_size, self.spec.block_count
+        s = self.spec.block_size
         blocks = [v[b : b + s] for b in range(0, self.size, s)]
-        sums = [sum(x) for x in blocks]
+        return list(chain.from_iterable(self._block_rows(blocks.__getitem__, [sum(x) for x in blocks])))
+
+    def _block_rows(self, block: Callable[[int], list], sums: list) -> Iterator[list]:
+        """The block rows of M v, one at a time, where `block(k)` is v's 0-based
+        block k and `sums` holds the 2n block sums."""
+        n, s, r = self.spec.n, self.spec.block_size, self.spec.block_count
         prefix = list(accumulate(sums + sums, initial=0))
-        out: list = []
         for b in range(r):
-            x, y = blocks[(b + n + 1) % r], blocks[(b + n - 1) % r]
+            x, y = block((b + n + 1) % r), block((b + n - 1) % r)
             right = prefix[b + 2 * n] - prefix[b + n + 2]  # U(n-1): blocks b+n+2..b-1
             left = prefix[b + n - 1] - prefix[b + 1]  # U(n+1): blocks b+1..b+n-2
             row = x[1 : n - 2] + [x[n - 2] + x[n - 1], sum(x[n:]) + right, sums[b]]
             row += [sum(y[: n - 1]) + left, y[n - 1] + y[n]] + y[n + 1 : s - 1]
-            out += row[::-1] if b in self._reversed else row
-        return out
+            yield row[::-1] if b in self._reversed else row
 
 
 # =====================================================================

@@ -7,8 +7,8 @@ preserving the spectral radius:
    orientation-preserving matrix gives the (2n-1) x (2n-1) compacted matrix;
    the non-orientable matrix is *disoriented* block circulant (each block row
    is the circulant template row, possibly flipped by J) and collapses to the
-   same compacted matrix.  The `*_masks` forms read both off one bit mask a
-   row (`markov._block_masks`) by rotations and popcounts, with no matrix.
+   same compacted matrix.  `_block_row_pass` reads both off the block rows
+   of masks that `markov._block_masks` yields, by rotations and popcounts.
 2. column doubling: splitting the middle column of the compacted matrix gives
    the 2n x 2n divided compacted matrix, whose spectrum adds only a simple
    eigenvalue 1.  `_spectrum_split_failure` proves char(divided) =
@@ -27,16 +27,15 @@ the supercompacted matrix) before anything is allocated.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+from itertools import zip_longest
 from operator import add
 
-from .core import IntMatrix, _Frozen, _block_size, _check_matrix, _int, _rank
+from .core import IntMatrix, _Frozen, _check_matrix, _int, _rank
 
 __all__ = [
     "BlockView",
     "sum_first_block_row",
-    "is_block_circulant_masks",
-    "is_disoriented_block_circulant_masks",
-    "sum_first_block_row_masks",
     "check_J_commutation",
     "compacted_matrix",
     "divided_compacted_matrix",
@@ -77,38 +76,39 @@ def sum_first_block_row(view: BlockView) -> IntMatrix:
     return IntMatrix._from_rows(tuple(tuple(sum(row[j::s]) for j in range(s)) for row in rows))
 
 
-def _rotated_block_rows(masks: list[int], s: int):
-    """(block row b, the first block row rotated to row b) for each block row
-    of the 0/1 matrix whose entry (i+1, j+1) is bit j of masks[i]: block row b
-    of the plain circulant matrix that the first block row generates has each
-    first-block mask rotated left by b bits in N = len(masks) bits."""
-    size, full = len(masks), (1 << len(masks)) - 1
-    s = _block_size(s, size)
-    for b in range(0, size, s):
-        yield masks[b : b + s], [(f << b | f >> (size - b)) & full for f in masks[:s]]
+def _block_row_pass(blocks: Iterable[list[int]], images: Iterable[list[int]], size: int) -> tuple:
+    """One pass over two routes' block rows of row masks (bit j of mask i is
+    entry (i+1, j+1)) of a 0/1 matrix of side `size`, holding one block row at
+    a time besides the first.  Returns `_first_mask_difference(images, blocks)`
+    ("" iff equal), the first block row of blocks, and whether each block row
+    of blocks, from row b, is the first with each mask rotated left by b bits
+    (block circulant), or that or its reverse, the flip J premultiplying every
+    block (disoriented block circulant, with that circulant parallelization)."""
+    full, first, circulant, disoriented = (1 << size) - 1, None, True, True
+    # b: rows read; rest: from the first unequal block row on, the images'
+    # and the blocks' rows, zeros standing in for the equal rows before it.
+    b, rest = 0, None
+    for got, image in zip_longest(blocks, images):
+        if rest is None and got != image:
+            rest = [0] * b, [0] * b
+        if rest is not None:
+            rest[0].extend(image or ())
+            rest[1].extend(got or ())
+        if got is not None:
+            first = got if first is None else first
+            rotated = [(f << b | f >> (size - b)) & full for f in first]
+            circulant = circulant and got == rotated
+            disoriented = disoriented and got in (rotated, rotated[::-1])
+            b += len(got)
+    return _first_mask_difference(*rest) if rest else "", first, circulant, disoriented
 
 
-def is_block_circulant_masks(masks: list[int], s: int) -> bool:
-    """True iff block (i, j) depends only on (j - i) mod the block count."""
-    return all(got == rotated for got, rotated in _rotated_block_rows(masks, s))
-
-
-def is_disoriented_block_circulant_masks(masks: list[int], s: int) -> bool:
-    """True iff every block row is that of the plain circulant matrix the
-    first block row generates, either exactly or with every block
-    premultiplied by the flip J, which reverses the order of its s rows.
-    That plain circulant matrix is the parallelization."""
-    return all(got in (rotated, rotated[::-1]) for got, rotated in _rotated_block_rows(masks, s))
-
-
-def sum_first_block_row_masks(masks: list[int], s: int) -> IntMatrix:
-    """`sum_first_block_row` from masks: entry (i, j) counts the bits of mask i
-    at columns j, j+s, j+2s, ...."""
-    s = _block_size(s, len(masks))
-    stride = sum(1 << k for k in range(0, len(masks), s))
-    return IntMatrix._from_rows(
-        tuple(tuple((f & stride << j).bit_count() for j in range(s)) for f in masks[:s])
-    )
+def _sum_block_row(first: list[int], size: int) -> IntMatrix:
+    """`sum_first_block_row` of a 0/1 matrix of side `size` from its first block
+    row of masks: entry (i, j) counts the bits of mask i at columns j, j+s, ...."""
+    s = len(first)
+    stride = sum(1 << k for k in range(0, size, s))
+    return IntMatrix._from_rows(tuple(tuple((f & stride << j).bit_count() for j in range(s)) for f in first))
 
 
 def _first_row_difference(a: tuple | list, b: tuple | list) -> str:
@@ -121,6 +121,19 @@ def _first_row_difference(a: tuple | list, b: tuple | list) -> str:
             j = next(j for j, (x, y) in enumerate(zip(ra, rb)) if x != y)
             return f"first difference at ({i},{j + 1}): {ra[j]} vs {rb[j]}"
     return ""
+
+
+def _first_mask_difference(a: list[int], b: list[int]) -> str:
+    """`_first_row_difference` of two 0/1 matrices given as row masks (bit j is column j+1)."""
+    # Only the first unequal row is spelled out in bits: the rows before it
+    # are equal, and `_first_row_difference` reads none after it.
+    a, b = list(a), list(b)
+    for i, (x, y) in enumerate(zip(a, b)):
+        if x != y:
+            width = (x | y).bit_length()
+            a[i], b[i] = ([mask >> j & 1 for j in range(width)] for mask in (x, y))
+            break
+    return _first_row_difference(a, b)
 
 
 def _spectrum_split_failure(d: IntMatrix, c: IntMatrix) -> str:

@@ -24,14 +24,14 @@ class ImageRows:
     """The images-route transition matrix as a product v -> M v, with no
     dense matrix built (6320² cells at n = 40).
 
-    Row i sums v over the set bits of `markov._image_masks(spec)[i]` in
-    ascending columns, the order in which power iteration's sparse-row pass
+    Row i sums v over the set bits of row i's mask from
+    `markov._image_masks(spec)`, in ascending columns, the order in which power iteration's sparse-row pass
     sums a row of the 0/1 `IntMatrix`, so the two agree bit for bit.
     """
 
     def __init__(self, spec):
         self.size = spec.matrix_size
-        self.masks = _image_masks(spec)
+        self.masks = [mask for row in _image_masks(spec) for mask in row]
         self._columns = [[m.start() for m in re.finditer("1", bin(x)[:1:-1])] for x in self.masks]
 
     def apply(self, v: list) -> list:

@@ -424,9 +424,9 @@ def test_blocks_vs_images_catches_a_one_cell_route_disagreement(
     real = cli._image_masks
 
     def flipped(spec):
-        masks = real(spec)
+        masks = _flat(real(spec))
         masks[row - 1] ^= 1 << (col - 1)
-        return masks
+        return _in_block_rows(masks, spec)
 
     monkeypatch.setattr(cli, "_image_masks", flipped)
     tampered: list[dict] = []
@@ -441,17 +441,28 @@ def test_blocks_vs_images_catches_a_one_cell_route_disagreement(
             assert (after["pass"], after["detail"]) == (before["pass"], before["detail"])
 
 
+def _flat(block_rows) -> list[int]:
+    """A route's block rows of masks as one list, a mask a row."""
+    return [mask for row in block_rows for mask in row]
+
+
+def _in_block_rows(masks: list[int], spec):
+    """Row masks yielded a block row at a time, as the routes yield them."""
+    s = spec.block_size
+    return (masks[b : b + s] for b in range(0, len(masks), s))
+
+
 def _tamper_masks(monkeypatch, orientable: bool, tamper) -> None:
     # Both routes' masks of the specs of one orientability, through the names
-    # verify calls, tampered alike: blocks-vs-images still passes.
+    # verify calls, tampered alike as one list: blocks-vs-images still passes.
     for name in ("_block_masks", "_image_masks"):
         real = getattr(cli, name)
 
         def tampered(spec, real=real):
-            masks = real(spec)
+            masks = _flat(real(spec))
             if spec.orientable == orientable:
                 tamper(spec, masks)
-            return masks
+            return _in_block_rows(masks, spec)
 
         monkeypatch.setattr(cli, name, tampered)
 
@@ -491,7 +502,7 @@ def test_disoriented_collapse_reports_where_the_first_block_rows_differ(
     # block row: still circulant, but with another first block row, so the
     # non-orientable form's parallelization differs from it at that cell.
     s, size = 2 * n - 1, 2 * n * (2 * n - 1)
-    before = cli._block_masks(PresentationSpec(n, False))[row - 1] >> (col - 1) & 1
+    before = _flat(cli._block_masks(PresentationSpec(n, False)))[row - 1] >> (col - 1) & 1
 
     def flip_every_block_row(spec, masks):
         for b in range(0, size, s):
@@ -516,7 +527,7 @@ def test_disoriented_collapse_catches_two_rows_swapped_in_a_reversed_block_row(
     # rows swapped it is neither the rotated first block row nor its reverse.
     s = 2 * n - 1
     a, b = (n - 1) * s, (n - 1) * s + 2
-    masks = cli._block_masks(PresentationSpec(n, False))
+    masks = _flat(cli._block_masks(PresentationSpec(n, False)))
     assert masks[a] != masks[b]
 
     def swap(spec, masks):
@@ -645,9 +656,10 @@ def _raise_value_error(*args):
             "circulant-collapse": "no masks: blocks-vs-images failed",
             "disoriented-collapse": "no masks: blocks-vs-images failed",
         }),
-        ("is_block_circulant_masks", {
-            "circulant-collapse": "stubbed to fail",
-            "disoriented-collapse": "no circulance verdict: circulant-collapse failed",
+        ("_block_row_pass", {
+            "blocks-vs-images": "stubbed to fail",
+            "circulant-collapse": "no masks: blocks-vs-images failed",
+            "disoriented-collapse": "no masks: blocks-vs-images failed",
         }),
     ],
 )
@@ -714,7 +726,7 @@ def test_mask_difference_reads_like_the_matrix_difference(data):
     masks = st.lists(st.integers(0, (1 << size) - 1), min_size=size, max_size=size)
     a, b = data.draw(masks), data.draw(masks)
     assume(a != b)
-    got = cli._first_mask_difference(a, b)
+    got = reductions._first_mask_difference(a, b)
     want = (markov._from_masks(m, size).rows for m in (a, b))
     assert got == reductions._first_row_difference(*want)
 
@@ -723,7 +735,7 @@ def test_first_difference_reports_size_mismatch():
     assert reductions._first_row_difference(
         IntMatrix.identity(2).rows, IntMatrix.identity(3).rows
     ) == "sizes differ: 2 vs 3"
-    assert cli._first_mask_difference([1, 2], [1, 2, 4]) == "sizes differ: 2 vs 3"
+    assert reductions._first_mask_difference([1, 2], [1, 2, 4]) == "sizes differ: 2 vs 3"
 
 
 # =====================================================================
@@ -825,9 +837,9 @@ def test_volume_entropy_builds_no_dense_matrix(monkeypatch):
 
 
 def test_verify_builds_no_blocks_matrix_and_each_blocks_mask_list_once(monkeypatch):
-    # The collapse checks read the blocks route's row masks, built once per
-    # spec in blocks-vs-images: 16 mask lists at --n-max 10 and, counted in
-    # every module, route-consensus included, no blocks-route matrix.
+    # The collapse checks read the blocks route's row masks, yielded once per
+    # spec in blocks-vs-images: 16 block-row streams at --n-max 10 and,
+    # counted in every module, route-consensus included, no blocks-route matrix.
     builds = _count_blocks_builds(monkeypatch)
     calls = []
     real = cli._block_masks
@@ -908,7 +920,7 @@ def test_verify_peak_memory_stays_below_half_a_transition_matrix():
     # Measured with tracemalloc at --n-max 12, in units of one rank-12
     # transition matrix (552x552, 2.46 MB traced): the battery peaks at 0.19.
     # It builds no transition matrix past rank 4; the collapse checks read
-    # row masks, N bits a row.
+    # the blocks route's row masks, N bits a row, a block row at a time.
     tracemalloc.start()
     try:
         one = build_markov_from_blocks(PresentationSpec(12, False))
@@ -924,6 +936,21 @@ def test_verify_peak_memory_stays_below_half_a_transition_matrix():
         tracemalloc.stop()
     assert all(row["pass"] for row in results)
     assert peak < 0.5 * size, peak / size
+
+
+def test_a_rank_of_verify_holds_the_routes_one_block_row_at_a_time():
+    # At rank 32 the transition matrix has N = 4032 rows, so one route's row
+    # masks held whole take 2 MB and the rank peaked near 5 MB traced; streamed
+    # a block row of 63 masks at a time, it peaks under 0.5 MB.
+    rows: list[dict] = []
+    tracemalloc.start()
+    try:
+        cli._check_rank(32, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows and all(row["pass"] for row in rows)
+    assert peak < 1.5e6, peak
 
 
 def _csv_cell(value) -> str:

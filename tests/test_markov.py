@@ -187,12 +187,14 @@ def test_image_and_block_routes_agree(n, orientable):
 )
 def test_image_and_block_masks_agree_up_to_the_rank_cap(kind, make):
     # The images route's runs of bits against the operator on the bit basis,
-    # at every rank the transition matrix accepts (the orientable kind at
-    # even ranks only).
+    # block row by block row, at every rank the transition matrix accepts
+    # (the orientable kind at even ranks only): 2n block rows of 2n-1 masks.
     for n in range(3, 41):
         spec = make(n)
         if spec is not None:
-            assert _image_masks(spec) == _block_masks(spec), (kind, n)
+            rows = list(_image_masks(spec))
+            assert [len(row) for row in rows] == [2 * n - 1] * (2 * n), (kind, n)
+            assert rows == list(_block_masks(spec)), (kind, n)
 
 
 # sha256 of each transition matrix, rows concatenated as bytes of 0/1, pinned
@@ -322,13 +324,24 @@ def test_operator_keeps_the_rank_cap_without_claiming_a_dense_build():
         TransitionOperator(PresentationSpec(2, False))
 
 
-@pytest.mark.parametrize("build", [build_markov_from_images, build_markov_from_blocks])
+@pytest.mark.parametrize(
+    "build",
+    [
+        build_markov_from_images,
+        build_markov_from_blocks,
+        pytest.param(lambda spec: next(_image_masks(spec)), id="first image block row"),
+        pytest.param(lambda spec: next(_block_masks(spec)), id="first blocks block row"),
+    ],
+)
 def test_builders_reject_ranks_past_the_dense_cap(build):
     # Rejected before any row is built; the message names the exact route.
+    # At rank 10**6 the 2n block sums of the bit basis alone would not fit in memory.
     with pytest.raises(ValueError, match="lambda_n"):
         build(PresentationSpec(41, False))
     with pytest.raises(ValueError, match="up to rank 40"):
         build(PresentationSpec(200, True))
+    with pytest.raises(ValueError, match="up to rank 40"):
+        build(PresentationSpec(10**6, False))
 
 
 # ---------------------------------------------------------------- structure

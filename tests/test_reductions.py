@@ -15,6 +15,7 @@ from volentropy.markov import (
     TransitionOperator,
     _block_masks,
     _from_masks,
+    _image_masks,
     build_block,
     build_markov_from_blocks,
 )
@@ -22,14 +23,13 @@ from volentropy.reductions import (
     BlockView,
     check_J_commutation,
     compacted_matrix,
+    _block_row_pass,
+    _first_mask_difference,
     _perron_profile,
-    _rotated_block_rows,
     _spectrum_split_failure,
+    _sum_block_row,
     divided_compacted_matrix,
-    is_block_circulant_masks,
-    is_disoriented_block_circulant_masks,
     sum_first_block_row,
-    sum_first_block_row_masks,
     super_compacted_matrix,
 )
 from volentropy.rome import q_polynomial
@@ -93,29 +93,59 @@ def to_masks(m: IntMatrix) -> list[int]:
     return [sum(1 << j for j, v in enumerate(row) if v) for row in m.rows]
 
 
+def blocks_masks(spec: PresentationSpec) -> list[int]:
+    """The blocks route's row masks as one list, a mask a row."""
+    return [mask for row in _block_masks(spec) for mask in row]
+
+
+def block_rows(masks: list[int], s: int) -> list[list[int]]:
+    """Row masks cut into block rows of s masks, as the routes yield them."""
+    return [masks[b : b + s] for b in range(0, len(masks), s)]
+
+
+def row_pass(masks: list[int], s: int) -> tuple[list[int], bool, bool]:
+    """(first block row, circulant, disoriented) from `_block_row_pass` over
+    one matrix's block rows, given as both routes."""
+    rows = block_rows(masks, s)
+    difference, first, circulant, disoriented = _block_row_pass(rows, rows, len(masks))
+    assert difference == ""
+    return first, circulant, disoriented
+
+
+def route_pass(spec: PresentationSpec) -> tuple[list[int], bool, bool]:
+    """`row_pass` over the blocks and images routes of a presentation."""
+    difference, *rest = _block_row_pass(_block_masks(spec), _image_masks(spec), spec.matrix_size)
+    assert difference == ""
+    return tuple(rest)
+
+
 def parallelization(masks: list[int], s: int) -> list[int]:
-    """The plain circulant matrix that the first block row generates."""
-    return [m for _, rotated in _rotated_block_rows(masks, s) for m in rotated]
+    """The plain circulant matrix that the first block row generates: block
+    row b has each first-row mask rotated left by b bits in N = len(masks)."""
+    size, full = len(masks), (1 << len(masks)) - 1
+    return [(f << b | f >> (size - b)) & full for b in range(0, size, s) for f in masks[:s]]
 
 
 @pytest.mark.parametrize("n", range(3, 8))
 def test_plus_form_is_block_circulant(n):
-    assert is_block_circulant_masks(_block_masks(plus_form(n)), 2 * n - 1)
+    _, circulant, _ = route_pass(plus_form(n))
+    assert circulant
 
 
 def test_minus_form_is_not_block_circulant():
-    assert not is_block_circulant_masks(_block_masks(PresentationSpec(3, False)), 5)
+    _, circulant, _ = route_pass(PresentationSpec(3, False))
+    assert not circulant
 
 
 def test_unequal_diagonal_blocks_are_not_circulant():
     # Block diagonal diag(I, 0): the circulant continuation of the first
     # block row (I 0) demands I again at block (2, 2), but 0 sits there.
     rows = [[int(i == j < 3) for j in range(6)] for i in range(6)]
-    assert not is_block_circulant_masks(to_masks(IntMatrix(rows)), 3)
+    assert not row_pass(to_masks(IntMatrix(rows)), 3)[1]
     # Equal diagonal blocks, by contrast, do continue the template.
-    assert is_block_circulant_masks(to_masks(IntMatrix.identity(6)), 3)
+    assert row_pass(to_masks(IntMatrix.identity(6)), 3)[1]
     # ...but as 1x1 blocks of size 6 it trivially is.
-    assert is_block_circulant_masks(to_masks(IntMatrix.identity(6)), 6)
+    assert row_pass(to_masks(IntMatrix.identity(6)), 6)[1]
 
 
 @pytest.mark.parametrize("n", range(3, 10))
@@ -135,15 +165,14 @@ def test_minus_first_block_row_sums_to_compacted(n):
 @pytest.mark.parametrize("n", range(3, 10))
 @pytest.mark.parametrize("orientable", [True, False])
 def test_first_block_row_masks_sum_to_compacted(n, orientable):
-    masks = _block_masks(PresentationSpec(n, orientable, formal=True))
-    assert sum_first_block_row_masks(masks, 2 * n - 1) == compacted_matrix(n)
+    spec = PresentationSpec(n, orientable, formal=True)
+    first, _, _ = route_pass(spec)
+    assert _sum_block_row(first, spec.matrix_size) == compacted_matrix(n)
 
 
-MASK_HELPERS = [is_block_circulant_masks, is_disoriented_block_circulant_masks, sum_first_block_row_masks]
-RANK3_MASKS = _block_masks(PresentationSpec(3, False))
+RANK3_MASKS = blocks_masks(PresentationSpec(3, False))
 
 
-@pytest.mark.parametrize("helper", MASK_HELPERS)
 @pytest.mark.parametrize(
     "masks, s, message",
     [
@@ -157,43 +186,54 @@ RANK3_MASKS = _block_masks(PresentationSpec(3, False))
         ]
     ],
 )
-def test_mask_helpers_refuse_a_block_size_like_format_blocks(helper, masks, s, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        helper(masks, s)
-    # the matrix those masks spell; with no masks, one with no rows
+def test_mask_helpers_refuse_a_block_size_like_format_blocks(masks, s, message):
+    # format_blocks' guard, on the matrix that `_from_masks` spells from the
+    # masks; with no masks, one with no rows.
     with pytest.raises(ValueError, match=f"^{message}$"):
         format_blocks(_from_masks(masks, len(masks)), s)
 
 
-@pytest.mark.parametrize("helper", MASK_HELPERS)
-def test_mask_helpers_take_a_numpy_block_size_as_its_plain_int(helper):
-    np = pytest.importorskip("numpy")
-    masks = _block_masks(PresentationSpec(3, False))
-    got, want = helper(masks, np.int64(5)), helper(masks, 5)
-    assert got == want and type(got) is type(want)
-    if isinstance(got, IntMatrix):
-        assert all(type(v) is int for row in got.rows for v in row)
+@given(st.data())
+def test_route_difference_is_the_first_difference_of_the_flat_masks(data):
+    # The images route with one bit flipped or cut short, or the blocks route
+    # cut short: the pass reports where the flat lists first differ, 1-based
+    # and global, or their sizes, and reads the first block row of blocks.
+    r, s = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+    size = r * s
+    blocks = data.draw(st.lists(st.integers(0, (1 << size) - 1), min_size=size, max_size=size))
+    images = list(blocks)
+    change = data.draw(st.sampled_from(["none", "flip", "cut images", "cut blocks"]))
+    if change == "flip":
+        images[data.draw(st.integers(0, size - 1))] ^= 1 << data.draw(st.integers(0, size - 1))
+    elif change == "cut images":
+        images = images[: data.draw(st.integers(0, r - 1)) * s]
+    elif change == "cut blocks":
+        blocks = blocks[: data.draw(st.integers(0, r - 1)) * s]
+    difference, first, _, _ = _block_row_pass(block_rows(blocks, s), block_rows(images, s), size)
+    assert difference == _first_mask_difference(images, blocks)
+    assert (difference == "") == (change == "none")
+    assert first == (blocks[:s] or None)
 
 
 # ---------------------------------------------------------------- disoriented
 
 @pytest.mark.parametrize("n", range(3, 8))
 def test_minus_form_is_disoriented_with_plus_parallelization(n):
-    masks = _block_masks(PresentationSpec(n, False))
-    assert is_disoriented_block_circulant_masks(masks, 2 * n - 1)
-    assert parallelization(masks, 2 * n - 1) == _block_masks(plus_form(n))
+    _, _, disoriented = route_pass(PresentationSpec(n, False))
+    assert disoriented
+    assert parallelization(blocks_masks(PresentationSpec(n, False)), 2 * n - 1) == blocks_masks(plus_form(n))
 
 
 def test_plus_form_is_disoriented_with_itself():
-    masks = _block_masks(PresentationSpec(4, True))
-    assert is_disoriented_block_circulant_masks(masks, 7)
+    masks = blocks_masks(PresentationSpec(4, True))
+    assert row_pass(masks, 7)[2]
     assert parallelization(masks, 7) == masks
 
 
 def test_disoriented_rejects_scrambled_matrix():
-    masks = _block_masks(PresentationSpec(3, False))
+    masks = blocks_masks(PresentationSpec(3, False))
     masks[7], masks[8] = masks[8], masks[7]  # break one block row's structure
-    assert not is_disoriented_block_circulant_masks(masks, 5)
+    assert not row_pass(masks, 5)[2]
 
 
 def reference_disoriented(view: BlockView) -> tuple[bool, IntMatrix | None]:
@@ -245,12 +285,13 @@ def disoriented_views(draw) -> BlockView:
 @given(disoriented_views())
 def test_circulant_pass_matches_block_by_block_reference(view):
     masks, s = to_masks(view.matrix), view.block_size
+    first, circulant, disoriented = row_pass(masks, s)
     ok, para = reference_disoriented(view)
-    assert is_disoriented_block_circulant_masks(masks, s) == ok
+    assert disoriented == ok
     if ok:
         assert parallelization(masks, s) == to_masks(para)
-    assert is_block_circulant_masks(masks, s) == reference_circulant(view)
-    assert sum_first_block_row_masks(masks, s) == sum_first_block_row(view)
+    assert circulant == reference_circulant(view)
+    assert _sum_block_row(first, len(masks)) == sum_first_block_row(view)
 
 
 @given(disoriented_views())
@@ -258,8 +299,8 @@ def test_in_place_circulance_matches_the_parallelization(view):
     # The former definition: disoriented block circulant, with the plain
     # circulant parallelization equal to the matrix itself.
     masks, s = to_masks(view.matrix), view.block_size
-    disoriented = is_disoriented_block_circulant_masks(masks, s)
-    assert is_block_circulant_masks(masks, s) == (disoriented and parallelization(masks, s) == masks)
+    _, circulant, disoriented = row_pass(masks, s)
+    assert circulant == (disoriented and parallelization(masks, s) == masks)
 
 
 def test_check_J_commutation():

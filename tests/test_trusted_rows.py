@@ -20,7 +20,7 @@ from volentropy.reductions import (
     BlockView,
     compacted_matrix,
     divided_compacted_matrix,
-    sum_first_block_row_masks,
+    _sum_block_row,
     super_compacted_matrix,
 )
 
@@ -91,8 +91,8 @@ def test_mask_block_sum_is_canonical(data):
     # The first block row of a 0/1 matrix given as row masks, summed.
     r = data.draw(st.integers(1, 4))
     s = data.draw(st.integers(1, 3))
-    masks = data.draw(st.lists(st.integers(0, (1 << r * s) - 1), min_size=r * s, max_size=r * s))
-    assert_canonical(sum_first_block_row_masks(masks, s))
+    first = data.draw(st.lists(st.integers(0, (1 << r * s) - 1), min_size=s, max_size=s))
+    assert_canonical(_sum_block_row(first, r * s))
 
 
 @pytest.mark.parametrize("n", range(3, 7))
