@@ -9,9 +9,9 @@ of `volume_entropy` on their own coefficients (`_route_root`).
 `lambda_n_bracket` gives an exact rational bracket of any width; only it and
 the search's fallback load `fractions`.  `volume_entropy` cross-checks the
 root against four independent computational routes through the matrix
-reductions, three of them proven by exact products (`_power_route`), and
-packages the result; its routes are consistent only when all five report the
-same float.
+reductions, three of them proven by one exact product each
+(`_power_route`), and packages the result; its routes are consistent only
+when all five report the same float.
 
 For n = 2 (torus and Klein bottle) the entropy is exactly 0 and no matrices
 are built.
@@ -280,18 +280,18 @@ class EntropyReport(_Frozen):
 
 
 def _power_route(matrix: IntMatrix | TransitionOperator, n: int, lam: float) -> tuple[float, str]:
-    """(lam, "") if two exact products prove rho(matrix) between the floats
-    either side of lam (`_collatz_wielandt_failure` on `_perron_profile`);
-    else the midpoint of the lower-end ratios (m v)_i / v_i, which still
-    bracket rho(matrix), and where the proof fails.  lam must be the float
-    nearest the root, as `_route_root` gives at every rank, so that the two
-    floats either side of it bracket the root."""
+    """(lam, "") if one exact product proves rho(matrix) between the floats
+    either side of lam, the float nearest the root (`_route_root`); else the
+    midpoint of the ratios (m v)_i / v_i, which still bracket rho(matrix), and
+    where the proof fails.  One `_perron_profile` at lam proves both ends: as
+    (S_n - lam) v = -q_n(lam)/(lam + 1) e_(n-1), each ratio is lam but row
+    n-1's (and its images), which is a fraction of an ulp off."""
     ends = (math.nextafter(lam, 0), math.nextafter(lam, math.inf))
-    profiles = [_perron_profile(n, x, matrix.size) for x in ends]
-    failure = _collatz_wielandt_failure(matrix, ends, profiles)
+    v = _perron_profile(n, lam, matrix.size)
+    failure = _collatz_wielandt_failure(matrix, ends, v)
     if not failure:
         return lam, ""
-    ratios = list(map(truediv, _apply(matrix)(profiles[0]), profiles[0]))
+    ratios = list(map(truediv, _apply(matrix)(v), v))
     return (min(ratios) + max(ratios)) / 2, failure
 
 

@@ -1,10 +1,10 @@
 """Spectral radius bounds and exact characteristic polynomials.
 
-`_collatz_wielandt_failure` proves lo <= rho(m) <= hi by two exact integer
-products, one positive vector at each end, for an `IntMatrix` (over each
-row's nonzero entries) or a matrix-free `markov.TransitionOperator`.  Power
-iteration, the only float loop in the package, stays as a public estimate
-that no route calls; it smooths its estimates over a sliding window so that
+`_collatz_wielandt_failure` proves lo <= rho(m) <= hi by one exact integer
+product, read against both ends, for an `IntMatrix` (over each row's nonzero
+entries) or a matrix-free `markov.TransitionOperator`.  Power iteration,
+the only float loop in the package, stays as a public estimate that no route
+calls; it smooths its estimates over a sliding window so that
 permutation-like matrices, whose raw quotients oscillate, still terminate.
 Characteristic polynomials are computed exactly over the integers, with a
 sparse left factor, so downstream root work can reason about signs with no
@@ -64,21 +64,21 @@ def _apply(m: IntMatrix | TransitionOperator):
 
 
 def _collatz_wielandt_failure(m: IntMatrix | TransitionOperator, ends: tuple[float, float],
-                              profiles: list[list[int]]) -> str:
+                              v: list[int]) -> str:
     """Where the proof of lo <= rho(m) <= hi first fails, as `row i below the
     lower end lo` or `row i above the upper end hi` (1-based), or "".
 
     For m >= 0 and v > 0, min (m v)_i / v_i <= rho(m) <= max (m v)_i / v_i
     (Collatz 1942, Wielandt 1950), with no irreducibility or convergence
     needed.  So d (m v)_i >= a v_i in every row at lo = a/d, and <= at hi,
-    prove the bracket exactly, whatever positive integer vectors are given.
+    prove the bracket exactly from one product m v, whatever v > 0 is given.
     """
-    product = _apply(m)
-    for end, x, v, holds in zip(("lower", "upper"), ends, profiles, (operator.ge, operator.le)):
-        if min(v) <= 0:
-            raise ValueError(f"the {end}-end vector must be positive")
+    if min(v) <= 0:
+        raise ValueError("the vector must be positive")
+    mv = _apply(m)(v)
+    for end, x, holds in zip(("lower", "upper"), ends, (operator.ge, operator.le)):
         a, d = x.as_integer_ratio()
-        rows = list(map(holds, map(d.__mul__, product(v)), map(a.__mul__, v)))
+        rows = list(map(holds, map(d.__mul__, mv), map(a.__mul__, v)))
         if not all(rows):
             side = "below" if holds is operator.ge else "above"
             return f"row {rows.index(False) + 1} {side} the {end} end {x!r}"

@@ -616,7 +616,11 @@ def test_a_power_route_whose_matrix_is_raised_comes_out_uncertified(route, monke
 def test_a_bracket_shifted_off_lambda_fails_at_the_lower_end(n):
     # The bracket is the two floats either side of the given root, so even a
     # shift of 1e-11, thousands of floats but well inside 1e-10, is refused.
+    # So is a shift of two floats, the narrowest bracket that misses the
+    # root: two up fails below its lower end, two down above its upper end.
     lam = lambda_n(n)
+    up = math.nextafter(math.nextafter(lam, math.inf), math.inf)
+    down = math.nextafter(math.nextafter(lam, 0), 0)
     matrices = (
         TransitionOperator(PresentationSpec(n, False)),
         compacted_matrix(n),
@@ -624,17 +628,20 @@ def test_a_bracket_shifted_off_lambda_fails_at_the_lower_end(n):
     )
     for m in matrices:
         assert entropy._power_route(m, n, lam) == (lam, "")
-        for shift in (1e-6, 1e-11):
-            value, failure = entropy._power_route(m, n, lam + shift)
-            lo = math.nextafter(lam + shift, 0)
-            assert failure == f"row {n - 1} below the lower end {lo!r}", (m.size, shift)
+        for x in (lam + 1e-6, lam + 1e-11, up):
+            value, failure = entropy._power_route(m, n, x)
+            assert failure == f"row {n - 1} below the lower end {math.nextafter(x, 0)!r}", (m.size, x)
             assert abs(value - lam) < 1e-6
+        value, failure = entropy._power_route(m, n, down)
+        assert failure == f"row {n - 1} above the upper end {math.nextafter(down, math.inf)!r}", m.size
+        assert abs(value - lam) < 1e-6
 
 
 def test_every_power_route_is_certified_at_every_rank():
     # Every presentation volume_entropy accepts, n = 2..40 in both
     # orientations: each power route is proven between the floats either
-    # side of the root and reports the root itself.
+    # side of the root and reports the root itself.  So is the orientable
+    # operator that verify's spectral-collapse certifies, formal at odd rank.
     for n in range(2, 41):
         for orientable in (False, True) if n % 2 == 0 else (False,):
             report = volume_entropy(PresentationSpec(n, orientable))
@@ -642,6 +649,23 @@ def test_every_power_route_is_certified_at_every_rank():
             assert report.converged == power, (n, orientable)
             assert set(report.routes.values()) == roots, (n, orientable)
             assert report.consistent and report.bounds_hold and report.agreement == 0.0, (n, orientable)
+        if n > 2:
+            formal = TransitionOperator(PresentationSpec(n, True, formal=n % 2 == 1))
+            assert entropy._power_route(formal, n, report.lambda_) == (report.lambda_, ""), n
+
+
+def test_a_certified_power_route_makes_one_product(monkeypatch):
+    # One Perron profile at the root proves both ends of the bracket.
+    calls = []
+    real = TransitionOperator.apply
+    monkeypatch.setattr(TransitionOperator, "apply", lambda self, v: calls.append(v) or real(self, v))
+    profiles = _spy(monkeypatch, "_perron_profile")
+    for n in (3, 6, 24):
+        lam = lambda_n(n)
+        calls.clear()
+        profiles.clear()
+        assert entropy._power_route(TransitionOperator(PresentationSpec(n, False)), n, lam) == (lam, "")
+        assert len(calls) == len(profiles) == 1, n
 
 
 def test_no_route_calls_power_iteration(monkeypatch):
