@@ -14,11 +14,15 @@ stdout on error.  A reader that closes stdout early (`| head`) ends the
 command with exit code 1 and no traceback.  `verify` refuses to run under
 `python -O`, which strips its checks.  A command's code is imported when that
 command runs: `verify` lives here, the other three in `_commands`.
+`main()` with no argument, as `python -m volentropy` and the console script
+call it, is the process's command and takes its start-up objects out of
+garbage collection; `main([...])` leaves the collector alone (see `main`).
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -249,6 +253,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.
+
+    With `argv` None the arguments come from `sys.argv` and `main` is the
+    process's command: once the handler is loaded, `gc.freeze()` moves every
+    object alive then (modules, functions, the parser) to the permanent
+    generation, so neither the command's full collections nor those at exit
+    walk them.  The collector stays enabled for the command's own garbage.
+    Called with a list, `main` does not touch the collector.
+    """
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "verify":
@@ -257,6 +270,8 @@ def main(argv: list[str] | None = None) -> int:
         from ._commands import HANDLERS
 
         handler = HANDLERS[args.command]
+    if argv is None:
+        gc.freeze()
     try:
         code, text = handler(args)
     except ValueError as exc:

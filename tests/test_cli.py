@@ -1,13 +1,14 @@
 """End-to-end drives of the command-line interface.
 
-Every test calls main() in-process and inspects stdout/stderr through
-capsys; one smoke test runs the installed module in a subprocess to cover
-the ``python -m`` wiring.
+Most tests call main() in-process and inspect stdout/stderr through capsys;
+the ones that need a process of their own (the ``python -m`` wiring, the
+command path of main(), exit behaviour) run one.
 """
 
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import math
@@ -407,6 +408,52 @@ def test_rome_charpoly_needs_an_irreducible_supercompacted_matrix(monkeypatch):
     row = {row["check"]: row for row in cli._run_battery(3)}["rome-charpoly"]
     assert row["pass"] is False
     assert row["detail"] == "supercompacted matrix is not irreducible"
+
+
+def _unit_moves(values: list[int], floor: float):
+    """(index, moved value) for each value moved by +-1 and kept >= floor."""
+    return [(k, v + d) for k, v in enumerate(values) for d in (-1, 1) if v + d >= floor]
+
+
+def _matrix_mutants(real: IntMatrix):
+    side = real.size
+    for k, value in _unit_moves([x for row in real.rows for x in row], 0):
+        rows = [list(row) for row in real.rows]
+        rows[k // side][k % side] = value
+        yield f"({k // side + 1},{k % side + 1}) -> {value}", IntMatrix(rows)
+
+
+def _polynomial_mutants(real: core.IntPolynomial):
+    for k, value in _unit_moves(list(real.coeffs), -math.inf):
+        coeffs = list(real.coeffs)
+        coeffs[k] = value
+        yield f"coefficient {k} -> {value}", core.IntPolynomial(coeffs)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize(
+    "name", ["compacted_matrix", "divided_compacted_matrix", "super_compacted_matrix", "q_polynomial"]
+)
+def test_every_unit_move_of_a_closed_form_fails_a_row_of_its_rank(name, n, monkeypatch):
+    # Each entry (coefficient) moved by one, through the builder's name in
+    # every module that calls it: some check of the rank FAILs.  An exception
+    # escaping _check_rank fails the test too.
+    modules = [mod for mod in (cli, entropy, reductions, rome) if hasattr(mod, name)]
+    if name == "q_polynomial":
+        real, mutants = rome.q_polynomial, _polynomial_mutants
+    else:
+        real, mutants = getattr(reductions, name), _matrix_mutants
+    escaped, count = [], 0
+    for label, mutant in mutants(real(n)):
+        for mod in modules:
+            monkeypatch.setattr(mod, name, lambda k, mutant=mutant: mutant if k == n else real(k))
+        rows: list[dict] = []
+        cli._check_rank(n, rows)
+        count += 1
+        if all(row["pass"] for row in rows):
+            escaped.append(label)
+    assert count > 0
+    assert not escaped, f"{len(escaped)} of {count} mutants pass every check: {escaped}"
 
 
 @pytest.mark.parametrize(
@@ -1010,6 +1057,49 @@ def test_module_entry_point_subprocess():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert abs(payload["lambda"] - 4.791287847477925) < 1e-9
+
+
+_ONE_OF_EACH_COMMAND = [
+    ["build-matrix", "--n", "3", "--format", "json"],
+    ["entropy", "--n", "5", "--format", "json"],
+    ["verify", "--n-max", "3", "--format", "json"],
+    ["table", "--from", "3", "--to", "8", "--format", "csv"],
+]
+
+
+@pytest.mark.parametrize("argv", _ONE_OF_EACH_COMMAND, ids=lambda argv: argv[0])
+def test_main_with_arguments_leaves_the_collector_as_it_found_it(argv, capsys):
+    # Only the process's command, main() with no argument, freezes its
+    # start-up objects; a caller that passes argv keeps its collector.
+    before = gc.get_freeze_count(), gc.isenabled()
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+@pytest.mark.parametrize(
+    "argv", [_ONE_OF_EACH_COMMAND[1], _ONE_OF_EACH_COMMAND[3]], ids=lambda argv: argv[0]
+)
+def test_main_without_arguments_freezes_start_up_and_prints_the_same(argv, capsys):
+    # The command path: arguments from sys.argv.  The objects alive when the
+    # handler starts sit in the permanent generation, and the output is what
+    # main(argv) prints in-process.
+    code = (
+        "import gc, sys\n"
+        "from volentropy.cli import main\n"
+        f"sys.argv = ['volentropy', *{argv!r}]\n"
+        "code = main()\n"
+        "print(gc.get_freeze_count(), gc.isenabled(), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert main(argv) == 0
+    frozen, enabled = proc.stderr.split()
+    assert proc.returncode == 0
+    assert int(frozen) > 0 and enabled == "True"
+    assert proc.stdout == capsys.readouterr().out
 
 
 def test_a_stdout_pipe_closed_early_ends_without_a_traceback():
