@@ -288,10 +288,11 @@ def _power_route(matrix: IntMatrix | TransitionOperator, n: int, lam: float) -> 
     n-1's (and its images), which is a fraction of an ulp off."""
     ends = (math.nextafter(lam, 0), math.nextafter(lam, math.inf))
     v = _perron_profile(n, lam, matrix.size)
-    failure = _collatz_wielandt_failure(matrix, ends, v)
+    mv = _apply(matrix)(v)
+    failure = _collatz_wielandt_failure(mv, v, ends)
     if not failure:
         return lam, ""
-    ratios = list(map(truediv, _apply(matrix)(v), v))
+    ratios = list(map(truediv, mv, v))
     return (min(ratios) + max(ratios)) / 2, failure
 
 

@@ -79,28 +79,28 @@ def sum_first_block_row(view: BlockView) -> IntMatrix:
 def _block_row_pass(blocks: Iterable[list[int]], images: Iterable[list[int]], size: int) -> tuple:
     """One pass over two routes' block rows of row masks (bit j of mask i is
     entry (i+1, j+1)) of a 0/1 matrix of side `size`, holding one block row at
-    a time besides the first.  Returns `_first_mask_difference(images, blocks)`
-    ("" iff equal), the first block row of blocks, and whether each block row
-    of blocks, from row b, is the first with each mask rotated left by b bits
+    a time besides the first.  Returns how images differs from blocks, "" iff
+    equal (their row totals, else `_first_mask_difference` of the first unequal
+    block row), the first block row of blocks, and whether each block row of
+    blocks, from row b, is the first with each mask rotated left by b bits
     (block circulant), or that or its reverse, the flip J premultiplying every
     block (disoriented block circulant, with that circulant parallelization)."""
     full, first, circulant, disoriented = (1 << size) - 1, None, True, True
-    # b: rows read; rest: from the first unequal block row on, the images'
-    # and the blocks' rows, zeros standing in for the equal rows before it.
-    b, rest = 0, None
-    for got, image in zip_longest(blocks, images):
-        if rest is None and got != image:
-            rest = [0] * b, [0] * b
-        if rest is not None:
-            rest[0].extend(image or ())
-            rest[1].extend(got or ())
-        if got is not None:
+    # b, rows: the rows of blocks and of images read, equal up to the first
+    # unequal block row, whose rows b numbers.
+    b, rows, difference = 0, 0, ""
+    for got, image in zip_longest(blocks, images, fillvalue=[]):
+        if got != image:
+            difference = difference or _first_mask_difference(image, got, b)
+        rows += len(image)
+        if got:
             first = got if first is None else first
             rotated = [(f << b | f >> (size - b)) & full for f in first]
             circulant = circulant and got == rotated
             disoriented = disoriented and got in (rotated, rotated[::-1])
             b += len(got)
-    return _first_mask_difference(*rest) if rest else "", first, circulant, disoriented
+    difference = f"sizes differ: {rows} vs {b}" if b != rows else difference
+    return difference, first, circulant, disoriented
 
 
 def _sum_block_row(first: list[int], size: int) -> IntMatrix:
@@ -123,17 +123,16 @@ def _first_row_difference(a: tuple | list, b: tuple | list) -> str:
     return ""
 
 
-def _first_mask_difference(a: list[int], b: list[int]) -> str:
-    """`_first_row_difference` of two 0/1 matrices given as row masks (bit j is column j+1)."""
-    # Only the first unequal row is spelled out in bits: the rows before it
-    # are equal, and `_first_row_difference` reads none after it.
-    a, b = list(a), list(b)
-    for i, (x, y) in enumerate(zip(a, b)):
+def _first_mask_difference(a: list[int], b: list[int], start: int = 0) -> str:
+    """`_first_row_difference` of two 0/1 matrices given as row masks (bit j is
+    column j+1), rows numbered from start + 1, read off the lowest set bit of x ^ y."""
+    if len(a) != len(b):
+        return f"sizes differ: {len(a)} vs {len(b)}"
+    for i, (x, y) in enumerate(zip(a, b), start + 1):
         if x != y:
-            width = (x | y).bit_length()
-            a[i], b[i] = ([mask >> j & 1 for j in range(width)] for mask in (x, y))
-            break
-    return _first_row_difference(a, b)
+            j = ((x ^ y) & -(x ^ y)).bit_length() - 1
+            return f"first difference at ({i},{j + 1}): {x >> j & 1} vs {y >> j & 1}"
+    return ""
 
 
 def _spectrum_split_failure(d: IntMatrix, c: IntMatrix) -> str:

@@ -1,14 +1,14 @@
 """Spectral radius bounds and exact characteristic polynomials.
 
-`_collatz_wielandt_failure` proves lo <= rho(m) <= hi by one exact integer
-product, read against both ends, for an `IntMatrix` (over each row's nonzero
-entries) or a matrix-free `markov.TransitionOperator`.  Power iteration,
-the only float loop in the package, stays as a public estimate that no route
-calls; it smooths its estimates over a sliding window so that
-permutation-like matrices, whose raw quotients oscillate, still terminate.
-Characteristic polynomials are computed exactly over the integers, with a
-sparse left factor, so downstream root work can reason about signs with no
-rounding.
+`_collatz_wielandt_failure` proves lo <= rho(m) <= hi by reading one exact
+integer product m v against both ends; `_apply` makes that product for an
+`IntMatrix` (over each row's nonzero entries) or a matrix-free
+`markov.TransitionOperator`.  Power iteration, the only float loop in the
+package, stays as a public estimate that no route calls; it smooths its
+estimates over a sliding window so that permutation-like matrices, whose raw
+quotients oscillate, still terminate.  Characteristic polynomials are
+computed exactly over the integers, with a sparse left factor, so downstream
+root work can reason about signs with no rounding.
 """
 
 from __future__ import annotations
@@ -63,19 +63,17 @@ def _apply(m: IntMatrix | TransitionOperator):
     return product
 
 
-def _collatz_wielandt_failure(m: IntMatrix | TransitionOperator, ends: tuple[float, float],
-                              v: list[int]) -> str:
-    """Where the proof of lo <= rho(m) <= hi first fails, as `row i below the
-    lower end lo` or `row i above the upper end hi` (1-based), or "".
+def _collatz_wielandt_failure(mv: list[int], v: list[int], ends: tuple[float, float]) -> str:
+    """Where mv = m v first fails to prove lo <= rho(m) <= hi, 1-based, as
+    `row i below the lower end lo` or `row i above the upper end hi`; or "".
 
     For m >= 0 and v > 0, min (m v)_i / v_i <= rho(m) <= max (m v)_i / v_i
     (Collatz 1942, Wielandt 1950), with no irreducibility or convergence
     needed.  So d (m v)_i >= a v_i in every row at lo = a/d, and <= at hi,
-    prove the bracket exactly from one product m v, whatever v > 0 is given.
+    prove the bracket exactly, whatever v > 0 is given (`_apply` makes mv).
     """
     if min(v) <= 0:
         raise ValueError("the vector must be positive")
-    mv = _apply(m)(v)
     for end, x, holds in zip(("lower", "upper"), ends, (operator.ge, operator.le)):
         a, d = x.as_integer_ratio()
         rows = list(map(holds, map(d.__mul__, mv), map(a.__mul__, v)))

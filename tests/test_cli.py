@@ -430,30 +430,104 @@ def _polynomial_mutants(real: core.IntPolynomial):
         yield f"coefficient {k} -> {value}", core.IntPolynomial(coeffs)
 
 
+def _closed_form_patches(name: str, n: int):
+    """(label, patches) for each unit move of the closed form `name` at rank
+    n, patched through its name in every module that calls it."""
+    modules = [mod for mod in (cli, entropy, reductions, rome) if hasattr(mod, name)]
+    if name == "q_polynomial":
+        real, mutants = rome.q_polynomial, _polynomial_mutants
+    else:
+        real, mutants = getattr(reductions, name), _matrix_mutants
+    for label, mutant in mutants(real(n)):
+        fake = lambda k, mutant=mutant: mutant if k == n else real(k)
+        yield label, [(mod, name, fake) for mod in modules]
+
+
+def _image_flip_patches(n: int):
+    """(label, patches) for one images-route bit flip per block row b of each
+    presentation: the first row of block row b, at its diagonal column."""
+    real = cli._image_masks
+    for orientable in (True, False):
+        for b in range(2 * n):
+            def flipped(spec, orientable=orientable, b=b):
+                for c, row in enumerate(real(spec)):
+                    if c == b and spec.orientable == orientable:
+                        row = [row[0] ^ 1 << c * len(row), *row[1:]]
+                    yield row
+
+            yield f"orientable={orientable} block row {b + 1}", [(cli, "_image_masks", flipped)]
+
+
+def _reference_flip_patches(n: int):
+    """(label, patches) for one 0<->1 flip per frozen reference row r, at column r."""
+    real = cli.reference_rows
+    for r in range(len(real(n, n == 4))):  # the frozen rows: rank 4 orientable, rank 3 not
+        def flipped(k, orientable, r=r):
+            rows = real(k, orientable)
+            rows[r][r] ^= 1
+            return rows
+
+        yield f"reference row {r + 1}", [(cli, "reference_rows", flipped)]
+
+
+def _failures(n: int, mutants, monkeypatch) -> dict[str, set[str]]:
+    """The rows of rank n that FAIL with each mutant's patches in place, by
+    label.  An exception escaping _check_rank fails the test."""
+    failures = {}
+    for label, patches in mutants:
+        with monkeypatch.context() as patch:
+            for mod, name, value in patches:
+                patch.setattr(mod, name, value)
+            rows: list[dict] = []
+            cli._check_rank(n, rows)
+        failures[label] = {row["check"] for row in rows if not row["pass"]}
+    assert failures
+    escaped = [label for label, failed in failures.items() if not failed]
+    assert not escaped, f"{len(escaped)} of {len(failures)} mutants pass every check: {escaped}"
+    return failures
+
+
+# Which rows catch which family at rank 4: the rows that FAIL for at least one
+# mutant of each family.  Together they name every row of the rank.
+CATCH_TABLE_4 = {
+    "compacted_matrix": {
+        "circulant-collapse", "disoriented-collapse", "route-consensus", "spectral-collapse", "spectrum-split",
+    },
+    "divided_compacted_matrix": {"spectrum-split"},
+    "super_compacted_matrix": {"rome-charpoly", "route-consensus", "spectral-collapse", "spectrum-split"},
+    "q_polynomial": {"polynomial-facts", "rome-charpoly", "root-bounds"},
+    "images-route bit": {"blocks-vs-images"},
+    "reference row": {"reference-rows"},
+}
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize(
     "name", ["compacted_matrix", "divided_compacted_matrix", "super_compacted_matrix", "q_polynomial"]
 )
 def test_every_unit_move_of_a_closed_form_fails_a_row_of_its_rank(name, n, monkeypatch):
     # Each entry (coefficient) moved by one, through the builder's name in
-    # every module that calls it: some check of the rank FAILs.  An exception
-    # escaping _check_rank fails the test too.
-    modules = [mod for mod in (cli, entropy, reductions, rome) if hasattr(mod, name)]
-    if name == "q_polynomial":
-        real, mutants = rome.q_polynomial, _polynomial_mutants
-    else:
-        real, mutants = getattr(reductions, name), _matrix_mutants
-    escaped, count = [], 0
-    for label, mutant in mutants(real(n)):
-        for mod in modules:
-            monkeypatch.setattr(mod, name, lambda k, mutant=mutant: mutant if k == n else real(k))
-        rows: list[dict] = []
-        cli._check_rank(n, rows)
-        count += 1
-        if all(row["pass"] for row in rows):
-            escaped.append(label)
-    assert count > 0
-    assert not escaped, f"{len(escaped)} of {count} mutants pass every check: {escaped}"
+    # every module that calls it: some check of the rank FAILs.  At rank 4
+    # the rows that catch the family are pinned.
+    failures = _failures(n, _closed_form_patches(name, n), monkeypatch)
+    if n == 4:
+        assert set().union(*failures.values()) == CATCH_TABLE_4[name]
+
+
+@pytest.mark.parametrize(
+    "family, mutants", [("images-route bit", _image_flip_patches), ("reference row", _reference_flip_patches)]
+)
+def test_every_route_bit_and_reference_flip_fails_a_row_of_rank_4(family, mutants, monkeypatch):
+    # One images-route bit per block row of both presentations (16 mutants),
+    # and one entry per frozen reference row (21): each FAILs its pinned row.
+    failures = _failures(4, mutants(4), monkeypatch)
+    assert set().union(*failures.values()) == CATCH_TABLE_4[family]
+
+
+def test_the_catch_table_at_rank_4_names_every_row():
+    rows: list[dict] = []
+    cli._check_rank(4, rows)
+    assert set().union(*CATCH_TABLE_4.values()) == {row["check"] for row in rows}
 
 
 @pytest.mark.parametrize(
@@ -768,13 +842,14 @@ def test_first_difference_reports_1_based_position():
 
 @given(st.data())
 def test_mask_difference_reads_like_the_matrix_difference(data):
-    # Row i is the first unequal mask, column j the lowest set bit of the XOR.
-    size = data.draw(st.integers(1, 12))
+    # Row i is the first unequal mask, column j the lowest set bit of the XOR;
+    # rows numbered from start + 1 read as if start equal rows came first.
+    size, start = data.draw(st.integers(1, 12)), data.draw(st.integers(0, 3))
     masks = st.lists(st.integers(0, (1 << size) - 1), min_size=size, max_size=size)
     a, b = data.draw(masks), data.draw(masks)
     assume(a != b)
-    got = reductions._first_mask_difference(a, b)
-    want = (markov._from_masks(m, size).rows for m in (a, b))
+    got = reductions._first_mask_difference(a, b, start)
+    want = (((0,) * size,) * start + markov._from_masks(m, size).rows for m in (a, b))
     assert got == reductions._first_row_difference(*want)
 
 
@@ -985,19 +1060,31 @@ def test_verify_peak_memory_stays_below_half_a_transition_matrix():
     assert peak < 0.5 * size, peak / size
 
 
-def test_a_rank_of_verify_holds_the_routes_one_block_row_at_a_time():
+def test_a_rank_of_verify_holds_the_routes_one_block_row_at_a_time(monkeypatch):
     # At rank 32 the transition matrix has N = 4032 rows, so one route's row
     # masks held whole take 2 MB and the rank peaked near 5 MB traced; streamed
-    # a block row of 63 masks at a time, it peaks under 0.5 MB.
-    rows: list[dict] = []
-    tracemalloc.start()
-    try:
-        cli._check_rank(32, rows)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rows and all(row["pass"] for row in rows)
-    assert peak < 1.5e6, peak
+    # a block row of 63 masks at a time, it peaks under 0.5 MB.  A rank whose
+    # routes differ in block row 1 holds no more: the mismatch is read in the
+    # block row where it occurs, not from copies of every row after it.
+    real = cli._image_masks
+
+    def flipped(spec):
+        rows = real(spec)
+        first = next(rows)
+        yield [first[0] ^ 1, *first[1:]]
+        yield from rows
+
+    for images, failed in ((real, {}), (flipped, {"blocks-vs-images": "first difference at (1,1): 1 vs 0"})):
+        monkeypatch.setattr(cli, "_image_masks", images)
+        rows: list[dict] = []
+        tracemalloc.start()
+        try:
+            cli._check_rank(32, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 9 and {row["check"]: row["detail"] for row in rows if not row["pass"]} == failed
+        assert peak < 1.5e6, (images.__name__, peak)
 
 
 def _csv_cell(value) -> str:

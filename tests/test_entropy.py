@@ -655,17 +655,26 @@ def test_every_power_route_is_certified_at_every_rank():
 
 
 def test_a_certified_power_route_makes_one_product(monkeypatch):
-    # One Perron profile at the root proves both ends of the bracket.
+    # One Perron profile at the root proves both ends of the bracket.  Raised
+    # two floats, the route is not certified and takes its midpoint from the
+    # same product; midpoints and failures are pinned from two products each.
     calls = []
     real = TransitionOperator.apply
     monkeypatch.setattr(TransitionOperator, "apply", lambda self, v: calls.append(v) or real(self, v))
     profiles = _spy(monkeypatch, "_perron_profile")
-    for n in (3, 6, 24):
+    raised = {
+        3: (4.79128784747792, "row 2 below the lower end 4.791287847477921"),
+        6: (10.999932261046185, "row 5 below the lower end 10.999932261046185"),
+        24: (47.00000000000001, "row 23 below the lower end 47.00000000000001"),
+    }
+    for n, uncertified in raised.items():
         lam = lambda_n(n)
-        calls.clear()
-        profiles.clear()
-        assert entropy._power_route(TransitionOperator(PresentationSpec(n, False)), n, lam) == (lam, "")
-        assert len(calls) == len(profiles) == 1, n
+        operator = TransitionOperator(PresentationSpec(n, False))
+        for x, want in ((lam, (lam, "")), (math.nextafter(math.nextafter(lam, math.inf), math.inf), uncertified)):
+            calls.clear()
+            profiles.clear()
+            assert entropy._power_route(operator, n, x) == want, (n, x)
+            assert len(calls) == len(profiles) == 1, (n, x)
 
 
 def test_no_route_calls_power_iteration(monkeypatch):

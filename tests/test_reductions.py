@@ -215,6 +215,28 @@ def test_route_difference_is_the_first_difference_of_the_flat_masks(data):
     assert first == (blocks[:s] or None)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("orientable", [True, False])
+def test_route_difference_names_every_flipped_cell_and_every_cut(n, orientable):
+    # Every bit of every images-route row flipped in turn (8072 flips over
+    # n = 3, 4 and both presentations): the pass names that 1-based cell, the
+    # images' bit first.  Either route cut after k block rows: the row totals.
+    spec = PresentationSpec(n, orientable, formal=True)
+    blocks, images = list(_block_masks(spec)), list(_image_masks(spec))
+    size, s = spec.matrix_size, spec.block_size
+    for i in range(size):
+        b, k = divmod(i, s)
+        for j in range(size):
+            flipped = list(images)
+            flipped[b] = [*images[b][:k], images[b][k] ^ 1 << j, *images[b][k + 1 :]]
+            bit = blocks[b][k] >> j & 1
+            difference = _block_row_pass(blocks, flipped, size)[0]
+            assert difference == f"first difference at ({i + 1},{j + 1}): {1 - bit} vs {bit}"
+    for k in range(2 * n):
+        assert _block_row_pass(blocks, images[:k], size)[0] == f"sizes differ: {k * s} vs {size}"
+        assert _block_row_pass(blocks[:k], images, size)[0] == f"sizes differ: {size} vs {k * s}"
+
+
 # ---------------------------------------------------------------- disoriented
 
 @pytest.mark.parametrize("n", range(3, 8))

@@ -21,6 +21,7 @@ from volentropy.reductions import (
     super_compacted_matrix,
 )
 from volentropy.spectral import (
+    _apply,
     _collatz_wielandt_failure,
     char_poly_exact,
     is_irreducible,
@@ -130,18 +131,20 @@ def test_power_iteration_validation():
 
 def test_collatz_wielandt_bounds_name_the_end_and_row_that_fail():
     # rho = 3 with Perron vector (1, 2); (1, 1) has ratios 2 and 4.
-    m = IntMatrix([[1, 1], [2, 2]])
-    assert _collatz_wielandt_failure(m, (3.0, 3.0), [1, 2]) == ""
-    assert _collatz_wielandt_failure(m, (2.0, 4.0), [1, 1]) == ""
-    assert _collatz_wielandt_failure(m, (2.5, 4.0), [1, 1]) == "row 1 below the lower end 2.5"
-    assert _collatz_wielandt_failure(m, (2.0, 3.5), [1, 1]) == "row 2 above the upper end 3.5"
+    product = _apply(IntMatrix([[1, 1], [2, 2]]))
+    assert _collatz_wielandt_failure(product([1, 2]), [1, 2], (3.0, 3.0)) == ""
+    assert _collatz_wielandt_failure(product([1, 1]), [1, 1], (2.0, 4.0)) == ""
+    assert _collatz_wielandt_failure(product([1, 1]), [1, 1], (2.5, 4.0)) == "row 1 below the lower end 2.5"
+    assert _collatz_wielandt_failure(product([1, 1]), [1, 1], (2.0, 3.5)) == "row 2 above the upper end 3.5"
 
 
 def test_collatz_wielandt_bounds_need_a_nonnegative_matrix_and_a_positive_vector():
+    # The product is made by _apply, which refuses a negative entry; the
+    # bound itself refuses a vector with an entry <= 0.
     with pytest.raises(ValueError, match="nonnegative"):
-        _collatz_wielandt_failure(IntMatrix([[1, -1], [0, 1]]), (1.0, 1.0), [1, 1])
+        _apply(IntMatrix([[1, -1], [0, 1]]))
     with pytest.raises(ValueError, match="the vector must be positive"):
-        _collatz_wielandt_failure(IntMatrix.identity(2), (1.0, 1.0), [1, 0])
+        _collatz_wielandt_failure([1, 0], [1, 0], (1.0, 1.0))
 
 
 def test_exact_routes_do_not_load_numpy():
