@@ -79,10 +79,15 @@ def check_tolerance(tol: float) -> None:
 
     NaN and infinity are rejected explicitly: `tol <= 0` lets both through,
     and either one turns a convergence or agreement test into a vacuous pass
-    or a misleading failure.
+    or a misleading failure.  So are a non-number (None, "1e-3", 1j) and an
+    int past the float range, which `math.isfinite` cannot take.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance must be a finite positive number, got {tol}")
+    try:
+        valid = math.isfinite(tol) and tol > 0
+    except (TypeError, OverflowError):
+        valid = False
+    if not valid:
+        raise ValueError(f"tolerance must be a finite positive number, got {tol!r}")
 
 
 # The side of the rank-40 transition matrix, 2*40*(2*40-1).  Past it a build

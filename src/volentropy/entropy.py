@@ -3,13 +3,13 @@
 The growth rate of the rank-n presentations is the unique root above 1 of
 the degree-n polynomial q_n from `q_polynomial`; the volume entropy is its
 natural logarithm.  Every float growth rate reported is the float nearest the
-root, picked by exact integer signs from a Newton search (`_certified_root`):
-`lambda_n` and the tables on the four-term form (x-1)*q_n, the two root routes
-of `volume_entropy` on their own coefficients (`_route_root`).
-`lambda_n_bracket` gives an exact rational bracket of any width; only it and
-the search's fallback load `fractions`.  `volume_entropy` cross-checks the
-root against four independent computational routes through the matrix
-reductions, three of them proven by one exact product each
+root, picked by exact integer signs (`_nearest_float`): `lambda_n` and the
+tables on the four-term form (x-1)*q_n, from a Newton search's bracket; the
+two root routes of `volume_entropy` on their own coefficients, from [1, 2n-1]
+(`_route_root`).  `lambda_n_bracket` gives an exact rational bracket of any
+width; only it and `lambda_n`'s fallback load `fractions`.  `volume_entropy`
+cross-checks the root against four independent computational routes through
+the matrix reductions, three of them proven by one exact product each
 (`_power_route`), and packages the result; its routes are consistent only
 when all five report the same float.
 
@@ -41,7 +41,7 @@ __all__ = [
     "entropy_table",
 ]
 
-# Width of the `Fraction` bracket that `_route_root` falls back to.
+# Width of the `Fraction` bracket that `lambda_n` falls back to from n = 129.
 _FALLBACK_WIDTH = 1e-12
 
 # Largest top rank `entropy_table` accepts: the rows from n = 129 bisect in
@@ -82,15 +82,6 @@ def _bisect_root(p: IntPolynomial, lo: int, hi: int, tol: float) -> tuple[Fracti
             return mid, mid  # an exact hit collapses the bracket to the root
         lo, hi = (mid, hi) if fmid < 0 else (lo, mid)
     return lo, hi
-
-
-def _value_slope(p: IntPolynomial, x: float) -> tuple[float, float]:
-    """p(x) and p'(x) in floats, by one Horner pass."""
-    value = slope = 0.0
-    for c in reversed(p.coeffs):
-        slope = slope * x + value
-        value = value * x + c
-    return value, slope
 
 
 def _four_term_value_slope(n: int, x: float) -> tuple[float, float]:
@@ -174,28 +165,10 @@ def _nearest_float(sign: Callable, lo: float, hi: float) -> float:
     return hi if sign(a1 * (d // d1) + a2 * (d // d2), 2 * d) < 0 else lo
 
 
-def _certified_root(value_slope: Callable, sign: Callable, poly: Callable, b: int) -> float:
-    """The float nearest the root in (1, b) of the polynomial p that poly() builds.
-
-    Two bracket sources end in `_nearest_float`, which signs p by sign.  The
-    safeguarded Newton search (`_float_bracket`) on value_slope gives two
-    adjacent floats, in about two evaluations for q_n and at most six below
-    n = 129, so the root costs three exact signs.  If it overflows or meets
-    inf or nan (q_n does from n = 129), or its bracket fails the exact signs,
-    the floats just outside a `_FALLBACK_WIDTH` bracket bisected in `Fraction`
-    arithmetic on [1, b] are used instead.
-    """
-    try:
-        return _nearest_float(sign, *_float_bracket(value_slope, b))
-    except (OverflowError, ValueError):
-        x, y = _bisect_root(poly(), 1, b, _FALLBACK_WIDTH)
-        # Strictly outside [x, y], so p has its signs there even at an exact hit x == y.
-        return _nearest_float(sign, math.nextafter(float(x), 0), math.nextafter(float(y), math.inf))
-
-
 def _route_root(p: IntPolynomial, b: int) -> float:
-    """`_certified_root` on p's coefficients: Horner floats, `_scaled_eval` signs."""
-    return _certified_root(partial(_value_slope, p), partial(_scaled_eval, p), lambda: p, b)
+    """The float nearest p's root in (1, b), by `_nearest_float` on [1, b]
+    with p's `_scaled_eval` signs: about 55 exact signs, no float search."""
+    return _nearest_float(partial(_scaled_eval, p), 1.0, float(b))
 
 
 def lambda_n_bracket(n: int, tol: float = 1e-12) -> tuple[Fraction, Fraction]:
@@ -212,13 +185,21 @@ def lambda_n_bracket(n: int, tol: float = 1e-12) -> tuple[Fraction, Fraction]:
 
 def lambda_n(n: int) -> float:
     """Growth rate of the rank-n presentations, the nearest float (2n-1 from
-    n = 13), by `_certified_root` on the four-term form (x-1)*q_n: one float
-    power per evaluation and bit lengths per exact sign (an integer power only
-    where they cannot decide), not n Horner steps.  From n = 129, where
-    x^(n-1) overflows, q_n is built for the `Fraction` fallback."""
+    n = 13), by `_nearest_float` on the four-term form (x-1)*q_n: bit lengths
+    per exact sign (an integer power only where they cannot decide), not n
+    Horner steps.  The Newton search `_float_bracket`, one float power per
+    evaluation, brackets the root in at most six evaluations below n = 129,
+    so it costs three signs.  From n = 129, where x^(n-1) overflows, or at a
+    bracket the signs refuse, the floats just outside a `_FALLBACK_WIDTH`
+    `Fraction` bisection of q_n on [1, 2n-1] are used instead."""
     n = _rank(n, 3, "a growth rate above 1")
-    return _certified_root(partial(_four_term_value_slope, n), partial(_four_term_sign, n),
-                           partial(q_polynomial, n), 2 * n - 1)
+    b, sign = 2 * n - 1, partial(_four_term_sign, n)
+    try:
+        return _nearest_float(sign, *_float_bracket(partial(_four_term_value_slope, n), b))
+    except (OverflowError, ValueError):
+        x, y = _bisect_root(q_polynomial(n), 1, b, _FALLBACK_WIDTH)
+        # Strictly outside [x, y], so q_n has its signs there even at an exact hit x == y.
+        return _nearest_float(sign, math.nextafter(float(x), 0), math.nextafter(float(y), math.inf))
 
 
 def bounds_check(n: int) -> bool:
@@ -281,7 +262,7 @@ class EntropyReport(_Frozen):
 
 def _power_route(matrix: IntMatrix | TransitionOperator, n: int, lam: float) -> tuple[float, str]:
     """(lam, "") if one exact product proves rho(matrix) between the floats
-    either side of lam, the float nearest the root (`_route_root`); else the
+    either side of lam, the rome route's root (`_route_root`); else the
     midpoint of the ratios (m v)_i / v_i, which still bracket rho(matrix), and
     where the proof fails.  One `_perron_profile` at lam proves both ends: as
     (S_n - lam) v = -q_n(lam)/(lam + 1) e_(n-1), each ratio is lam but row
@@ -300,9 +281,9 @@ def volume_entropy(spec: PresentationSpec) -> EntropyReport:
     """Volume entropy of the presentation, cross-checked five ways.
 
     Routes: the roots of the characteristic polynomial of the supercompacted
-    matrix through a rome and by exact elimination (one search when they are
-    equal), each certified by exact signs at the two floats around it
-    (`_route_root`); and the spectral radii of the transition matrix (a
+    matrix through a rome and by exact elimination (one root when they are
+    equal), each the float nearest it by exact signs alone (`_route_root`);
+    and the spectral radii of the transition matrix (a
     `TransitionOperator`, never stored), the compacted and the supercompacted
     matrix, each proven between the floats either side of the rome-route
     root (`_power_route`), the consensus value, which it then reports.  A

@@ -264,6 +264,8 @@ class TransitionOperator:
 
     def apply(self, v: list) -> list:
         """M v, for a list v of `size` ints or floats."""
+        if len(v) != self.size:
+            raise ValueError(f"vector has {len(v)} entries, the operator needs {self.size}")
         s = self.spec.block_size
         blocks = [v[b : b + s] for b in range(0, self.size, s)]
         return list(chain.from_iterable(self._block_rows(blocks.__getitem__, [sum(x) for x in blocks])))

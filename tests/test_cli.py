@@ -458,6 +458,28 @@ def _image_flip_patches(n: int):
             yield f"orientable={orientable} block row {b + 1}", [(cli, "_image_masks", flipped)]
 
 
+def _block_entry_patches(n: int):
+    """(label, patches) for one blocks-route entry per block row b of each
+    presentation: the first row of block row b gains block b's first entry,
+    at its diagonal column, where M is zero.  `TransitionOperator._block_rows`
+    is wrapped, so the mask pass and the power product see the same mutant."""
+    real = markov.TransitionOperator._block_rows
+    s = 2 * n - 1
+    for orientable in (True, False):
+        clean = [mask for row in markov._block_masks(PresentationSpec(n, orientable)) for mask in row]
+        for b in range(2 * n):
+            assert not clean[b * s] >> b * s & 1, (orientable, b)
+
+            def raised(self, block, sums, orientable=orientable, b=b):
+                for c, row in enumerate(real(self, block, sums)):
+                    if c == b and self.spec.orientable == orientable:
+                        row = [row[0] + block(b)[0], *row[1:]]
+                    yield row
+
+            label = f"orientable={orientable} block row {b + 1}"
+            yield label, [(markov.TransitionOperator, "_block_rows", raised)]
+
+
 def _reference_flip_patches(n: int):
     """(label, patches) for one 0<->1 flip per frozen reference row r, at column r."""
     real = cli.reference_rows
@@ -497,6 +519,9 @@ CATCH_TABLE_4 = {
     "super_compacted_matrix": {"rome-charpoly", "route-consensus", "spectral-collapse", "spectrum-split"},
     "q_polynomial": {"polynomial-facts", "rome-charpoly", "root-bounds"},
     "images-route bit": {"blocks-vs-images"},
+    "blocks-route entry": {
+        "blocks-vs-images", "circulant-collapse", "disoriented-collapse", "route-consensus", "spectral-collapse",
+    },
     "reference row": {"reference-rows"},
 }
 
@@ -515,11 +540,17 @@ def test_every_unit_move_of_a_closed_form_fails_a_row_of_its_rank(name, n, monke
 
 
 @pytest.mark.parametrize(
-    "family, mutants", [("images-route bit", _image_flip_patches), ("reference row", _reference_flip_patches)]
+    "family, mutants",
+    [
+        ("images-route bit", _image_flip_patches),
+        ("blocks-route entry", _block_entry_patches),
+        ("reference row", _reference_flip_patches),
+    ],
 )
 def test_every_route_bit_and_reference_flip_fails_a_row_of_rank_4(family, mutants, monkeypatch):
-    # One images-route bit per block row of both presentations (16 mutants),
-    # and one entry per frozen reference row (21): each FAILs its pinned row.
+    # One images-route bit and one blocks-route entry per block row of both
+    # presentations (16 mutants each), and one entry per frozen reference row
+    # (21): each FAILs its pinned row.
     failures = _failures(4, mutants(4), monkeypatch)
     assert set().union(*failures.values()) == CATCH_TABLE_4[family]
 
@@ -752,15 +783,15 @@ def test_an_assertion_inside_volume_entropy_fails_the_rows_that_read_it(monkeypa
 
 
 def test_a_root_search_that_raises_fails_its_rows_instead_of_aborting_verify(monkeypatch, capsys):
-    # 1 + x has no root in (1, 5): the exact fallback's ValueError is a FAIL
-    # of route-consensus, and verify still prints every row and exits 1.
+    # 1 + x has no root in (1, 5): the exact signs' ValueError is a FAIL of
+    # route-consensus, and verify still prints every row and exits 1.
     monkeypatch.setattr(entropy, "char_poly_exact", lambda m: core.IntPolynomial([1, 1]))
     assert main(["verify", "--n-max", "3", "--format", "json"]) == 1
     results = json.loads(capsys.readouterr().out)
     assert {row["check"] for row in results} == EXPECTED_RANK3_CHECKS
     failed = {row["check"]: row["detail"] for row in results if not row["pass"]}
     assert failed == {
-        "route-consensus": "bisection needs a sign change: p(1) = 2, p(5) = 6",
+        "route-consensus": "no certified sign change between 1.0 and 5.0",
         "spectral-collapse": "no entropy report: route-consensus failed",
     }
 

@@ -277,12 +277,11 @@ def test_lambda_is_the_route_root_of_q():
 
 
 def test_lambda_searches_and_signs_on_the_four_term_form(monkeypatch):
-    # Below n = 129 no Horner pass and no coefficient-wise sign: a few float
-    # evaluations of the four-term form and exactly three of its exact signs.
-    # Bit lengths decide every sign from n = 15; below, at least one sign
-    # forms the full product.
+    # Below n = 129 no coefficient-wise sign: a few float evaluations of the
+    # four-term form and exactly three of its exact signs.  Bit lengths decide
+    # every sign from n = 15; below, at least one sign forms the full product.
     sign = entropy._four_term_sign
-    horner = _spy(monkeypatch, "_value_slope"), _spy(monkeypatch, "_scaled_eval")
+    coefficient_signs = _spy(monkeypatch, "_scaled_eval")
     evals = _spy(monkeypatch, "_four_term_value_slope")
     signs = _spy(monkeypatch, "_four_term_sign")
     bisections = _spy(monkeypatch, "_bisect_root")
@@ -297,7 +296,7 @@ def test_lambda_searches_and_signs_on_the_four_term_form(monkeypatch):
                        for v, args in zip(values, signs)), n
         evals.clear()
         signs.clear()
-    assert horner == ([], []) and bisections == []
+    assert coefficient_signs == [] and bisections == []
     for n in range(129, 151):
         lambda_n(n)
         assert [p for p, lo, hi, tol in bisections] == [q_polynomial(n)], n
@@ -408,8 +407,8 @@ def test_a_charpoly_that_differs_is_bisected_and_reads_inconsistent(monkeypatch)
 
 
 def test_a_charpoly_off_by_one_reads_inconsistent_even_a_few_ulps_away(monkeypatch):
-    # At n = 11, q + 1 moves the root by only about 16 floats, far inside the
-    # 1e-12 fallback width: the verdict asks for the same float, not a spread.
+    # At n = 11, q + 1 moves the root by only about 16 floats, less than
+    # 1e-12: the verdict asks for the same float, not a spread.
     shifted = q_polynomial(11) + IntPolynomial([1])
     monkeypatch.setattr(entropy, "char_poly_exact", lambda m: shifted)
     report = volume_entropy(PresentationSpec(11, False))
@@ -418,24 +417,28 @@ def test_a_charpoly_off_by_one_reads_inconsistent_even_a_few_ulps_away(monkeypat
 
 
 def test_the_fallback_bracket_ends_on_the_float_the_newton_bracket_does(monkeypatch):
-    want = {n: entropy._route_root(q_polynomial(n), 2 * n - 1) for n in range(3, 41)}
+    # lambda_n with its float search forced to overflow, as it does from
+    # n = 129: the Fraction bisection ends on the same nearest float.
+    want = {n: lambda_n(n) for n in range(3, 41)}
 
-    def overflow(p, b):
+    def overflow(value_slope, b):
         raise OverflowError("forced")
 
     monkeypatch.setattr(entropy, "_float_bracket", overflow)
     bisections = _spy(monkeypatch, "_bisect_root")
     for n, lam in want.items():
-        assert entropy._route_root(q_polynomial(n), 2 * n - 1) == lam, n
-    assert len(bisections) == len(want)
+        assert lambda_n(n) == lam, n
+    assert [p for p, lo, hi, tol in bisections] == [q_polynomial(n) for n in want]
 
 
 def test_a_root_on_a_float_is_returned_through_the_exact_bisection_hit(monkeypatch):
-    # x - 2 is 0 at the float 2.0: the Newton bracket ends there and fails the
-    # strict sign, and the bisection of [1, 3] hits the root exactly.
+    # x - 2 is 0 at the float 2.0: the Fraction bisection of [1, 3] hits the
+    # root exactly and collapses its bracket there.  The route root's sign
+    # bisection takes 2.0 as an upper end and ends on it, with no fallback.
+    assert entropy._bisect_root(IntPolynomial([-2, 1]), 1, 3, 1e-12) == (2, 2)
     bisections = _spy(monkeypatch, "_bisect_root")
     assert entropy._route_root(IntPolynomial([-2, 1]), 3) == 2.0
-    assert len(bisections) == 1
+    assert bisections == []
 
 
 @pytest.mark.parametrize("lo, hi", [(1.0, 1.5), (5.0, 4.0), (5.0, 9.0)], ids=["negative", "reversed", "positive"])
@@ -454,21 +457,46 @@ def test_nearest_float_at_an_exact_tie_is_the_lower_float():
 
 
 def test_route_roots_are_the_nearest_float_to_the_root(monkeypatch):
-    # The float search ends on two adjacent floats, whose exact integer signs
-    # certify the bracket and one more, at its midpoint, picks the nearer:
-    # no fallback to [1, 2n-1] at any rank.  Exactly, q changes sign between
-    # the midpoints around lambda.
+    # Exact integer signs certify [1, 2n-1], halve it down to two adjacent
+    # floats, and one more, at their midpoint, picks the nearer: no fallback
+    # at any rank.  Exactly, q changes sign between the midpoints around lambda.
     signs = _spy(monkeypatch, "_scaled_eval")
     fallbacks = _spy(monkeypatch, "_bisect_root")
     for n in range(3, 41):
         q, b = q_polynomial(n), 2 * n - 1
         lam = entropy._route_root(q, b)
-        (_, a1, d1), (_, a2, d2), _midpoint = signs
-        lo, hi = a1 / d1, a2 / d2
-        assert hi == math.nextafter(lo, math.inf) and lo > 1
+        (_, a1, d1), (_, a2, d2) = signs[:2]
+        assert (a1 / d1, a2 / d2) == (1.0, b)
+        _, a, d = signs[-1]
+        midpoints = {(Fraction(lam) + Fraction(math.nextafter(lam, end))) / 2 for end in (0, math.inf)}
+        assert Fraction(a, d) in midpoints, n
         assert _is_nearest_float(q, lam), n
         signs.clear()
     assert fallbacks == []
+
+
+def test_route_roots_take_no_float_evaluation_and_at_most_60_signs(monkeypatch):
+    # A route root is a sign bisection of [1, 2n-1] on floats: about 55 exact
+    # signs at any rank below 129, and no float evaluation of the polynomial.
+    searches = _spy(monkeypatch, "_float_bracket")
+    floats = _spy(monkeypatch, "poly_eval")
+    signs = _spy(monkeypatch, "_scaled_eval")
+    counts = []
+    for n in range(3, 129):
+        entropy._route_root(q_polynomial(n), 2 * n - 1)
+        counts.append(len(signs))
+        signs.clear()
+    assert max(counts) <= 60 and min(counts) >= 54, (min(counts), max(counts))
+    assert searches == [] and floats == []
+
+
+def _horner_value_slope(p: IntPolynomial, x: float) -> tuple[float, float]:
+    """p(x) and p'(x) in floats, by one Horner pass."""
+    value = slope = 0.0
+    for c in reversed(p.coeffs):
+        slope = slope * x + value
+        value = value * x + c
+    return value, slope
 
 
 def _newton_limit(b: int) -> int:
@@ -476,40 +504,28 @@ def _newton_limit(b: int) -> int:
     return 2 * (b.bit_length() + 53)
 
 
-def test_route_roots_take_a_few_float_evaluations_and_three_signs(monkeypatch):
-    # Newton from 2n-1 needs at most six float evaluations below n = 129 (two
-    # from n = 13: 2n-1, then the float below it); each root costs exactly
-    # three exact signs, the certificate pair and the midpoint.
-    evals = _spy(monkeypatch, "_value_slope")
-    signs = _spy(monkeypatch, "_scaled_eval")
-    counts = []
-    for n in range(3, 129):
-        entropy._route_root(q_polynomial(n), 2 * n - 1)
-        assert len(evals) <= 8 and len(signs) == 3, (n, len(evals), len(signs))
-        counts.append(len(evals))
-        evals.clear()
-        signs.clear()
-    assert sum(counts) / len(counts) < 2.5
-
-
-def _brackets(evals: list[tuple], b: int, evaluate):
-    """The bracket (lo, hi) after each float evaluation (p, x) of a search
-    that starts on [1, b]: x replaces lo where the float value is negative."""
+def _brackets(evals: list[float], b: int, evaluate):
+    """The bracket (lo, hi) after each float evaluation at x of a search that
+    starts on [1, b]: x replaces lo where the float value is negative."""
     lo, hi = 1.0, float(b)
-    for p, x in evals:
-        value, slope = evaluate(p, x)
+    for x in evals:
+        value, slope = evaluate(x)
         lo, hi = (x, hi) if value < 0 else (lo, x)
         yield x, value, slope, lo, hi
 
 
-def test_newton_steps_that_leave_the_bracket_are_replaced_by_midpoints(monkeypatch):
+def test_newton_steps_that_leave_the_bracket_are_replaced_by_midpoints():
     # p = -(x-7)^2 + 20 has the one root 7 - 2*sqrt(5) in (1, 9), but its
     # slope is negative at 9, so the first Newton step lands above 9.
     p, b = IntPolynomial([-29, 14, -1]), 9
-    real = entropy._value_slope
-    evals = _spy(monkeypatch, "_value_slope")
-    signs = _spy(monkeypatch, "_scaled_eval")
-    lam = entropy._route_root(p, b)
+    real = partial(_horner_value_slope, p)
+    evals = []
+
+    def value_slope(x):
+        evals.append(x)
+        return real(x)
+
+    lo, hi = entropy._float_bracket(value_slope, b)
     states = list(_brackets(evals, b, real))
     left = [
         (nxt[0], (lo + hi) / 2)
@@ -518,63 +534,64 @@ def test_newton_steps_that_leave_the_bracket_are_replaced_by_midpoints(monkeypat
     ]
     assert left and all(x == mid for x, mid in left)
     assert len(evals) <= _newton_limit(b)
-    (_, a1, d1), (_, a2, d2), _midpoint = signs
-    assert a2 / d2 == math.nextafter(a1 / d1, math.inf)
-    assert _is_nearest_float(p, lam)
+    assert hi == math.nextafter(lo, math.inf)
+    assert _scaled_eval(p, *lo.as_integer_ratio()) < 0 < _scaled_eval(p, *hi.as_integer_ratio())
 
 
 @pytest.mark.parametrize("n", [3, 5, 8])
 def test_a_misleading_slope_still_ends_on_certified_floats_within_twice_bisection(n, monkeypatch):
-    # The k-th slope is inflated by 2^k, so every Newton step is short and
-    # halves the one before: Newton alone would creep towards the root.  The
-    # search still ends on certified adjacent floats, within twice the
-    # evaluations of a float bisection.
-    real = entropy._value_slope
+    # The k-th slope of lambda_n's four-term search is inflated by 2^k, so
+    # every Newton step is short and halves the one before: Newton alone
+    # would creep towards the root.  The search still ends on certified
+    # adjacent floats, within twice the evaluations of a float bisection.
+    want = lambda_n(n)
+    real = entropy._four_term_value_slope
     evals = []
 
-    def inflated(p, x):
+    def inflated(n, x):
         evals.append(x)
-        value, slope = real(p, x)
+        value, slope = real(n, x)
         return value, slope * 2.0 ** len(evals)
 
-    monkeypatch.setattr(entropy, "_value_slope", inflated)
+    monkeypatch.setattr(entropy, "_four_term_value_slope", inflated)
     fallbacks = _spy(monkeypatch, "_bisect_root")
-    q, b = q_polynomial(n), 2 * n - 1
-    lam = entropy._route_root(q, b)
-    assert len(evals) > 60 and len(evals) <= _newton_limit(b)
+    lam = lambda_n(n)
+    assert len(evals) > 60 and len(evals) <= _newton_limit(2 * n - 1)
     assert fallbacks == []
-    assert lam == lambda_n(n)
+    assert lam == want
 
 
 @pytest.mark.parametrize("shift", [1, -1], ids=["below", "above"])
 def test_a_float_search_led_off_the_root_fails_the_exact_signs(shift, monkeypatch):
-    # Float values of q_5 + shift lead the search to a pair of floats below
-    # (or above) the root; the exact sign of q_5 at hi (or lo) rejects it, and
-    # the exact bisection takes over, finished to the same nearest float.
+    # Float values of the four-term form plus shift lead lambda_n's search to
+    # a pair of floats below (or above) the root; the exact sign at hi (or lo)
+    # rejects it, and the exact bisection takes over, finished to the same
+    # nearest float.
     q, want = q_polynomial(5), lambda_n(5)
-    real = entropy._value_slope
+    real = entropy._four_term_value_slope
 
-    def shifted(p, x):
-        value, slope = real(p, x)
+    def shifted(n, x):
+        value, slope = real(n, x)
         return value + shift, slope
 
-    monkeypatch.setattr(entropy, "_value_slope", shifted)
+    monkeypatch.setattr(entropy, "_four_term_value_slope", shifted)
     bisections = _spy(monkeypatch, "_bisect_root")
-    lam = entropy._route_root(q, 9)
-    assert bisections[0][1:3] == (1, 9)
+    lam = lambda_n(5)
+    assert bisections[0][:3] == (q, 1, 9)
     assert lam == want and _is_nearest_float(q, lam)
 
 
 @pytest.mark.parametrize("scale", [10**306, 10**400], ids=["inf", "overflow"])
-def test_a_charpoly_past_the_float_range_falls_back_to_the_exact_bisection(scale, monkeypatch):
-    # scale * q_5 has the same root, but its float slope overflows (10**306)
-    # or its coefficients do not convert to float (10**400).  The fallback
-    # ends on the same nearest float as the rome route.
+def test_a_charpoly_past_the_float_range_gives_the_same_root_by_exact_signs(scale, monkeypatch):
+    # scale * q_5 has the same root, but its float slope would overflow
+    # (10**306) and its coefficients do not convert to float (10**400).  Its
+    # exact integer signs end on the same nearest float as the rome route,
+    # with no Fraction bisection.
     scaled = q_polynomial(5) * IntPolynomial([scale])
     monkeypatch.setattr(entropy, "char_poly_exact", lambda m: scaled)
     bisections = _spy(monkeypatch, "_bisect_root")
     report = volume_entropy(PresentationSpec(5, False))
-    assert bisections[-1][1:3] == (1, 9)
+    assert bisections == []
     assert report.routes["charpoly-root"] == report.routes["rome-root"]
     assert report.consistent and report.bounds_hold
 
@@ -699,6 +716,20 @@ def test_non_finite_tolerance_is_rejected_and_named(tol):
     for call in calls:
         with pytest.raises(ValueError, match=f"got {tol}$"):
             call()
+
+
+@pytest.mark.parametrize("tol", [None, "1e-3", 1j, 10**400], ids=["None", "str", "complex", "10**400"])
+@pytest.mark.parametrize("caller", ["lambda_n_bracket", "power_iteration"])
+def test_a_tolerance_that_is_not_a_float_is_rejected_and_named(caller, tol):
+    # No TypeError or OverflowError from inside: the tolerance guard names
+    # what it got before any arithmetic on it.
+    call = {
+        "lambda_n_bracket": lambda: lambda_n_bracket(3, tol=tol),
+        "power_iteration": lambda: power_iteration(IntMatrix.identity(2), tol=tol),
+    }[caller]
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == f"tolerance must be a finite positive number, got {tol!r}"
 
 
 # ---------------------------------------------------------------- table

@@ -315,6 +315,15 @@ def test_flip_reverses_the_rows_of_block_rows_n_and_2n(build, n):
         assert minus[(l - 1) * s : l * s] == expected, l
 
 
+@pytest.mark.parametrize("length", [29, 31, 0])
+def test_operator_refuses_a_vector_of_another_length(length):
+    # At n = 3 the operator is 30 x 30: 31 entries are not cut to 30, and 29
+    # raise no IndexError from inside; both lengths are named.
+    op = TransitionOperator(PresentationSpec(3, False))
+    with pytest.raises(ValueError, match=f"^vector has {length} entries, the operator needs 30$"):
+        op.apply([1] * length)
+
+
 def test_operator_keeps_the_rank_cap_without_claiming_a_dense_build():
     with pytest.raises(ValueError, match="up to rank 40") as exc:
         TransitionOperator(PresentationSpec(41, False))
