@@ -4,7 +4,7 @@ The growth rate of the rank-n presentations is the unique root above 1 of
 the degree-n polynomial q_n from `q_polynomial`; the volume entropy is its
 natural logarithm.  Every float growth rate reported is the float nearest the
 root, picked by exact integer signs (`_nearest_float`): `lambda_n` and the
-tables on the four-term form (x-1)*q_n, from a Newton search's bracket; the
+tables on the four-term form (x-1)*q_n, from the closed-form delta bracket; the
 two root routes of `volume_entropy` on their own coefficients, from [1, 2n-1]
 (`_route_root`).  `lambda_n_bracket` gives an exact rational bracket of any
 width; only it and `lambda_n`'s fallback load `fractions`.  `volume_entropy`
@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from functools import partial
-from itertools import count
 from operator import truediv
 
 from .core import IntMatrix, IntPolynomial, _Frozen, _rank, _scaled_eval, check_tolerance, poly_eval
@@ -84,13 +83,6 @@ def _bisect_root(p: IntPolynomial, lo: int, hi: int, tol: float) -> tuple[Fracti
     return lo, hi
 
 
-def _four_term_value_slope(n: int, x: float) -> tuple[float, float]:
-    """f(x) and f'(x) in floats for f = (x-1)*q_n = x^(n+1) - b*x^n + b*x - 1,
-    b = 2n-1, from t = x^(n-1), which raises `OverflowError` past the float range."""
-    b, t = 2 * n - 1, x ** (n - 1)
-    return t * x * (x - b) + (b * x - 1), t * ((n + 1) * x - n * b) + b
-
-
 def _four_term_sign(n: int, a: int, d: int) -> int:
     """An integer with the sign of q_n(a/d) for a > d > 0, d = 2^k: the sign
     of d^(n+1)*f(a/d) = a^n*e + c*2^(kn) for f = (x-1)*q_n, e = a - b*d and
@@ -118,34 +110,19 @@ def _four_term_sign(n: int, a: int, d: int) -> int:
     return a**n * e + (c << kn)
 
 
-def _float_bracket(value_slope: Callable, b: int) -> tuple[float, float]:
-    """Adjacent floats lo < hi in [1, b], p(lo) < 0 <= p(hi) by value_slope(x) = (p(x), p'(x)).
-
-    A safeguarded Newton search (rtsafe): it starts at hi = b and steps from
-    the last point evaluated.  The Newton step is taken when it lands strictly
-    inside the bracket and is at most half the step before last; a step of
-    less than an ulp probes the adjacent float on the open side instead; any
-    other step is the midpoint.  After b.bit_length() + 53 evaluations, more
-    than a float bisection of [1, b] takes, only midpoints are taken, so the
-    search never costs more than about twice that bisection.  Raises
-    `OverflowError` at a value or slope out of the float range.
-    """
-    lo, hi = 1.0, float(b)
-    budget = b.bit_length() + 53
-    x, before, last = hi, hi - lo, hi - lo
-    for evals in count(1):
-        value, slope = value_slope(x)
-        if not (math.isfinite(value) and math.isfinite(slope)):
-            raise OverflowError(f"p({x!r}) = {value}, p'({x!r}) = {slope}")
-        lo, hi = (x, hi) if value < 0 else (lo, x)
-        if math.nextafter(lo, math.inf) >= hi:
-            return lo, hi
-        step = x - value / slope if slope else math.nan
-        if step == x:
-            step = math.nextafter(x, lo if x == hi else hi)
-        if not (lo < step < hi and abs(step - x) <= before / 2 and evals < budget):
-            step = (lo + hi) / 2
-        before, last, x = last, abs(step - x), step
+def _delta_bracket(n: int) -> tuple[float, float]:
+    """Floats lo < hi either side of q_n's root above 1, from its closed-form
+    bracket b - delta_hi < root < b - delta_lo, where b = 2n-1,
+    delta_lo = (b^2-1)/(b^n+b) and delta_hi = delta_lo*(1 + 4n*delta_lo/b);
+    the proof is the docstring of tests/test_entropy.py's
+    test_the_float_nearest_lambda_is_the_ceiling_from_rank_13_to_the_table_cap.
+    Each end moves one float outward, and hi stays at most b, where
+    q_n(b) = 2n > 0.  Raises `OverflowError` from n = 129, where b^n leaves
+    the float range."""
+    b = float(2 * n - 1)
+    lo = (b * b - 1) / (b**n + b)
+    hi = lo * (1 + 4 * n * lo / b)
+    return math.nextafter(b - hi, 0), min(math.nextafter(b - lo, math.inf), b)
 
 
 def _nearest_float(sign: Callable, lo: float, hi: float) -> float:
@@ -187,15 +164,15 @@ def lambda_n(n: int) -> float:
     """Growth rate of the rank-n presentations, the nearest float (2n-1 from
     n = 13), by `_nearest_float` on the four-term form (x-1)*q_n: bit lengths
     per exact sign (an integer power only where they cannot decide), not n
-    Horner steps.  The Newton search `_float_bracket`, one float power per
-    evaluation, brackets the root in at most six evaluations below n = 129,
-    so it costs three signs.  From n = 129, where x^(n-1) overflows, or at a
-    bracket the signs refuse, the floats just outside a `_FALLBACK_WIDTH`
-    `Fraction` bisection of q_n on [1, 2n-1] are used instead."""
+    Horner steps.  Its float ends come from the closed-form delta bracket
+    `_delta_bracket`: three exact signs from n = 13, at most 49 below.  From
+    n = 129, where b^n overflows, or at a bracket the signs refuse, the floats
+    just outside a `_FALLBACK_WIDTH` `Fraction` bisection of q_n on [1, 2n-1]
+    are used instead."""
     n = _rank(n, 3, "a growth rate above 1")
     b, sign = 2 * n - 1, partial(_four_term_sign, n)
     try:
-        return _nearest_float(sign, *_float_bracket(partial(_four_term_value_slope, n), b))
+        return _nearest_float(sign, *_delta_bracket(n))
     except (OverflowError, ValueError):
         x, y = _bisect_root(q_polynomial(n), 1, b, _FALLBACK_WIDTH)
         # Strictly outside [x, y], so q_n has its signs there even at an exact hit x == y.

@@ -458,26 +458,47 @@ def _image_flip_patches(n: int):
             yield f"orientable={orientable} block row {b + 1}", [(cli, "_image_masks", flipped)]
 
 
+def _moved_entry(orientable: bool, i: int, j: int, d: int, s: int):
+    """Patches that wrap `TransitionOperator._block_rows`, so that in the
+    presentation `orientable` row i of M v gains d * v_j: entry (i, j) of M
+    moved by d, s the block size.  The mask pass and the power product both
+    read `_block_rows`, so they see the same mutant."""
+    real = markov.TransitionOperator._block_rows
+
+    def moved(self, block, sums):
+        for c, row in enumerate(real(self, block, sums)):
+            if c == i // s and self.spec.orientable == orientable:
+                row[i % s] += d * block(j // s)[j % s]
+            yield row
+
+    return [(markov.TransitionOperator, "_block_rows", moved)]
+
+
 def _block_entry_patches(n: int):
     """(label, patches) for one blocks-route entry per block row b of each
-    presentation: the first row of block row b gains block b's first entry,
-    at its diagonal column, where M is zero.  `TransitionOperator._block_rows`
-    is wrapped, so the mask pass and the power product see the same mutant."""
-    real = markov.TransitionOperator._block_rows
+    presentation: the first row of block row b gains 1 at its diagonal
+    column, where M is zero."""
     s = 2 * n - 1
     for orientable in (True, False):
         clean = [mask for row in markov._block_masks(PresentationSpec(n, orientable)) for mask in row]
         for b in range(2 * n):
             assert not clean[b * s] >> b * s & 1, (orientable, b)
-
-            def raised(self, block, sums, orientable=orientable, b=b):
-                for c, row in enumerate(real(self, block, sums)):
-                    if c == b and self.spec.orientable == orientable:
-                        row = [row[0] + block(b)[0], *row[1:]]
-                    yield row
-
             label = f"orientable={orientable} block row {b + 1}"
-            yield label, [(markov.TransitionOperator, "_block_rows", raised)]
+            yield label, _moved_entry(orientable, b * s, b * s, 1, s)
+
+
+def _block_entry_sweep_patches(n: int):
+    """(label, patches) for every entry (i, j) of the blocks route at rank n,
+    in both presentations, moved by +1, and each nonzero one by -1."""
+    s = 2 * n - 1
+    for orientable in (True, False):
+        spec = PresentationSpec(n, orientable, formal=True)
+        support = [mask for row in markov._block_masks(spec) for mask in row]
+        for i, mask in enumerate(support):
+            for j in range(len(support)):
+                for d in (1, -1) if mask >> j & 1 else (1,):
+                    label = f"orientable={orientable} ({i + 1},{j + 1}) {d:+d}"
+                    yield label, _moved_entry(orientable, i, j, d, s)
 
 
 def _reference_flip_patches(n: int):
@@ -553,6 +574,16 @@ def test_every_route_bit_and_reference_flip_fails_a_row_of_rank_4(family, mutant
     # (21): each FAILs its pinned row.
     failures = _failures(4, mutants(4), monkeypatch)
     assert set().union(*failures.values()) == CATCH_TABLE_4[family]
+
+
+def test_every_unit_move_of_a_blocks_route_entry_fails_a_row_of_rank_3(monkeypatch):
+    # All 30 x 30 entries of both presentations moved by +1, and the 138
+    # nonzero entries of each by -1: 2076 mutants, none passing every check.
+    failures = _failures(3, _block_entry_sweep_patches(3), monkeypatch)
+    assert len(failures) == 2 * 30 * 30 + 2 * 138
+    assert set().union(*failures.values()) == {
+        "blocks-vs-images", "circulant-collapse", "disoriented-collapse", "route-consensus", "spectral-collapse",
+    }
 
 
 def test_the_catch_table_at_rank_4_names_every_row():

@@ -105,13 +105,14 @@ def test_the_float_nearest_lambda_is_the_ceiling_from_rank_13_to_the_table_cap()
     g(delta_hi) > 0: by Bernoulli, (b-delta)^n = b^n*(1-delta/b)^n >= b^n*(1 - n*delta/b), so
     g(delta_hi) + b^2 - 1 >= b^n*delta_hi*(1 - n*delta_hi/b) + b*delta_hi.  Here
     delta_hi*(1 - n*delta_hi/b) = delta_lo*(1+e)*(1 - e*(1+e)/4) >= delta_lo, since
-    (1+e)^2 <= 4 for e = 4n*delta_lo/b < 4n/b^(n-1) <= 1, and b*delta_hi > b*delta_lo, so
-    the right side exceeds delta_lo*(b^n+b) = b^2 - 1.  So (x-1)*q_n has a root in
-    (b - delta_hi, b - delta_lo), above 1: lambda, q_n's only root above 1.  b is odd, not
-    a power of 2, so the floats next to b are b -/+ ulp(b), and the float nearest lambda
-    is b itself when delta_hi < ulp(b)/2.  The signs of g are checked in integers, at
-    delta = p/q as q^(n+1)*g(p/q), at a few ranks either side of n = 128, where lambda_n
-    leaves its float search; delta_hi < ulp(b)/2 at every rank from 13 to the table
+    (1+e)^2 <= 4 for e = 4n*delta_lo/b < 4n/b^(n-1) <= 1, which holds from n = 3 (12/25),
+    and b*delta_hi > b*delta_lo, so the right side exceeds delta_lo*(b^n+b) = b^2 - 1.  So
+    (x-1)*q_n has a root in (b - delta_hi, b - delta_lo), above 1: lambda, q_n's only root
+    above 1, at every n >= 3.  b is odd, not a power of 2, so the floats next to b are
+    b -/+ ulp(b), and the float nearest lambda is b itself when delta_hi < ulp(b)/2.
+    The signs of g are checked in integers, at delta = p/q as q^(n+1)*g(p/q), at every
+    rank from 3 to 150, past n = 128, the last rank where the bracket's ends are floats
+    (`entropy._delta_bracket`); delta_hi < ulp(b)/2 at every rank from 13 to the table
     cap.  Neither goes through `lambda_n`, which is below b at n = 3..12.
     """
     def g_cleared(p, q, n, b):
@@ -121,7 +122,7 @@ def test_the_float_nearest_lambda_is_the_ceiling_from_rank_13_to_the_table_cap()
         lo_p, lo_q = b * b - 1, b**n + b
         return (lo_p, lo_q), (lo_p * (b * lo_q + 4 * n * lo_p), b * lo_q * lo_q)
 
-    for n in (13, 14, 64, 128, 129, 150):
+    for n in range(3, 151):
         b = 2 * n - 1
         lo, hi = delta_bracket(n, b)
         assert g_cleared(*lo, n, b) < 0 < g_cleared(*hi, n, b), n
@@ -192,7 +193,7 @@ def test_lambda_is_the_report_lambda_at_every_matrix_rank():
 
 @pytest.mark.parametrize("n", [200, 400])
 def test_lambda_past_the_table_benchmark_is_the_ceiling_and_the_nearest_float(n):
-    # From n = 129 the search ends in the exact Fraction fallback.
+    # From n = 129 the delta bracket overflows and lambda_n ends in the exact Fraction fallback.
     lam = lambda_n(n)
     assert lam == float(2 * n - 1)
     assert _is_nearest_float(q_polynomial(n), lam)
@@ -276,31 +277,47 @@ def test_lambda_is_the_route_root_of_q():
         assert lambda_n(n) == entropy._route_root(q_polynomial(n), 2 * n - 1), n
 
 
+# Exact signs lambda_n takes on the delta bracket at n = 3..12; 3 from n = 13.
+DELTA_BRACKET_SIGNS = {3: 49, 4: 43, 5: 34, 6: 26, 7: 16, 8: 7, 9: 4, 10: 4, 11: 4, 12: 4}
+
+
 def test_lambda_searches_and_signs_on_the_four_term_form(monkeypatch):
-    # Below n = 129 no coefficient-wise sign: a few float evaluations of the
-    # four-term form and exactly three of its exact signs.  Bit lengths decide
-    # every sign from n = 15; below, at least one sign forms the full product.
+    # Below n = 129 no coefficient-wise sign and no bisection: the exact signs
+    # of the four-term form on the delta bracket, exactly three from n = 13.
+    # Bit lengths decide every sign from n = 15; below, at least one sign
+    # forms the full product.
     sign = entropy._four_term_sign
     coefficient_signs = _spy(monkeypatch, "_scaled_eval")
-    evals = _spy(monkeypatch, "_four_term_value_slope")
     signs = _spy(monkeypatch, "_four_term_sign")
     bisections = _spy(monkeypatch, "_bisect_root")
     for n in range(3, 129):
         lambda_n(n)
-        assert len(evals) <= 8 and len(signs) == 3, (n, len(evals), len(signs))
+        assert len(signs) == DELTA_BRACKET_SIGNS.get(n, 3), (n, len(signs))
         values = [sign(*args) for args in signs]
         if n >= 15:
             assert all(v in (-1, 1) for v in values), (n, values)
         else:
             assert any(v not in (-1, 1) and v == _four_term_product(*args)
                        for v, args in zip(values, signs)), n
-        evals.clear()
         signs.clear()
     assert coefficient_signs == [] and bisections == []
     for n in range(129, 151):
         lambda_n(n)
         assert [p for p, lo, hi, tol in bisections] == [q_polynomial(n)], n
         bisections.clear()
+
+
+def test_the_delta_bracket_holds_lambda_until_its_float_range_ends():
+    # Exact signs of q_n certify the root strictly inside the float bracket,
+    # around lambda_n; from n = 129, b^n overflows and lambda_n falls back.
+    for n in range(3, 129):
+        lo, hi = entropy._delta_bracket(n)
+        q = q_polynomial(n)
+        assert _scaled_eval(q, *lo.as_integer_ratio()) < 0 < _scaled_eval(q, *hi.as_integer_ratio()), n
+        assert lo < lambda_n(n) <= hi <= 2 * n - 1, n
+    for n in range(129, 151):
+        with pytest.raises(OverflowError):
+            entropy._delta_bracket(n)
 
 
 # ---------------------------------------------------------------- bounds
@@ -417,14 +434,14 @@ def test_a_charpoly_off_by_one_reads_inconsistent_even_a_few_ulps_away(monkeypat
 
 
 def test_the_fallback_bracket_ends_on_the_float_the_newton_bracket_does(monkeypatch):
-    # lambda_n with its float search forced to overflow, as it does from
+    # lambda_n with its delta bracket forced to overflow, as it does from
     # n = 129: the Fraction bisection ends on the same nearest float.
     want = {n: lambda_n(n) for n in range(3, 41)}
 
-    def overflow(value_slope, b):
+    def overflow(n):
         raise OverflowError("forced")
 
-    monkeypatch.setattr(entropy, "_float_bracket", overflow)
+    monkeypatch.setattr(entropy, "_delta_bracket", overflow)
     bisections = _spy(monkeypatch, "_bisect_root")
     for n, lam in want.items():
         assert lambda_n(n) == lam, n
@@ -478,7 +495,6 @@ def test_route_roots_are_the_nearest_float_to_the_root(monkeypatch):
 def test_route_roots_take_no_float_evaluation_and_at_most_60_signs(monkeypatch):
     # A route root is a sign bisection of [1, 2n-1] on floats: about 55 exact
     # signs at any rank below 129, and no float evaluation of the polynomial.
-    searches = _spy(monkeypatch, "_float_bracket")
     floats = _spy(monkeypatch, "poly_eval")
     signs = _spy(monkeypatch, "_scaled_eval")
     counts = []
@@ -487,94 +503,18 @@ def test_route_roots_take_no_float_evaluation_and_at_most_60_signs(monkeypatch):
         counts.append(len(signs))
         signs.clear()
     assert max(counts) <= 60 and min(counts) >= 54, (min(counts), max(counts))
-    assert searches == [] and floats == []
+    assert floats == []
 
 
-def _horner_value_slope(p: IntPolynomial, x: float) -> tuple[float, float]:
-    """p(x) and p'(x) in floats, by one Horner pass."""
-    value = slope = 0.0
-    for c in reversed(p.coeffs):
-        slope = slope * x + value
-        value = value * x + c
-    return value, slope
-
-
-def _newton_limit(b: int) -> int:
-    """Twice the evaluations `_float_bracket` may spend before it only halves."""
-    return 2 * (b.bit_length() + 53)
-
-
-def _brackets(evals: list[float], b: int, evaluate):
-    """The bracket (lo, hi) after each float evaluation at x of a search that
-    starts on [1, b]: x replaces lo where the float value is negative."""
-    lo, hi = 1.0, float(b)
-    for x in evals:
-        value, slope = evaluate(x)
-        lo, hi = (x, hi) if value < 0 else (lo, x)
-        yield x, value, slope, lo, hi
-
-
-def test_newton_steps_that_leave_the_bracket_are_replaced_by_midpoints():
-    # p = -(x-7)^2 + 20 has the one root 7 - 2*sqrt(5) in (1, 9), but its
-    # slope is negative at 9, so the first Newton step lands above 9.
-    p, b = IntPolynomial([-29, 14, -1]), 9
-    real = partial(_horner_value_slope, p)
-    evals = []
-
-    def value_slope(x):
-        evals.append(x)
-        return real(x)
-
-    lo, hi = entropy._float_bracket(value_slope, b)
-    states = list(_brackets(evals, b, real))
-    left = [
-        (nxt[0], (lo + hi) / 2)
-        for (x, value, slope, lo, hi), nxt in zip(states, states[1:])
-        if not lo < x - value / slope < hi
-    ]
-    assert left and all(x == mid for x, mid in left)
-    assert len(evals) <= _newton_limit(b)
-    assert hi == math.nextafter(lo, math.inf)
-    assert _scaled_eval(p, *lo.as_integer_ratio()) < 0 < _scaled_eval(p, *hi.as_integer_ratio())
-
-
-@pytest.mark.parametrize("n", [3, 5, 8])
-def test_a_misleading_slope_still_ends_on_certified_floats_within_twice_bisection(n, monkeypatch):
-    # The k-th slope of lambda_n's four-term search is inflated by 2^k, so
-    # every Newton step is short and halves the one before: Newton alone
-    # would creep towards the root.  The search still ends on certified
-    # adjacent floats, within twice the evaluations of a float bisection.
-    want = lambda_n(n)
-    real = entropy._four_term_value_slope
-    evals = []
-
-    def inflated(n, x):
-        evals.append(x)
-        value, slope = real(n, x)
-        return value, slope * 2.0 ** len(evals)
-
-    monkeypatch.setattr(entropy, "_four_term_value_slope", inflated)
-    fallbacks = _spy(monkeypatch, "_bisect_root")
-    lam = lambda_n(n)
-    assert len(evals) > 60 and len(evals) <= _newton_limit(2 * n - 1)
-    assert fallbacks == []
-    assert lam == want
-
-
-@pytest.mark.parametrize("shift", [1, -1], ids=["below", "above"])
+@pytest.mark.parametrize("shift", [-1, 1], ids=["below", "above"])
 def test_a_float_search_led_off_the_root_fails_the_exact_signs(shift, monkeypatch):
-    # Float values of the four-term form plus shift lead lambda_n's search to
-    # a pair of floats below (or above) the root; the exact sign at hi (or lo)
-    # rejects it, and the exact bisection takes over, finished to the same
-    # nearest float.
+    # lambda_n's float bracket replaced by a pair of adjacent floats just
+    # below (or above) the root: the exact sign at hi (or lo) rejects it, and
+    # the exact bisection takes over, finished to the same nearest float.
     q, want = q_polynomial(5), lambda_n(5)
-    real = entropy._four_term_value_slope
-
-    def shifted(n, x):
-        value, slope = real(n, x)
-        return value + shift, slope
-
-    monkeypatch.setattr(entropy, "_four_term_value_slope", shifted)
+    end = math.nextafter(want, shift * math.inf)
+    pair = tuple(sorted((end, math.nextafter(end, shift * math.inf))))
+    monkeypatch.setattr(entropy, "_delta_bracket", lambda n: pair)
     bisections = _spy(monkeypatch, "_bisect_root")
     lam = lambda_n(5)
     assert bisections[0][:3] == (q, 1, 9)
