@@ -337,7 +337,9 @@ def poly_eval(p: IntPolynomial, x):
     """Evaluate p at x by Horner's rule, in the arithmetic of x.
 
     With an int or a `fractions.Fraction` argument the result is exact;
-    floats float.  The package takes its exact signs from `_scaled_eval`.
+    floats float.  `lambda_n_bracket` takes its signs from it on Fractions;
+    every other exact sign in the package is an integer, `_scaled_eval`'s or
+    the four-term form's.
     """
     acc = 0
     for c in reversed(p.coeffs):

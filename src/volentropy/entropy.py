@@ -6,8 +6,9 @@ natural logarithm.  Every float growth rate reported is the float nearest the
 root, picked by exact integer signs (`_nearest_float`): `lambda_n` and the
 tables on the four-term form (x-1)*q_n, from the closed-form delta bracket; the
 two root routes of `volume_entropy` on their own coefficients, from [1, 2n-1]
-(`_route_root`).  `lambda_n_bracket` gives an exact rational bracket of any
-width; only it and `lambda_n`'s fallback load `fractions`.  `volume_entropy`
+(`_route_root`).  `lambda_n_bracket` bisects q_n in `Fraction` arithmetic to
+an exact rational bracket of any width; it is the only code that loads
+`fractions`, and `lambda_n` falls back to it from n = 129.  `volume_entropy`
 cross-checks the root against four independent computational routes through
 the matrix reductions, three of them proven by one exact product each
 (`_power_route`), and packages the result; its routes are consistent only
@@ -40,9 +41,6 @@ __all__ = [
     "entropy_table",
 ]
 
-# Width of the `Fraction` bracket that `lambda_n` falls back to from n = 129.
-_FALLBACK_WIDTH = 1e-12
-
 # Largest top rank `entropy_table` accepts: the rows from n = 129 bisect in
 # `Fraction` arithmetic, so they take nearly all of a table's time.
 _MAX_TABLE_RANK = 400
@@ -60,28 +58,6 @@ ROUTE_NAMES = (
 # =====================================================================
 # Certified root of the closed-form polynomial
 # =====================================================================
-
-def _bisect_root(p: IntPolynomial, lo: int, hi: int, tol: float) -> tuple[Fraction, Fraction]:
-    """Shrink [lo, hi] around the sign change of p in `Fraction` arithmetic.
-
-    Requires p(lo) < 0 < p(hi); returns the final bracket, as Fractions, of
-    width <= tol.  There is no iteration cap: the smallest tolerance, 5e-324,
-    takes about 1080 halvings (0.14 s at n = 5, 3.8 s at n = 40; process CPU,
-    2-core VM).
-    """
-    from fractions import Fraction
-
-    lo, hi = Fraction(lo), Fraction(hi)
-    flo, fhi = poly_eval(p, lo), poly_eval(p, hi)
-    if not (flo < 0 < fhi):
-        raise ValueError(f"bisection needs a sign change: p({lo}) = {flo}, p({hi}) = {fhi}")
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if (fmid := poly_eval(p, mid)) == 0:
-            return mid, mid  # an exact hit collapses the bracket to the root
-        lo, hi = (mid, hi) if fmid < 0 else (lo, mid)
-    return lo, hi
-
 
 def _four_term_sign(n: int, a: int, d: int) -> int:
     """An integer with the sign of q_n(a/d) for a > d > 0, d = 2^k: the sign
@@ -149,15 +125,26 @@ def _route_root(p: IntPolynomial, b: int) -> float:
 
 
 def lambda_n_bracket(n: int, tol: float = 1e-12) -> tuple[Fraction, Fraction]:
-    """Exact rational bracket around the growth rate of rank n.
-
-    The closed-form polynomial is negative at 1 and positive at 2n-1, and has
-    exactly one root above 1; both endpoint signs are certified in rational
-    arithmetic, as is every bisection step.
+    """Exact rational bracket lo < hi, hi - lo <= tol, around the growth rate
+    of rank n: [1, 2n-1] halved in `Fraction` arithmetic on `poly_eval` signs
+    of q_n, which is negative at 1, positive at 2n-1 and has exactly one root
+    above 1.  No midpoint is the root: q_n is monic with constant term 1, so
+    its only possible rational roots are 1 and -1, and q_n(1) = -2n(n-2).
+    There is no iteration cap: the smallest tolerance, 5e-324, takes about
+    1080 halvings (0.14 s at n = 5, 3.8 s at n = 40; process CPU, 2-core VM).
     """
+    from fractions import Fraction
+
     n = _rank(n, 3, "a growth rate above 1")
     check_tolerance(tol)
-    return _bisect_root(q_polynomial(n), 1, 2 * n - 1, tol)
+    q = q_polynomial(n)
+    lo, hi = Fraction(1), Fraction(2 * n - 1)
+    if not poly_eval(q, lo) < 0 < poly_eval(q, hi):
+        raise ValueError(f"q_{n} has no sign change on [{lo}, {hi}]")
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if poly_eval(q, mid) < 0 else (lo, mid)
+    return lo, hi
 
 
 def lambda_n(n: int) -> float:
@@ -167,15 +154,15 @@ def lambda_n(n: int) -> float:
     Horner steps.  Its float ends come from the closed-form delta bracket
     `_delta_bracket`: three exact signs from n = 13, at most 49 below.  From
     n = 129, where b^n overflows, or at a bracket the signs refuse, the floats
-    just outside a `_FALLBACK_WIDTH` `Fraction` bisection of q_n on [1, 2n-1]
-    are used instead."""
+    just outside `lambda_n_bracket(n)`, a 1e-12 `Fraction` bracket, are used
+    instead."""
     n = _rank(n, 3, "a growth rate above 1")
-    b, sign = 2 * n - 1, partial(_four_term_sign, n)
+    sign = partial(_four_term_sign, n)
     try:
         return _nearest_float(sign, *_delta_bracket(n))
     except (OverflowError, ValueError):
-        x, y = _bisect_root(q_polynomial(n), 1, b, _FALLBACK_WIDTH)
-        # Strictly outside [x, y], so q_n has its signs there even at an exact hit x == y.
+        x, y = lambda_n_bracket(n)
+        # One float outward from the rounded ends keeps both strictly outside [x, y].
         return _nearest_float(sign, math.nextafter(float(x), 0), math.nextafter(float(y), math.inf))
 
 

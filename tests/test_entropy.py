@@ -45,7 +45,7 @@ def test_lambda_bracket_certificate():
         assert isinstance(lo, Fraction) and isinstance(hi, Fraction)
         assert hi - lo <= Fraction(2, 10**9)
         q = q_polynomial(n)
-        assert poly_eval(q, lo) < 0 <= poly_eval(q, hi) or lo == hi
+        assert poly_eval(q, lo) < 0 < poly_eval(q, hi)
         # hi can stick at the ceiling for large n, where the root crowds it
         assert 1 < lo and hi <= 2 * n - 1
 
@@ -54,9 +54,30 @@ def test_lambda_bracket_certificate():
 def test_lambda_bracket_meets_tiny_tolerances(tol):
     # No iteration cap: the bracket reaches any representable tolerance.
     lo, hi = lambda_n_bracket(5, tol=tol)
-    assert 0 <= hi - lo <= tol
+    assert 0 < hi - lo <= tol
     q = q_polynomial(5)
-    assert poly_eval(q, lo) < 0 <= poly_eval(q, hi) or lo == hi
+    assert poly_eval(q, lo) < 0 < poly_eval(q, hi)
+
+
+def test_the_bracket_never_collapses_on_a_midpoint():
+    """q_n is monic with constant term 1, so by the rational root theorem its
+    only possible rational roots are 1 and -1, and q_n(1) = -2n(n-2) < 0 from
+    n = 3.  So no dyadic midpoint of [1, 2n-1] is a root: every bisection step
+    keeps a strict sign change, and the bracket ends with lo < hi, however
+    small the tolerance.  The signs are checked here in integers, apart from
+    the `poly_eval` signs the bisection takes."""
+    for n in range(3, 41):
+        lo, hi = lambda_n_bracket(n, 1e-40)
+        q = q_polynomial(n)
+        assert lo < hi and hi - lo <= 1e-40, n
+        below, above = (_scaled_eval(q, end.numerator, end.denominator) for end in (lo, hi))
+        assert below < 0 < above, n
+
+
+def test_a_bracket_without_a_sign_change_is_refused(monkeypatch):
+    monkeypatch.setattr(entropy, "q_polynomial", lambda n: IntPolynomial([-1]))
+    with pytest.raises(ValueError, match=r"^q_5 has no sign change on \[1, 9\]$"):
+        lambda_n_bracket(5)
 
 
 def test_lambda_is_increasing_and_below_ceiling():
@@ -67,32 +88,6 @@ def test_lambda_is_increasing_and_below_ceiling():
         assert a < b
     for n, v in zip(range(3, 31), values):
         assert 1 < v <= 2 * n - 1
-
-
-def test_the_delta_bracket_derives_lambda_equal_to_the_ceiling_from_rank_13():
-    # With b = 2n-1 and lambda = b - delta, (x-1)*q_n(x) = x^(n+1) - b*x^n + b*x - 1
-    # is -g(delta) for g(delta) = delta*(b-delta)^n - b*(b-delta) + 1.  The root
-    # delta lies strictly between delta_lo = (b^2-1)/(b^n+b), where g < 0, and
-    # delta_hi = delta_lo*(1 + 4n*delta_lo/b), where g > 0.  Since b is odd, the
-    # float below b is b - ulp(b), so lambda_n is b exactly when delta < ulp(b)/2
-    # and below b when delta > ulp(b)/2.  Everything is in integers: at
-    # delta = p/q the sign of g is that of q^(n+1)*g(p/q), and
-    # ulp(b)/2 = 2^(L-54) for the bit length L of b.
-    def g_cleared(p, q, n, b):
-        return p * (b * q - p) ** n - (b * (b * q - p) - q) * q**n
-
-    for n in range(3, 151):
-        b = 2 * n - 1
-        lo_p, lo_q = b * b - 1, b**n + b
-        hi_p, hi_q = lo_p * (b * lo_q + 4 * n * lo_p), b * lo_q * lo_q
-        assert g_cleared(lo_p, lo_q, n, b) < 0 < g_cleared(hi_p, hi_q, n, b), n
-        shift = 54 - b.bit_length()
-        assert (hi_p << shift < hi_q) == (n >= 13), n
-        if n >= 13:
-            assert lambda_n(n) == float(b), n
-        else:
-            assert lo_p << shift > lo_q, n  # delta > delta_lo > ulp(b)/2
-            assert lambda_n(n) < b, n
 
 
 def test_the_float_nearest_lambda_is_the_ceiling_from_rank_13_to_the_table_cap():
@@ -113,7 +108,8 @@ def test_the_float_nearest_lambda_is_the_ceiling_from_rank_13_to_the_table_cap()
     The signs of g are checked in integers, at delta = p/q as q^(n+1)*g(p/q), at every
     rank from 3 to 150, past n = 128, the last rank where the bracket's ends are floats
     (`entropy._delta_bracket`); delta_hi < ulp(b)/2 at every rank from 13 to the table
-    cap.  Neither goes through `lambda_n`, which is below b at n = 3..12.
+    cap.  Neither goes through `lambda_n`.  At n = 3..12, delta > delta_lo > ulp(b)/2, so
+    the float nearest lambda is below b there, as `lambda_n` reads.
     """
     def g_cleared(p, q, n, b):
         return p * (b * q - p) ** n - (b * (b * q - p) - q) * q**n
@@ -130,7 +126,9 @@ def test_the_float_nearest_lambda_is_the_ceiling_from_rank_13_to_the_table_cap()
         b = 2 * n - 1
         assert Fraction(*delta_bracket(n, b)[1]) < Fraction(math.ulp(b)) / 2, n
     for n in range(3, 13):
-        assert lambda_n(n) < 2 * n - 1, n
+        b = 2 * n - 1
+        assert Fraction(*delta_bracket(n, b)[0]) > Fraction(math.ulp(b)) / 2, n
+        assert lambda_n(n) < b, n
 
 
 def test_lambda_validation():
@@ -282,14 +280,14 @@ DELTA_BRACKET_SIGNS = {3: 49, 4: 43, 5: 34, 6: 26, 7: 16, 8: 7, 9: 4, 10: 4, 11:
 
 
 def test_lambda_searches_and_signs_on_the_four_term_form(monkeypatch):
-    # Below n = 129 no coefficient-wise sign and no bisection: the exact signs
+    # Below n = 129 no coefficient-wise sign and no Fraction bracket: the exact signs
     # of the four-term form on the delta bracket, exactly three from n = 13.
     # Bit lengths decide every sign from n = 15; below, at least one sign
     # forms the full product.
     sign = entropy._four_term_sign
     coefficient_signs = _spy(monkeypatch, "_scaled_eval")
     signs = _spy(monkeypatch, "_four_term_sign")
-    bisections = _spy(monkeypatch, "_bisect_root")
+    brackets = _spy(monkeypatch, "lambda_n_bracket")
     for n in range(3, 129):
         lambda_n(n)
         assert len(signs) == DELTA_BRACKET_SIGNS.get(n, 3), (n, len(signs))
@@ -300,11 +298,24 @@ def test_lambda_searches_and_signs_on_the_four_term_form(monkeypatch):
             assert any(v not in (-1, 1) and v == _four_term_product(*args)
                        for v, args in zip(values, signs)), n
         signs.clear()
-    assert coefficient_signs == [] and bisections == []
+    assert coefficient_signs == [] and brackets == []
     for n in range(129, 151):
         lambda_n(n)
-        assert [p for p, lo, hi, tol in bisections] == [q_polynomial(n)], n
-        bisections.clear()
+        assert brackets == [(n,)], n
+        brackets.clear()
+
+
+def test_a_row_past_the_float_range_costs_one_1e_12_fraction_bracket(monkeypatch):
+    # From n = 129 the row's poly_eval calls are the bracket's: two ends and
+    # ceil(log2((2n-2)/1e-12)) halvings of [1, 2n-1].  A cheaper or dearer
+    # row fails here, so a change to the fallback's cost is made knowingly.
+    evals = _spy(monkeypatch, "poly_eval")
+    for n in range(129, 151):
+        assert lambda_n(n) == 2 * n - 1, n
+        want = 2 + math.ceil(math.log2((2 * n - 2) / 1e-12))
+        assert want == (50 if n <= 141 else 51), n
+        assert len(evals) == want, (n, len(evals))
+        evals.clear()
 
 
 def test_the_delta_bracket_holds_lambda_until_its_float_range_ends():
@@ -433,29 +444,27 @@ def test_a_charpoly_off_by_one_reads_inconsistent_even_a_few_ulps_away(monkeypat
     assert not report.consistent
 
 
-def test_the_fallback_bracket_ends_on_the_float_the_newton_bracket_does(monkeypatch):
+def test_the_fallback_bracket_ends_on_the_float_the_delta_bracket_does(monkeypatch):
     # lambda_n with its delta bracket forced to overflow, as it does from
-    # n = 129: the Fraction bisection ends on the same nearest float.
+    # n = 129: the Fraction bracket ends on the same nearest float.
     want = {n: lambda_n(n) for n in range(3, 41)}
 
     def overflow(n):
         raise OverflowError("forced")
 
     monkeypatch.setattr(entropy, "_delta_bracket", overflow)
-    bisections = _spy(monkeypatch, "_bisect_root")
+    brackets = _spy(monkeypatch, "lambda_n_bracket")
     for n, lam in want.items():
         assert lambda_n(n) == lam, n
-    assert [p for p, lo, hi, tol in bisections] == [q_polynomial(n) for n in want]
+    assert brackets == [(n,) for n in want]
 
 
-def test_a_root_on_a_float_is_returned_through_the_exact_bisection_hit(monkeypatch):
-    # x - 2 is 0 at the float 2.0: the Fraction bisection of [1, 3] hits the
-    # root exactly and collapses its bracket there.  The route root's sign
-    # bisection takes 2.0 as an upper end and ends on it, with no fallback.
-    assert entropy._bisect_root(IntPolynomial([-2, 1]), 1, 3, 1e-12) == (2, 2)
-    bisections = _spy(monkeypatch, "_bisect_root")
+def test_a_route_root_on_a_float_is_that_float_with_no_fraction_bracket(monkeypatch):
+    # x - 2 is 0 at the float 2.0: the route root's sign bisection of [1, 3]
+    # takes 2.0 as an upper end and ends on it, with no fallback.
+    brackets = _spy(monkeypatch, "lambda_n_bracket")
     assert entropy._route_root(IntPolynomial([-2, 1]), 3) == 2.0
-    assert bisections == []
+    assert brackets == []
 
 
 @pytest.mark.parametrize("lo, hi", [(1.0, 1.5), (5.0, 4.0), (5.0, 9.0)], ids=["negative", "reversed", "positive"])
@@ -478,7 +487,7 @@ def test_route_roots_are_the_nearest_float_to_the_root(monkeypatch):
     # floats, and one more, at their midpoint, picks the nearer: no fallback
     # at any rank.  Exactly, q changes sign between the midpoints around lambda.
     signs = _spy(monkeypatch, "_scaled_eval")
-    fallbacks = _spy(monkeypatch, "_bisect_root")
+    fallbacks = _spy(monkeypatch, "lambda_n_bracket")
     for n in range(3, 41):
         q, b = q_polynomial(n), 2 * n - 1
         lam = entropy._route_root(q, b)
@@ -510,14 +519,14 @@ def test_route_roots_take_no_float_evaluation_and_at_most_60_signs(monkeypatch):
 def test_a_float_search_led_off_the_root_fails_the_exact_signs(shift, monkeypatch):
     # lambda_n's float bracket replaced by a pair of adjacent floats just
     # below (or above) the root: the exact sign at hi (or lo) rejects it, and
-    # the exact bisection takes over, finished to the same nearest float.
+    # the exact Fraction bracket takes over, finished to the same nearest float.
     q, want = q_polynomial(5), lambda_n(5)
     end = math.nextafter(want, shift * math.inf)
     pair = tuple(sorted((end, math.nextafter(end, shift * math.inf))))
     monkeypatch.setattr(entropy, "_delta_bracket", lambda n: pair)
-    bisections = _spy(monkeypatch, "_bisect_root")
+    brackets = _spy(monkeypatch, "lambda_n_bracket")
     lam = lambda_n(5)
-    assert bisections[0][:3] == (q, 1, 9)
+    assert brackets == [(5,)]
     assert lam == want and _is_nearest_float(q, lam)
 
 
@@ -526,12 +535,12 @@ def test_a_charpoly_past_the_float_range_gives_the_same_root_by_exact_signs(scal
     # scale * q_5 has the same root, but its float slope would overflow
     # (10**306) and its coefficients do not convert to float (10**400).  Its
     # exact integer signs end on the same nearest float as the rome route,
-    # with no Fraction bisection.
+    # with no Fraction bracket.
     scaled = q_polynomial(5) * IntPolynomial([scale])
     monkeypatch.setattr(entropy, "char_poly_exact", lambda m: scaled)
-    bisections = _spy(monkeypatch, "_bisect_root")
+    brackets = _spy(monkeypatch, "lambda_n_bracket")
     report = volume_entropy(PresentationSpec(5, False))
-    assert bisections == []
+    assert brackets == []
     assert report.routes["charpoly-root"] == report.routes["rome-root"]
     assert report.consistent and report.bounds_hold
 

@@ -117,9 +117,9 @@ def test_value_type_signatures_and_repr():
 
 def test_importing_the_cli_loads_only_modules_the_package_computes_with():
     # -S: without `site`, no .pth file can preload a module the package does not.
-    # `fractions` (with `decimal` and `numbers`) loads only for `lambda_n`'s
-    # exact fallback from n = 129 and for `lambda_n_bracket`, which returns
-    # Fractions; verify and the float-range table rows sign on ints.  The
+    # `fractions` (with `decimal` and `numbers`) loads only in
+    # `lambda_n_bracket`, which returns Fractions and is `lambda_n`'s exact
+    # fallback from n = 129; verify and the float-range table rows sign on ints.  The
     # reference rows are read by the module's own loader, so neither they nor
     # verify load `importlib.resources` and the file machinery behind it.
     heavy = ("dataclasses", "inspect", "typing", "importlib.resources", "pathlib",
