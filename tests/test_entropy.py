@@ -90,6 +90,32 @@ def test_lambda_is_increasing_and_below_ceiling():
         assert 1 < v <= 2 * n - 1
 
 
+def test_the_delta_bracket_derives_lambda_equal_to_the_ceiling_from_rank_13():
+    # With b = 2n-1 and lambda = b - delta, (x-1)*q_n(x) = x^(n+1) - b*x^n + b*x - 1
+    # is -g(delta) for g(delta) = delta*(b-delta)^n - b*(b-delta) + 1.  The root
+    # delta lies strictly between delta_lo = (b^2-1)/(b^n+b), where g < 0, and
+    # delta_hi = delta_lo*(1 + 4n*delta_lo/b), where g > 0.  Since b is odd, the
+    # float below b is b - ulp(b), so lambda_n is b exactly when delta < ulp(b)/2
+    # and below b when delta > ulp(b)/2.  Everything is in integers: at
+    # delta = p/q the sign of g is that of q^(n+1)*g(p/q), and
+    # ulp(b)/2 = 2^(L-54) for the bit length L of b.
+    def g_cleared(p, q, n, b):
+        return p * (b * q - p) ** n - (b * (b * q - p) - q) * q**n
+
+    for n in range(3, 151):
+        b = 2 * n - 1
+        lo_p, lo_q = b * b - 1, b**n + b
+        hi_p, hi_q = lo_p * (b * lo_q + 4 * n * lo_p), b * lo_q * lo_q
+        assert g_cleared(lo_p, lo_q, n, b) < 0 < g_cleared(hi_p, hi_q, n, b), n
+        shift = 54 - b.bit_length()
+        assert (hi_p << shift < hi_q) == (n >= 13), n
+        if n >= 13:
+            assert lambda_n(n) == float(b), n
+        else:
+            assert lo_p << shift > lo_q, n  # delta > delta_lo > ulp(b)/2
+            assert lambda_n(n) < b, n
+
+
 def test_the_float_nearest_lambda_is_the_ceiling_from_rank_13_to_the_table_cap():
     """With b = 2n-1 and lambda = b - delta, (x-1)*q_n(x) = x^(n+1) - b*x^n + b*x - 1
     vanishes at lambda iff g(delta) = delta*(b-delta)^n - b*(b-delta) + 1 does.  Let
