@@ -88,16 +88,23 @@ def _four_term_sign(n: int, a: int, d: int) -> int:
 
 def _delta_bracket(n: int) -> tuple[float, float]:
     """Floats lo < hi either side of q_n's root above 1, from its closed-form
-    bracket b - delta_hi < root < b - delta_lo, where b = 2n-1,
-    delta_lo = (b^2-1)/(b^n+b) and delta_hi = delta_lo*(1 + 4n*delta_lo/b);
-    the proof is the docstring of tests/test_entropy.py's
-    test_the_float_nearest_lambda_is_the_ceiling_from_rank_13_to_the_table_cap.
-    Each end moves one float outward, and hi stays at most b, where
-    q_n(b) = 2n > 0.  Raises `OverflowError` from n = 129, where b^n leaves
-    the float range."""
+    bracket b - delta_hi < root < b - delta_lo, b = 2n-1, delta_lo =
+    (b^2-1)/(b^n+b), delta_hi = delta_lo*(1 + 4n*delta_lo/b) (proof in
+    test_the_float_nearest_lambda_is_the_ceiling_from_rank_13_to_the_table_cap).
+    Where they round apart (n = 3..8), four Newton steps on the increasing,
+    concave g(delta) = delta*(b-delta)^n - b*(b-delta) + 1 raise delta_lo and
+    one chord lowers delta_hi, each still outside the root.  Each end moves
+    one float outward, hi at most b, where q_n(b) = 2n > 0.  Raises
+    `OverflowError` from n = 129, where b^n leaves the float range."""
     b = float(2 * n - 1)
     lo = (b * b - 1) / (b**n + b)
     hi = lo * (1 + 4 * n * lo / b)
+    if b - hi != b - lo:
+        def g(d: float) -> float:
+            return d * (b - d) ** n - b * (b - d) + 1
+        for _ in range(4):
+            lo -= g(lo) / ((b - lo) ** (n - 1) * (b - lo - n * lo) + b)
+        hi = lo - g(lo) * (hi - lo) / (g(hi) - g(lo))
     return math.nextafter(b - hi, 0), min(math.nextafter(b - lo, math.inf), b)
 
 
@@ -131,8 +138,7 @@ def lambda_n_bracket(n: int, tol: float = 1e-12) -> tuple[Fraction, Fraction]:
     above 1.  No midpoint is the root: q_n is monic with constant term 1, so
     its only possible rational roots are 1 and -1, and q_n(1) = -2n(n-2).
     There is no iteration cap: the smallest tolerance, 5e-324, takes about
-    1080 halvings (0.14 s at n = 5, 3.8 s at n = 40; process CPU, 2-core VM).
-    """
+    1080 halvings."""
     from fractions import Fraction
 
     n = _rank(n, 3, "a growth rate above 1")
@@ -152,7 +158,7 @@ def lambda_n(n: int) -> float:
     n = 13), by `_nearest_float` on the four-term form (x-1)*q_n: bit lengths
     per exact sign (an integer power only where they cannot decide), not n
     Horner steps.  Its float ends come from the closed-form delta bracket
-    `_delta_bracket`: three exact signs from n = 13, at most 49 below.  From
+    `_delta_bracket`: four exact signs below n = 13, three from 13.  From
     n = 129, where b^n overflows, or at a bracket the signs refuse, the floats
     just outside `lambda_n_bracket(n)`, a 1e-12 `Fraction` bracket, are used
     instead."""

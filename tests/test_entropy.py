@@ -90,32 +90,6 @@ def test_lambda_is_increasing_and_below_ceiling():
         assert 1 < v <= 2 * n - 1
 
 
-def test_the_delta_bracket_derives_lambda_equal_to_the_ceiling_from_rank_13():
-    # With b = 2n-1 and lambda = b - delta, (x-1)*q_n(x) = x^(n+1) - b*x^n + b*x - 1
-    # is -g(delta) for g(delta) = delta*(b-delta)^n - b*(b-delta) + 1.  The root
-    # delta lies strictly between delta_lo = (b^2-1)/(b^n+b), where g < 0, and
-    # delta_hi = delta_lo*(1 + 4n*delta_lo/b), where g > 0.  Since b is odd, the
-    # float below b is b - ulp(b), so lambda_n is b exactly when delta < ulp(b)/2
-    # and below b when delta > ulp(b)/2.  Everything is in integers: at
-    # delta = p/q the sign of g is that of q^(n+1)*g(p/q), and
-    # ulp(b)/2 = 2^(L-54) for the bit length L of b.
-    def g_cleared(p, q, n, b):
-        return p * (b * q - p) ** n - (b * (b * q - p) - q) * q**n
-
-    for n in range(3, 151):
-        b = 2 * n - 1
-        lo_p, lo_q = b * b - 1, b**n + b
-        hi_p, hi_q = lo_p * (b * lo_q + 4 * n * lo_p), b * lo_q * lo_q
-        assert g_cleared(lo_p, lo_q, n, b) < 0 < g_cleared(hi_p, hi_q, n, b), n
-        shift = 54 - b.bit_length()
-        assert (hi_p << shift < hi_q) == (n >= 13), n
-        if n >= 13:
-            assert lambda_n(n) == float(b), n
-        else:
-            assert lo_p << shift > lo_q, n  # delta > delta_lo > ulp(b)/2
-            assert lambda_n(n) < b, n
-
-
 def test_the_float_nearest_lambda_is_the_ceiling_from_rank_13_to_the_table_cap():
     """With b = 2n-1 and lambda = b - delta, (x-1)*q_n(x) = x^(n+1) - b*x^n + b*x - 1
     vanishes at lambda iff g(delta) = delta*(b-delta)^n - b*(b-delta) + 1 does.  Let
@@ -301,13 +275,9 @@ def test_lambda_is_the_route_root_of_q():
         assert lambda_n(n) == entropy._route_root(q_polynomial(n), 2 * n - 1), n
 
 
-# Exact signs lambda_n takes on the delta bracket at n = 3..12; 3 from n = 13.
-DELTA_BRACKET_SIGNS = {3: 49, 4: 43, 5: 34, 6: 26, 7: 16, 8: 7, 9: 4, 10: 4, 11: 4, 12: 4}
-
-
 def test_lambda_searches_and_signs_on_the_four_term_form(monkeypatch):
     # Below n = 129 no coefficient-wise sign and no Fraction bracket: the exact signs
-    # of the four-term form on the delta bracket, exactly three from n = 13.
+    # of the four-term form on the delta bracket, four below n = 13 and three from 13.
     # Bit lengths decide every sign from n = 15; below, at least one sign
     # forms the full product.
     sign = entropy._four_term_sign
@@ -316,7 +286,7 @@ def test_lambda_searches_and_signs_on_the_four_term_form(monkeypatch):
     brackets = _spy(monkeypatch, "lambda_n_bracket")
     for n in range(3, 129):
         lambda_n(n)
-        assert len(signs) == DELTA_BRACKET_SIGNS.get(n, 3), (n, len(signs))
+        assert len(signs) == (4 if n < 13 else 3), (n, len(signs))
         values = [sign(*args) for args in signs]
         if n >= 15:
             assert all(v in (-1, 1) for v in values), (n, values)
@@ -346,12 +316,23 @@ def test_a_row_past_the_float_range_costs_one_1e_12_fraction_bracket(monkeypatch
 
 def test_the_delta_bracket_holds_lambda_until_its_float_range_ends():
     # Exact signs of q_n certify the root strictly inside the float bracket,
-    # around lambda_n; from n = 129, b^n overflows and lambda_n falls back.
+    # around lambda_n, at the Newton-tightened ranks 3..8 as at the others.
     for n in range(3, 129):
         lo, hi = entropy._delta_bracket(n)
         q = q_polynomial(n)
         assert _scaled_eval(q, *lo.as_integer_ratio()) < 0 < _scaled_eval(q, *hi.as_integer_ratio()), n
         assert lo < lambda_n(n) <= hi <= 2 * n - 1, n
+
+
+def test_the_delta_bracket_is_the_closed_form_from_rank_13_until_b_to_the_n_overflows():
+    # A table's median ranks take the closed-form ends one float outward, with no
+    # Newton step; from n = 129, b^n overflows and lambda_n falls back.
+    for n in range(13, 129):
+        b = float(2 * n - 1)
+        delta_lo = (b * b - 1) / (b**n + b)
+        delta_hi = delta_lo * (1 + 4 * n * delta_lo / b)
+        want = math.nextafter(b - delta_hi, 0), min(math.nextafter(b - delta_lo, math.inf), b)
+        assert entropy._delta_bracket(n) == want, n
     for n in range(129, 151):
         with pytest.raises(OverflowError):
             entropy._delta_bracket(n)
@@ -759,13 +740,6 @@ def test_table_lower_bound_is_the_rounded_exact_bound(monkeypatch):
         b = 2 * row.n - 1
         assert row.lower_bound == float(b - Fraction(1, b ** (row.n - 2))), row.n
         assert entropy._lower_bound(row.n) == (b ** (row.n - 1) - 1, b ** (row.n - 2)), row.n
-
-
-def test_table_rows_past_the_float_range_stay_within_1e_12():
-    # From n = 129 q_n overflows floats and the row takes the exact fallback.
-    for row in entropy_table(129, 150):
-        lo, hi = lambda_n_bracket(row.n, 1e-15)
-        assert abs(row.lambda_ - float((lo + hi) / 2)) <= 1e-12, row.n
 
 
 def test_table_validation():
