@@ -96,8 +96,9 @@ def _cmd_entropy(args) -> tuple[int, str]:
 
 def _cmd_table(args) -> tuple[int, str]:
     rows = entropy_table(args.n_min, args.n_max)
-    # The rows' fields, `lambda_` spelled `lambda`.
-    records = [{k.rstrip("_"): getattr(row, k) for k in row.__slots__} for row in rows]
+    # The six columns, `lambda_` spelled `lambda`.
+    columns = ("n", "lambda_", "entropy", "lower_bound", "upper_bound", "gap")
+    records = [{k.rstrip("_"): getattr(row, k) for k in columns} for row in rows]
     if args.format == "json":
         return 0, json.dumps(records, indent=2)
     if args.format == "csv":

@@ -209,25 +209,40 @@ def _bounds_hold(n: int) -> bool:
 class EntropyReport(_Frozen):
     """Growth rate and volume entropy of one presentation, with receipts.
 
+    Stored, as `volume_entropy` computed them:
+    lambda_    -- consensus growth rate (the certified rome-route root)
     routes     -- per-route growth-rate estimates (empty for rank 2)
     converged  -- per power route, whether its spectral radius is proven
                   between the floats either side of lambda_ (empty for rank 2)
-    agreement  -- max pairwise discrepancy among the routes
-    consistent -- all power routes certified, and all five routes report
-                  the same float (agreement == 0.0)
     bounds_hold-- every applicable exact bound certification passed
-    lambda_    -- consensus growth rate (the certified rome-route root)
+
+    Derived from them, read-only:
     entropy    -- log(lambda_), natural log
+    agreement  -- largest pairwise gap between routes, 0.0 with no routes
+    consistent -- every power route certified, and all routes report the
+                  same float (agreement == 0.0)
     """
 
-    __slots__ = ("n", "orientable", "lambda_", "entropy", "routes", "converged",
-                 "agreement", "consistent", "bounds_hold")
+    __slots__ = ("n", "orientable", "lambda_", "routes", "converged", "bounds_hold")
 
-    def __init__(self, n: int, orientable: bool, lambda_: float, entropy: float,
-                 routes: dict[str, float] | None = None, converged: dict[str, bool] | None = None,
-                 agreement: float = 0.0, consistent: bool = True, bounds_hold: bool = True) -> None:
-        self._init(n, orientable, lambda_, entropy, {} if routes is None else routes,
-                   {} if converged is None else converged, agreement, consistent, bounds_hold)
+    def __init__(self, n: int, orientable: bool, lambda_: float, routes: dict[str, float] | None = None,
+                 converged: dict[str, bool] | None = None, bounds_hold: bool = True) -> None:
+        self._init(n, orientable, lambda_, {} if routes is None else routes,
+                   {} if converged is None else converged, bounds_hold)
+
+    @property
+    def entropy(self) -> float:
+        return math.log(self.lambda_)
+
+    @property
+    def agreement(self) -> float:
+        values = self.routes.values()
+        return max((abs(a - b) for a in values for b in values), default=0.0)
+
+    @property
+    def consistent(self) -> bool:
+        # Certified power routes report lambda_, so this asks the root routes for it too.
+        return all(self.converged.values()) and self.agreement == 0.0
 
 
 def _power_route(matrix: IntMatrix | TransitionOperator, n: int, lam: float) -> tuple[float, str]:
@@ -257,12 +272,12 @@ def volume_entropy(spec: PresentationSpec) -> EntropyReport:
     `TransitionOperator`, never stored), the compacted and the supercompacted
     matrix, each proven between the floats either side of the rome-route
     root (`_power_route`), the consensus value, which it then reports.  A
-    route failing its certificate, or root routes on different floats, set
-    consistent=False; routes are never averaged.
+    route failing its certificate, or root routes on different floats, make
+    the report read consistent=False; routes are never averaged.
     """
     n = spec.n
     if n == 2:
-        return EntropyReport(n=n, orientable=spec.orientable, lambda_=1.0, entropy=0.0)
+        return EntropyReport(n, spec.orientable, 1.0)
 
     matrices = (TransitionOperator(spec), compacted_matrix(n), super_compacted_matrix(n))
     sc = matrices[2]
@@ -275,22 +290,7 @@ def volume_entropy(spec: PresentationSpec) -> EntropyReport:
         converged[name] = not failure
     routes.update((name, roots[poly]) for name, poly in zip(ROUTE_NAMES[3:], polys))
 
-    values = list(routes.values())
-    agreement = max(abs(a - b) for a in values for b in values)
-    # Certified power routes report lam, so this asks the root routes for lam too.
-    consistent = all(converged.values()) and agreement == 0.0
-
-    return EntropyReport(
-        n=n,
-        orientable=spec.orientable,
-        lambda_=lam,
-        entropy=math.log(lam),
-        routes=routes,
-        converged=converged,
-        agreement=agreement,
-        consistent=consistent,
-        bounds_hold=_bounds_hold(n),
-    )
+    return EntropyReport(n, spec.orientable, lam, routes, converged, _bounds_hold(n))
 
 
 # =====================================================================
@@ -298,28 +298,44 @@ def volume_entropy(spec: PresentationSpec) -> EntropyReport:
 # =====================================================================
 
 class EntropyTableRow(_Frozen):
-    """One rank's worth of growth data.
+    """One rank's growth rate, `lambda_n(n)`; the rest of the row is derived
+    from n and lambda_ on each read.
 
     lower_bound is None at n = 3, where the closed-form lower bound does not
     apply; gap = log(2n-1) - entropy measures how close the entropy sits to
-    its theoretical ceiling, to relative accuracy (see `entropy_table`).  It
-    is subnormal from n = 129 and reads 0.0 from n = 135, below 2^-1074.
+    its theoretical ceiling, to relative accuracy.  It is subnormal from
+    n = 129 and reads 0.0 from n = 135, below 2^-1074.
     """
 
-    __slots__ = ("n", "lambda_", "entropy", "lower_bound", "upper_bound", "gap")
+    __slots__ = ("n", "lambda_")
 
-    def __init__(self, n: int, lambda_: float, entropy: float, lower_bound: float | None,
-                 upper_bound: float, gap: float) -> None:
-        self._init(n, lambda_, entropy, lower_bound, upper_bound, gap)
+    def __init__(self, n: int, lambda_: float) -> None:
+        self._init(n, lambda_)
+
+    entropy = EntropyReport.entropy
+
+    @property
+    def upper_bound(self) -> float:
+        return float(2 * self.n - 1)
+
+    @property
+    def lower_bound(self) -> float | None:
+        lb = _lower_bound(self.n)
+        # int / int rounds correctly, as float(Fraction) does
+        return None if lb is None else lb[0] / lb[1]
+
+    @property
+    def gap(self) -> float:
+        """-log1p(-delta/b) with b = 2n-1 and delta = b - lambda =
+        (b*lambda - 1)/lambda^n, a root identity of (x-1)q(x) = x^(n+1) -
+        b*x^n + b*x - 1 free of the cancellation in log(b) - log(lambda)."""
+        n, lam, b = self.n, self.lambda_, 2 * self.n - 1
+        delta = math.exp(math.log(b * lam - 1) - n * math.log(lam))
+        return -math.log1p(-delta / b)
 
 
 def entropy_table(n_min: int, n_max: int) -> list[EntropyTableRow]:
-    """Growth rates and entropies for ranks n_min..n_max inclusive.
-
-    The gap is -log1p(-delta/b) with b = 2n-1 and delta = b - lambda =
-    (b*lambda - 1)/lambda^n, a root identity of (x-1)q(x) = x^(n+1) - b*x^n
-    + b*x - 1 free of the cancellation in log(b) - log(lambda).
-    """
+    """Growth rates and entropies for ranks n_min..n_max inclusive."""
     n_min, n_max = _rank(n_min, 3, "the table"), _rank(n_max)
     if n_min > n_max:
         raise ValueError(f"empty range: n_min={n_min} > n_max={n_max}")
@@ -327,21 +343,4 @@ def entropy_table(n_min: int, n_max: int) -> list[EntropyTableRow]:
         raise ValueError(
             f"table goes up to rank {_MAX_TABLE_RANK}, got {n_max}; lambda_n gives one high rank"
         )
-    rows = []
-    for n in range(n_min, n_max + 1):
-        lam = lambda_n(n)
-        b = 2 * n - 1
-        delta = math.exp(math.log(b * lam - 1) - n * math.log(lam))
-        lb = _lower_bound(n)
-        rows.append(
-            EntropyTableRow(
-                n=n,
-                lambda_=lam,
-                entropy=math.log(lam),
-                # int / int rounds correctly, as float(Fraction) does
-                lower_bound=None if lb is None else lb[0] / lb[1],
-                upper_bound=float(b),
-                gap=-math.log1p(-delta / b),
-            )
-        )
-    return rows
+    return [EntropyTableRow(n, lambda_n(n)) for n in range(n_min, n_max + 1)]

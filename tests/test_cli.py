@@ -215,10 +215,8 @@ def test_entropy_inconsistent_routes_exit_silently_in_json(monkeypatch, capsys):
             n=spec.n,
             orientable=spec.orientable,
             lambda_=4.79,
-            entropy=1.57,
             routes={"markov-power": 4.0, "rome-root": 4.79},
-            agreement=0.79,
-            consistent=False,
+            converged={"markov-power": True},
             bounds_hold=True,
         )
 
@@ -236,10 +234,8 @@ def test_entropy_inconsistent_routes_still_print_in_plain(monkeypatch, capsys):
             n=spec.n,
             orientable=spec.orientable,
             lambda_=4.79,
-            entropy=1.57,
             routes={"markov-power": 4.0, "rome-root": 4.79},
-            agreement=0.79,
-            consistent=False,
+            converged={"markov-power": True},
             bounds_hold=False,
         )
 
@@ -735,8 +731,8 @@ def _replaced(report: EntropyReport, **changes) -> EntropyReport:
 
 @pytest.mark.parametrize("route", ["markov-power", "compacted-power"])
 def test_spectral_collapse_reads_the_power_routes_of_the_entropy_report(route, monkeypatch):
-    # One power route of the report moved by 1e-5, the report still calling
-    # itself consistent: route-consensus passes, spectral-collapse sees the gap.
+    # One power route of the report moved by 1e-5: the report's own verdict
+    # fails route-consensus, and spectral-collapse reads the gap itself.
     real = cli.volume_entropy
 
     def shifted(spec):
@@ -746,8 +742,10 @@ def test_spectral_collapse_reads_the_power_routes_of_the_entropy_report(route, m
     monkeypatch.setattr(cli, "volume_entropy", shifted)
     results = {row["check"]: row for row in cli._run_battery(3)}
     failed = {name: row["detail"] for name, row in results.items() if not row["pass"]}
-    assert list(failed) == ["spectral-collapse"]
-    assert failed["spectral-collapse"] == "spectral radius gap 1.000e-05"
+    assert failed == {
+        "route-consensus": "routes spread 1.000e-05",
+        "spectral-collapse": "spectral radius gap 1.000e-05",
+    }
 
 
 @pytest.mark.parametrize("route", ROUTE_NAMES[:3])
@@ -756,9 +754,7 @@ def test_spectral_collapse_names_the_power_route_that_did_not_converge(route, mo
 
     def stuck(spec):
         report = real(spec)
-        return _replaced(
-            report, converged={**report.converged, route: False}, consistent=False
-        )
+        return _replaced(report, converged={**report.converged, route: False})
 
     monkeypatch.setattr(cli, "volume_entropy", stuck)
     results = {row["check"]: row for row in cli._run_battery(3)}
@@ -784,14 +780,18 @@ def test_spectral_collapse_certifies_the_formal_orientable_operator(monkeypatch,
 
 
 def test_spectral_collapse_tells_disagreeing_routes_from_unconverged_ones(monkeypatch):
+    # A root route 0.5 off with every power route certified: route-consensus
+    # fails on the report's spread, spectral-collapse has nothing to report.
     real = cli.volume_entropy
 
     def disagreeing(spec):
-        return _replaced(real(spec), agreement=0.5, consistent=False)
+        report = real(spec)
+        return _replaced(report, routes={**report.routes, "charpoly-root": report.lambda_ + 0.5})
 
     monkeypatch.setattr(cli, "volume_entropy", disagreeing)
     results = {row["check"]: row for row in cli._run_battery(3)}
-    assert results["spectral-collapse"]["detail"] == "routes disagree (spread 5.000e-01)"
+    failed = {name: row["detail"] for name, row in results.items() if not row["pass"]}
+    assert failed == {"route-consensus": "routes spread 5.000e-01"}
 
 
 def test_an_assertion_inside_volume_entropy_fails_the_rows_that_read_it(monkeypatch, capsys):

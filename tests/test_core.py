@@ -58,6 +58,10 @@ def test_matrix_product_and_sum():
     assert a + b == IntMatrix([[1, 3], [4, 4]])
     assert a * IntMatrix.identity(2) == a
     assert IntMatrix.zeros(2) + a == a
+    with pytest.raises(ValueError, match="^size mismatch in matrix sum$"):
+        a + IntMatrix.identity(3)
+    with pytest.raises(ValueError, match="^size mismatch in matrix product$"):
+        a * IntMatrix.identity(3)
 
 
 @pytest.mark.parametrize("action", ["set", "del"])
@@ -207,6 +211,7 @@ def test_polynomial_normalization_and_degree():
     assert IntPolynomial([1, 2, 0, 0]).coeffs == (1, 2)
     assert IntPolynomial([0, 0, 0]).coeffs == (0,)
     assert IntPolynomial([0]).degree == -1
+    assert str(IntPolynomial([0])) == "0"
     assert IntPolynomial([3]).degree == 0
     assert IntPolynomial([1, 0, 2]).degree == 2
 

@@ -11,6 +11,8 @@ from volentropy import cli, entropy, spectral
 from volentropy.core import IntMatrix, IntPolynomial, _scaled_eval, poly_eval
 from volentropy.entropy import (
     ROUTE_NAMES,
+    EntropyReport,
+    EntropyTableRow,
     bounds_check,
     entropy_table,
     lambda_n,
@@ -270,9 +272,17 @@ def test_the_four_term_sign_decides_by_bit_lengths_or_forms_the_product():
     assert reached == {"e >= 0", "negative", "positive", "exact", "below == 0", "above == 0"}
 
 
-def test_lambda_is_the_route_root_of_q():
-    for n in range(3, 151):
-        assert lambda_n(n) == entropy._route_root(q_polynomial(n), 2 * n - 1), n
+@pytest.fixture(scope="module")
+def table_to_150():
+    """`entropy_table(3, 150)`, built once: rows 129..150 each take the 1e-12
+    `Fraction` fallback.  Each row's lambda_ is `lambda_n(n)`
+    (test_table_rows_are_the_rank_and_its_lambda_n)."""
+    return entropy_table(3, 150)
+
+
+def test_lambda_is_the_route_root_of_q(table_to_150):
+    for row in table_to_150:
+        assert row.lambda_ == entropy._route_root(q_polynomial(row.n), 2 * row.n - 1), row.n
 
 
 def test_lambda_searches_and_signs_on_the_four_term_form(monkeypatch):
@@ -374,12 +384,14 @@ def test_lambda_sits_inside_certified_bounds():
 # ---------------------------------------------------------------- reports
 
 def test_report_rank_2_is_exactly_zero():
+    # No routes: the derived spread is 0.0 and the verdict True.
     for orientable in (True, False):
         report = volume_entropy(PresentationSpec(2, orientable))
         assert report.entropy == 0.0
         assert report.lambda_ == 1.0
-        assert report.routes == {}
-        assert report.consistent
+        assert report.routes == {} and report.converged == {}
+        assert report.agreement == 0.0
+        assert report.consistent is True
 
 
 def test_report_rank_3_nonorientable():
@@ -405,6 +417,40 @@ def test_report_consensus_is_the_certified_root():
     report = volume_entropy(PresentationSpec(5, False))
     assert report.lambda_ == report.routes["rome-root"]
     assert report.entropy == math.log(report.lambda_)
+
+
+def test_routes_that_differ_read_their_largest_pairwise_gap_and_are_inconsistent():
+    routes = {"markov-power": 5.0, "compacted-power": 5.25, "rome-root": 4.5}
+    report = EntropyReport(3, False, 5.0, routes, dict.fromkeys(ROUTE_NAMES[:2], True))
+    assert report.agreement == 0.75
+    assert not report.consistent
+
+
+def test_an_uncertified_route_with_equal_values_is_inconsistent():
+    routes = dict.fromkeys(ROUTE_NAMES, 5.0)
+    converged = {name: name != "compacted-power" for name in ROUTE_NAMES[:3]}
+    report = EntropyReport(3, False, 5.0, routes, converged)
+    assert report.agreement == 0.0
+    assert not report.consistent
+    assert EntropyReport(3, False, 5.0, routes, dict.fromkeys(ROUTE_NAMES[:3], True)).consistent
+
+
+@pytest.mark.parametrize(
+    "make, dropped",
+    [
+        pytest.param(partial(EntropyReport, 3, False, 4.0), ("entropy", "agreement", "consistent"), id="report"),
+        pytest.param(partial(EntropyTableRow, 3, 4.0), ("entropy", "lower_bound", "upper_bound", "gap"), id="row"),
+    ],
+)
+def test_derived_values_are_read_only_and_refused_as_arguments(make, dropped):
+    value = make()
+    for name in dropped:
+        assert isinstance(getattr(type(value), name), property), name
+        assert name not in type(value).__slots__, name
+        with pytest.raises(AttributeError):
+            setattr(value, name, 1.0)
+        with pytest.raises(TypeError):
+            make(**{name: 1.0})
 
 
 def _spy(monkeypatch, name: str) -> list[tuple]:
@@ -702,6 +748,11 @@ def test_table_rows():
         assert r.gap > 0
 
 
+def test_table_rows_are_the_rank_and_its_lambda_n():
+    # Ranks 129 and 130 take the exact fallback, like the rest of the table's tail.
+    assert entropy_table(3, 130) == [EntropyTableRow(n, lambda_n(n)) for n in range(3, 131)]
+
+
 def test_table_gap_shrinks():
     rows = entropy_table(3, 12)
     gaps = [r.gap for r in rows]
@@ -721,10 +772,10 @@ def test_table_gap_has_relative_accuracy(n):
     assert abs(row.gap - want) <= 1e-12 * want
 
 
-def test_table_rows_are_the_nearest_float_and_clear_the_lower_bound():
+def test_table_rows_are_the_nearest_float_and_clear_the_lower_bound(table_to_150):
     # From n = 129 q_n overflows floats and the row takes the exact fallback,
     # which ends on the nearest float too: 2n-1 itself, like every rank from 13.
-    for row in entropy_table(3, 150):
+    for row in table_to_150:
         assert _is_nearest_float(q_polynomial(row.n), row.lambda_), row.n
         assert row.lower_bound is None or row.lambda_ >= row.lower_bound, row.n
         assert row.n < 13 or row.lambda_ == row.upper_bound, row.n

@@ -145,6 +145,8 @@ def test_block_validation():
         BlockKind.U(0)
     with pytest.raises(ValueError):
         BlockKind("JT")
+    with pytest.raises(ValueError, match="^block kind 'T' takes no row index$"):
+        BlockKind("T", 3)
 
 
 # ---------------------------------------------------------------- reference rows

@@ -65,14 +65,14 @@ def test_package_names_are_the_layer_objects_each_listed_once():
             id="SpectralEstimate",
         ),
         pytest.param(
-            lambda: EntropyReport(3, False, 4.0, 1.0, {"rome-root": 4.0}),
-            EntropyReport(3, False, 4.0, 1.0, {"rome-root": 4.0}, agreement=0.5),
+            lambda: EntropyReport(3, False, 4.0, {"rome-root": 4.0}, {"markov-power": True}),
+            EntropyReport(3, False, 4.0, {"rome-root": 4.0}, {"markov-power": False}),
             False,
             id="EntropyReport",
         ),
         pytest.param(
-            lambda: EntropyTableRow(3, 4.0, 1.0, None, 5.0, 0.1),
-            EntropyTableRow(3, 4.0, 1.0, None, 5.0, 0.2),
+            lambda: EntropyTableRow(3, 4.0),
+            EntropyTableRow(3, 4.5),
             False,
             id="EntropyTableRow",
         ),
@@ -104,11 +104,13 @@ def test_value_types_compare_by_class_and_fields_and_are_immutable(make, other, 
 def test_value_type_signatures_and_repr():
     # The repr is part of verify's failure detail.
     assert repr(PresentationSpec(3, False)) == "PresentationSpec(n=3, orientable=False, formal=False)"
+    assert repr(IntMatrix([[1, 2], [3, 4]])) == "IntMatrix(size=2)"
+    assert repr(LaurentPolynomial(-1, [1, 2])) == "LaurentPolynomial(min_exponent=-1, coeffs=[1, 2])"
     assert PresentationSpec(3, False) != (3, False, False)
     assert PresentationSpec(3, True, formal=True).formal is True
     with pytest.raises(TypeError):
         PresentationSpec(3, True, True)
-    first, second = EntropyReport(3, False, 4.0, 1.0), EntropyReport(3, False, 4.0, 1.0)
+    first, second = EntropyReport(3, False, 4.0), EntropyReport(3, False, 4.0)
     assert first.routes == {} and first.converged == {}
     assert first.routes is not second.routes and first.converged is not second.converged
     # perfbench/spans.py wraps these through vars(IntMatrix).
