@@ -50,13 +50,10 @@ def _cmd_build_matrix(args) -> tuple[int, str]:
 def _cmd_entropy(args) -> tuple[int, str]:
     spec = PresentationSpec(args.n, args.orientable)
     report = volume_entropy(spec)
-    code = 0
-    if not report.consistent:
-        print(f"error: routes disagree (spread {report.agreement:.3e})", file=sys.stderr)
-        code = 1
-    if not report.bounds_hold:
-        print("error: exact bound certification failed", file=sys.stderr)
-        code = 1
+    errors = [report.failure, "" if report.bounds_hold else "exact bound certification failed"]
+    for error in filter(None, errors):
+        print(f"error: {error}", file=sys.stderr)
+    code = 1 if any(errors) else 0
     if code != 0 and args.format in ("csv", "json"):
         return code, ""
 

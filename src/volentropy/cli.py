@@ -140,12 +140,12 @@ def _check_rank(n: int, results: list[dict]) -> None:
             ref = reference_rows(n, orientable)
             m = build_markov_from_images(PresentationSpec(n, orientable))
             got = [list(row) for row in m.rows[: len(ref)]]
-            assert got == ref, "built rows differ from the frozen reference"
+            assert got == ref, _first_row_difference(got, ref)
 
     report = None
     with check("route-consensus"):
         report = volume_entropy(minus)
-        assert report.consistent, f"routes spread {report.agreement:.3e}"
+        assert report.consistent, report.failure
 
     with check("spectral-collapse"):
         # Perron-Frobenius: irreducible, so the growth rate is the spectral radius.

@@ -219,8 +219,9 @@ class EntropyReport(_Frozen):
     Derived from them, read-only:
     entropy    -- log(lambda_), natural log
     agreement  -- largest pairwise gap between routes, 0.0 with no routes
-    consistent -- every power route certified, and all routes report the
-                  same float (agreement == 0.0)
+    failure    -- "" when every power route is certified and all routes report the same
+                  float, else "not certified: <routes>" and/or "routes spread <agreement>"
+    consistent -- failure == ""
     """
 
     __slots__ = ("n", "orientable", "lambda_", "routes", "converged", "bounds_hold")
@@ -240,9 +241,15 @@ class EntropyReport(_Frozen):
         return max((abs(a - b) for a in values for b in values), default=0.0)
 
     @property
+    def failure(self) -> str:
+        # Certified power routes report lambda_, so the spread asks the root routes for it too.
+        stuck = ", ".join(name for name in ROUTE_NAMES if not self.converged.get(name, True))
+        spread = self.agreement and f"routes spread {self.agreement:.3e}"
+        return "; ".join(filter(None, (stuck and f"not certified: {stuck}", spread)))
+
+    @property
     def consistent(self) -> bool:
-        # Certified power routes report lambda_, so this asks the root routes for it too.
-        return all(self.converged.values()) and self.agreement == 0.0
+        return not self.failure
 
 
 def _power_route(matrix: IntMatrix | TransitionOperator, n: int, lam: float) -> tuple[float, str]:

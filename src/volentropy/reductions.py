@@ -112,13 +112,15 @@ def _sum_block_row(first: list[int], size: int) -> IntMatrix:
 
 
 def _first_row_difference(a: tuple | list, b: tuple | list) -> str:
-    """Where two tables of rows first differ, 1-based, as `first difference at
-    (i,j): x vs y`, or `sizes differ: len(a) vs len(b)`; "" if they are equal."""
+    """Where two tables of rows first differ, 1-based, as `first difference at (i,j):
+    x vs y`, `sizes differ: len(a) vs len(b)` or `row i sizes differ: …`; "" if equal."""
     if len(a) != len(b):
         return f"sizes differ: {len(a)} vs {len(b)}"
     for i, (ra, rb) in enumerate(zip(a, b), 1):
         if ra != rb:
-            j = next(j for j, (x, y) in enumerate(zip(ra, rb)) if x != y)
+            j = next((j for j, (x, y) in enumerate(zip(ra, rb)) if x != y), None)
+            if j is None:
+                return f"row {i} sizes differ: {len(ra)} vs {len(rb)}"
             return f"first difference at ({i},{j + 1}): {ra[j]} vs {rb[j]}"
     return ""
 

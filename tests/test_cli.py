@@ -224,7 +224,7 @@ def test_entropy_inconsistent_routes_exit_silently_in_json(monkeypatch, capsys):
     code = main(["entropy", "--n", "3", "--format", "json"])
     captured = capsys.readouterr()
     assert code == 1
-    assert "routes disagree" in captured.err
+    assert captured.err == "error: routes spread 7.900e-01\n"
     assert captured.out == ""
 
 
@@ -243,9 +243,26 @@ def test_entropy_inconsistent_routes_still_print_in_plain(monkeypatch, capsys):
     code = main(["entropy", "--n", "3"])
     captured = capsys.readouterr()
     assert code == 1
-    assert "routes disagree" in captured.err
-    assert "bound certification failed" in captured.err
+    assert captured.err == "error: routes spread 7.900e-01\nerror: exact bound certification failed\n"
     assert "lambda:" in captured.out  # plain mode still shows the report
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_entropy_names_an_uncertified_route_on_stderr(fmt, monkeypatch, capsys):
+    # Every route on the same float, but compacted-power's certificate failed:
+    # exit 1 with the report's own failure; csv and json print nothing on stdout.
+    real = _commands.volume_entropy
+
+    def stuck(spec):
+        report = real(spec)
+        return _replaced(report, converged={**report.converged, "compacted-power": False})
+
+    monkeypatch.setattr(_commands, "volume_entropy", stuck)
+    code = main(["entropy", "--n", "3", "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: not certified: compacted-power\n"
+    assert ("lambda:" in captured.out) if fmt == "plain" else captured.out == ""
 
 
 # =====================================================================
@@ -509,9 +526,9 @@ def _reference_flip_patches(n: int):
         yield f"reference row {r + 1}", [(cli, "reference_rows", flipped)]
 
 
-def _failures(n: int, mutants, monkeypatch) -> dict[str, set[str]]:
-    """The rows of rank n that FAIL with each mutant's patches in place, by
-    label.  An exception escaping _check_rank fails the test."""
+def _failures(n: int, mutants, monkeypatch) -> dict[str, dict[str, str]]:
+    """The rows of rank n that FAIL with each mutant's patches in place, as
+    {check: detail} by label.  An exception escaping _check_rank fails the test."""
     failures = {}
     for label, patches in mutants:
         with monkeypatch.context() as patch:
@@ -519,7 +536,7 @@ def _failures(n: int, mutants, monkeypatch) -> dict[str, set[str]]:
                 patch.setattr(mod, name, value)
             rows: list[dict] = []
             cli._check_rank(n, rows)
-        failures[label] = {row["check"] for row in rows if not row["pass"]}
+        failures[label] = {row["check"]: row["detail"] for row in rows if not row["pass"]}
     assert failures
     escaped = [label for label, failed in failures.items() if not failed]
     assert not escaped, f"{len(escaped)} of {len(failures)} mutants pass every check: {escaped}"
@@ -570,6 +587,13 @@ def test_every_route_bit_and_reference_flip_fails_a_row_of_rank_4(family, mutant
     # (21): each FAILs its pinned row.
     failures = _failures(4, mutants(4), monkeypatch)
     assert set().union(*failures.values()) == CATCH_TABLE_4[family]
+    if family == "reference row":
+        # Row r flipped at column r reads as that 1-based cell, built vs frozen.
+        diagonal = [row[i] for i, row in enumerate(cli.reference_rows(4, True))]
+        assert failures == {
+            f"reference row {r}": {"reference-rows": f"first difference at ({r},{r}): {v} vs {1 - v}"}
+            for r, v in enumerate(diagonal, 1)
+        }
 
 
 def test_every_unit_move_of_a_blocks_route_entry_fails_a_row_of_rank_3(monkeypatch):
@@ -750,6 +774,8 @@ def test_spectral_collapse_reads_the_power_routes_of_the_entropy_report(route, m
 
 @pytest.mark.parametrize("route", ROUTE_NAMES[:3])
 def test_spectral_collapse_names_the_power_route_that_did_not_converge(route, monkeypatch):
+    # One power route uncertified, its value still equal to the rest: both rows
+    # name it, route-consensus by the report's own failure.
     real = cli.volume_entropy
 
     def stuck(spec):
@@ -758,9 +784,11 @@ def test_spectral_collapse_names_the_power_route_that_did_not_converge(route, mo
 
     monkeypatch.setattr(cli, "volume_entropy", stuck)
     results = {row["check"]: row for row in cli._run_battery(3)}
-    assert results["spectral-collapse"]["detail"] == (
-        f"not certified for {PresentationSpec(3, False)}: {route}"
-    )
+    failed = {name: row["detail"] for name, row in results.items() if not row["pass"]}
+    assert failed == {
+        "route-consensus": f"not certified: {route}",
+        "spectral-collapse": f"not certified for {PresentationSpec(3, False)}: {route}",
+    }
 
 
 def test_spectral_collapse_certifies_the_formal_orientable_operator(monkeypatch, raised_operator):
@@ -919,7 +947,19 @@ def test_first_difference_reports_size_mismatch():
     assert reductions._first_row_difference(
         IntMatrix.identity(2).rows, IntMatrix.identity(3).rows
     ) == "sizes differ: 2 vs 3"
+    assert reductions._first_row_difference([[1, 2], [3, 4]], [[1, 2], [3, 4, 5]]) == "row 2 sizes differ: 2 vs 3"
     assert reductions._first_mask_difference([1, 2], [1, 2, 4]) == "sizes differ: 2 vs 3"
+
+
+def test_a_ragged_frozen_row_fails_reference_rows_with_its_size(monkeypatch):
+    # Frozen rows one entry short, as from a wrapped data line, FAIL the row that
+    # reads them instead of stopping the battery.
+    real = cli.reference_rows
+    monkeypatch.setattr(cli, "reference_rows", lambda n, orientable: [row[:-1] for row in real(n, orientable)])
+    rows: list[dict] = []
+    cli._check_rank(4, rows)
+    failed = {row["check"]: row["detail"] for row in rows if not row["pass"]}
+    assert failed == {"reference-rows": "row 1 sizes differ: 56 vs 55"}
 
 
 # =====================================================================

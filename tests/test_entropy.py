@@ -435,10 +435,37 @@ def test_an_uncertified_route_with_equal_values_is_inconsistent():
     assert EntropyReport(3, False, 5.0, routes, dict.fromkeys(ROUTE_NAMES[:3], True)).consistent
 
 
+_SAME, _SPREAD = dict.fromkeys(ROUTE_NAMES, 5.0), {**dict.fromkeys(ROUTE_NAMES, 5.0), "charpoly-root": 5.5}
+_CERTIFIED = dict.fromkeys(ROUTE_NAMES[:3], True)
+
+
+@pytest.mark.parametrize(
+    "routes, converged, failure",
+    [
+        pytest.param(None, None, "", id="rank-2"),
+        pytest.param(_SAME, _CERTIFIED, "", id="consistent"),
+        pytest.param(_SAME, {**_CERTIFIED, "compacted-power": False}, "not certified: compacted-power",
+                     id="uncertified"),
+        # Named in ROUTE_NAMES order, whatever the order of `converged`.
+        pytest.param(_SAME, {"supercompacted-power": False, "compacted-power": True, "markov-power": False},
+                     "not certified: markov-power, supercompacted-power", id="two-uncertified"),
+        pytest.param(_SPREAD, _CERTIFIED, "routes spread 5.000e-01", id="spread"),
+        pytest.param(_SPREAD, {**_CERTIFIED, "markov-power": False},
+                     "not certified: markov-power; routes spread 5.000e-01", id="both"),
+    ],
+)
+def test_the_report_is_consistent_exactly_when_its_failure_is_empty(routes, converged, failure):
+    n = 3 if routes else 2
+    report = EntropyReport(n, False, 5.0 if routes else 1.0, routes, converged)
+    assert report.failure == failure
+    assert report.consistent == (report.failure == "")
+
+
 @pytest.mark.parametrize(
     "make, dropped",
     [
-        pytest.param(partial(EntropyReport, 3, False, 4.0), ("entropy", "agreement", "consistent"), id="report"),
+        pytest.param(partial(EntropyReport, 3, False, 4.0), ("entropy", "agreement", "failure", "consistent"),
+                     id="report"),
         pytest.param(partial(EntropyTableRow, 3, 4.0), ("entropy", "lower_bound", "upper_bound", "gap"), id="row"),
     ],
 )
